@@ -18,10 +18,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-detector pass over the concurrency-heavy packages (executive
-# mailboxes, the skeleton worker pool, and the serve control plane).
+# Race-detector pass over every package with tests except bench/ (the
+# repository's benchmark, which has its own driver). The whole set takes
+# about a minute on two cores, so nothing is carved out for time; tests
+# that read sync.Pool hit ratios or allocation counts skip themselves
+# under -race.
 race:
-	$(GO) test -race ./internal/exec/... ./internal/skel/... ./internal/serve/...
+	$(GO) test -race $$($(GO) list ./... | grep -v '^skipper/bench$$')
 
 # Regenerate the machine-readable perf snapshot consumed by the tier-1
 # envelope guard (bench_guard_test.go). See README § Performance.
@@ -29,13 +32,13 @@ race:
 bench:
 	$(GO) run ./cmd/skipper-bench -json BENCH_9.json
 
-# Quick data-plane snapshot (what CI's bench-smoke job runs and uploads
-# as its BENCH_9.json artifact): the farm round trip on every transport
-# (mem/tcp/unix/shm) plus the pipelined itermem and pipeline-depth pairs,
-# skipping the rest of the suite. Written to a scratch name locally so it
-# never clobbers the committed full snapshot the envelope guard checks.
+# Quick data-plane snapshot — what CI's bench-smoke job runs and uploads:
+# the farm round trip on every transport (mem/tcp/unix/shm), the pipelined
+# itermem and pipeline-depth pairs and the tracing-overhead pair, skipping
+# the rest of the suite. Written to a scratch name so it never clobbers the
+# committed full snapshot the envelope guard checks.
 bench-smoke:
-	$(GO) run ./cmd/skipper-bench -json bench-smoke.json -filter Transport,Itermem -iters 5
+	$(GO) run ./cmd/skipper-bench -json bench-smoke.json -filter Transport,Itermem,Trace -iters 5
 
 clean:
 	$(GO) clean ./...

@@ -240,23 +240,25 @@ func (sp Spec) netOptions() []nettransport.Option {
 	return opts
 }
 
-// ft is the executive fault-tolerance policy the spec implies: the fleet's
-// flags, with the job's own speculation override winning when set.
-func (sp Spec) ft() exec.FaultTolerance {
+// Configure copies the spec's executive knobs onto a machine — the one place
+// a launch path (node, coordinator, in-process, fleet worker, serve) turns a
+// Spec into machine settings, so a knob added here reaches all of them. The
+// fault-tolerance policy is the fleet's flags, with the job's own
+// speculation override winning when set.
+func (sp Spec) Configure(m *exec.Machine) {
 	speculate := sp.SpeculateAfter
 	if ms := sp.Job.SpeculateAfterMS; ms != 0 {
 		speculate = time.Duration(ms) * time.Millisecond
 	}
-	return exec.FaultTolerance{
+	m.DeterministicFarm = sp.Deterministic
+	m.FT = exec.FaultTolerance{
 		MaxRetries:     sp.MaxRetries,
 		TaskDeadline:   sp.TaskDeadline,
 		SpeculateAfter: speculate,
 	}
+	m.Pipeline = sp.Pipeline
+	m.PipelineDepth = sp.PipelineDepth
 }
-
-// FT exposes the resolved fault-tolerance policy for embedders (the serve
-// control plane builds its machines by hand but must agree with the nodes).
-func (sp Spec) FT() exec.FaultTolerance { return sp.ft() }
 
 // RunNode is the whole lifecycle of one node process: compile the spec,
 // dial the hub claiming proc, run the processor's program and detach. Used
@@ -313,10 +315,7 @@ func RunProcs(sp Spec, procs []int, hubAddr string, salt uint64, d time.Duration
 		tr = faulttransport.New(cl, cfg)
 	}
 	m := exec.NewMachineOn(s, reg, tr, local)
-	m.DeterministicFarm = sp.Deterministic
-	m.FT = sp.ft()
-	m.Pipeline = sp.Pipeline
-	m.PipelineDepth = sp.PipelineDepth
+	sp.Configure(m)
 	ob, err := sp.observe(tr, m, nil, trec)
 	if err != nil {
 		return err
@@ -357,10 +356,7 @@ func RunCoordinator(sp Spec, listen string, spawn func(addr string) error, d tim
 	}
 	defer hub.Close()
 	m := exec.NewMachineOn(s, reg, hub, []arch.ProcID{0})
-	m.DeterministicFarm = sp.Deterministic
-	m.FT = sp.ft()
-	m.Pipeline = sp.Pipeline
-	m.PipelineDepth = sp.PipelineDepth
+	sp.Configure(m)
 	// The debug server comes up before the nodes are spawned and before the
 	// run starts, so health and metrics are scrapeable while the cluster is
 	// attaching and mid-run.
@@ -393,10 +389,7 @@ func RunInProcess(sp Spec, d time.Duration) (*track.Recorder, *exec.RunResult, e
 	}
 	if sp.TraceDir == "" && sp.DebugAddr == "" {
 		m := exec.NewMachine(s, reg)
-		m.DeterministicFarm = sp.Deterministic
-		m.FT = sp.ft()
-		m.Pipeline = sp.Pipeline
-		m.PipelineDepth = sp.PipelineDepth
+		sp.Configure(m)
 		res, err := m.RunWithTimeout(sp.Iters, d)
 		if err != nil {
 			return nil, nil, err
@@ -413,10 +406,7 @@ func RunInProcess(sp Spec, d time.Duration) (*track.Recorder, *exec.RunResult, e
 		local[i] = arch.ProcID(i)
 	}
 	m := exec.NewMachineOn(s, reg, t, local)
-	m.DeterministicFarm = sp.Deterministic
-	m.FT = sp.ft()
-	m.Pipeline = sp.Pipeline
-	m.PipelineDepth = sp.PipelineDepth
+	sp.Configure(m)
 	ob, err := sp.observe(t, m, nil, sp.newRecorder())
 	if err != nil {
 		return nil, nil, err

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	goexec "skipper/internal/exec"
 	"skipper/internal/obsv"
 	"skipper/internal/syndex"
 	"skipper/internal/track"
@@ -290,5 +291,26 @@ func TestNodeRejectsCoordinatorProcessor(t *testing.T) {
 	}
 	if err := RunNode(sp, sp.Procs, "127.0.0.1:1", time.Second); err == nil {
 		t.Fatal("node accepted out-of-range processor")
+	}
+}
+
+// TestSpecConfigureSetsEveryKnob pins the one place a Spec becomes machine
+// settings: all four executive knobs land, and the job's own speculation
+// threshold overrides the fleet's.
+func TestSpecConfigureSetsEveryKnob(t *testing.T) {
+	sp := trackingSpec(1)
+	sp.Deterministic, sp.Pipeline, sp.PipelineDepth = true, true, 2
+	sp.MaxRetries, sp.TaskDeadline, sp.SpeculateAfter = 3, time.Second, 200*time.Millisecond
+	var m goexec.Machine
+	sp.Configure(&m)
+	want := goexec.FaultTolerance{MaxRetries: 3, TaskDeadline: time.Second, SpeculateAfter: 200 * time.Millisecond}
+	if !m.DeterministicFarm || !m.Pipeline || m.PipelineDepth != 2 || m.FT != want {
+		t.Fatalf("machine = {det %v pipe %v depth %d ft %+v}, want everything the spec sets",
+			m.DeterministicFarm, m.Pipeline, m.PipelineDepth, m.FT)
+	}
+	sp.SpeculateAfterMS = -1
+	sp.Configure(&m)
+	if m.FT.SpeculateAfter != -time.Millisecond {
+		t.Fatalf("SpeculateAfter = %v, want the job's -1ms override", m.FT.SpeculateAfter)
 	}
 }

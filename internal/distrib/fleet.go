@@ -402,10 +402,7 @@ func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
 		}
 	}()
 	mach := exec.NewMachineOn(s, reg, cl, local)
-	mach.DeterministicFarm = sp.Deterministic
-	mach.FT = sp.ft()
-	mach.Pipeline = sp.Pipeline
-	mach.PipelineDepth = sp.PipelineDepth
+	sp.Configure(mach)
 	mach.Trace = rec
 	res, runErr := mach.RunWithTimeout(sp.Iters, timeout)
 	if jrec == nil {

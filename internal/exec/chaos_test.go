@@ -467,38 +467,50 @@ let main = tf 4 chainstep add 0 (rootof 16);;
 // TestFillRotatesAcrossWorkers pins the fill() distribution fix: queue
 // refills must rotate round-robin over the live pool instead of always
 // rescanning from worker 0. A 17-task chain with exactly one task in the
-// system at a time lands every dispatch on the scan's first candidate — the
-// old code would put all 17 on one worker; the rotation spreads them.
+// system at a time lands every dispatch on the scan's first candidate — a
+// scan that restarted at 0 would put all 17 on one worker; the rotation
+// spreads them. fill() is the farm's one dispatch policy, so the rotation is
+// pinned with the fault-tolerance state armed and without it.
 func TestFillRotatesAcrossWorkers(t *testing.T) {
-	a := arch.Ring(8)
-	reg := chainRegistry()
-	s := compile(t, chainSrc, reg, a, syndex.Structured)
-	workers := workerOnlyProcs(s)
-	if len(workers) < 2 {
-		t.Fatalf("schedule maps %d worker-only processors, need >= 2 to observe the distribution", len(workers))
-	}
-	inner := memtransport.New(a)
-	defer inner.Close()
-	ct := &taskCountTransport{chaosWrap: &chaosWrap{inner: inner}}
-	m := NewMachineOn(s, reg, ct, allProcs(a))
-	m.FT = FaultTolerance{MaxRetries: 1}
-	res, err := m.RunWithTimeout(1, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outputs[0] != 1 {
-		t.Fatalf("output = %v, want 1", res.Outputs[0])
-	}
-	if m.ft == nil {
-		t.Fatal("fault tolerance never armed; the legacy master was under test instead of fill()")
-	}
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	for _, p := range workers {
-		if ct.tasks[p] < 2 {
-			t.Fatalf("worker processor %d received %d of 17 chained tasks (distribution %v): refills are not rotating",
-				p, ct.tasks[p], ct.tasks)
-		}
+	for _, tc := range []struct {
+		name string
+		ft   FaultTolerance
+	}{
+		{"ft-off", FaultTolerance{}},
+		{"ft-armed", FaultTolerance{MaxRetries: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := arch.Ring(8)
+			reg := chainRegistry()
+			s := compile(t, chainSrc, reg, a, syndex.Structured)
+			workers := workerOnlyProcs(s)
+			if len(workers) < 2 {
+				t.Fatalf("schedule maps %d worker-only processors, need >= 2 to observe the distribution", len(workers))
+			}
+			inner := memtransport.New(a)
+			defer inner.Close()
+			ct := &taskCountTransport{chaosWrap: &chaosWrap{inner: inner}}
+			m := NewMachineOn(s, reg, ct, allProcs(a))
+			m.FT = tc.ft
+			res, err := m.RunWithTimeout(1, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outputs[0] != 1 {
+				t.Fatalf("output = %v, want 1", res.Outputs[0])
+			}
+			if armed := m.ft != nil; armed != (tc.ft.MaxRetries > 0) {
+				t.Fatalf("fault-tolerance state armed = %v with MaxRetries %d", armed, tc.ft.MaxRetries)
+			}
+			ct.mu.Lock()
+			defer ct.mu.Unlock()
+			for _, p := range workers {
+				if ct.tasks[p] < 2 {
+					t.Fatalf("worker processor %d received %d of 17 chained tasks (distribution %v): refills are not rotating",
+						p, ct.tasks[p], ct.tasks)
+				}
+			}
+		})
 	}
 }
 

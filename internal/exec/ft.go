@@ -2,16 +2,13 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"skipper/internal/arch"
 	"skipper/internal/exec/transport"
-	"skipper/internal/graph"
 	"skipper/internal/obsv"
 	"skipper/internal/syndex"
-	"skipper/internal/value"
 )
 
 // FaultTolerance configures farm-level failure recovery (DESIGN.md §11).
@@ -26,8 +23,7 @@ import (
 type FaultTolerance struct {
 	// MaxRetries bounds how many times one task may be re-dispatched after
 	// its worker died or its deadline fired. Zero disables fault tolerance
-	// entirely (the default): any peer death aborts the cluster, exactly
-	// the legacy behavior.
+	// entirely (the default): any peer death aborts the cluster.
 	MaxRetries int
 	// TaskDeadline, when positive, bounds how long a dispatched task may
 	// stay outstanding before the executive suspects its worker dead and
@@ -47,90 +43,22 @@ type FaultTolerance struct {
 	SpeculateAfter time.Duration
 }
 
-func (ft FaultTolerance) enabled() bool { return ft.MaxRetries > 0 }
-
 // speculateAfter resolves the effective speculation threshold: an explicit
 // positive value wins, zero inherits half the hard deadline, negative (or
 // no deadline to inherit from) disables.
 func (ft FaultTolerance) speculateAfter() time.Duration {
-	switch {
-	case ft.SpeculateAfter > 0:
-		return ft.SpeculateAfter
-	case ft.SpeculateAfter < 0:
-		return 0
-	case ft.TaskDeadline > 0:
-		return ft.TaskDeadline / 2
+	if ft.SpeculateAfter != 0 {
+		return max(ft.SpeculateAfter, 0)
 	}
-	return 0
+	return max(ft.TaskDeadline/2, 0)
 }
 
-// masterReg is one active farm master's wake-up address: peer-down
-// notifications are delivered as transport.ProcsDown values self-sent to
-// the master's reply stream, so the master learns of deaths at the same
-// point it learns of everything else, with no extra synchronization in its
-// dispatch loop.
-type masterReg struct {
-	proc arch.ProcID
-	key  transport.Key
-}
-
-// ftState is the per-run fault-tolerance bookkeeping.
+// ftState is the per-run fault-tolerance bookkeeping. It is built before
+// the run's programs are lowered and the peer-down handler is registered
+// after, so farms never changes while the handler can run.
 type ftState struct {
-	mu      sync.Mutex
-	dead    map[arch.ProcID]bool
-	masters map[*masterReg]bool
-
-	failures        atomic.Int64 // processors declared dead this run
-	redispatches    atomic.Int64 // tasks re-enqueued this run
-	speculations    atomic.Int64 // speculative duplicate dispatches this run
-	specWins        atomic.Int64 // duplicates whose reply beat the original
-	falseSuspicions atomic.Int64 // deadline-suspected workers that later replied
-}
-
-func newFTState() *ftState {
-	return &ftState{
-		dead:    map[arch.ProcID]bool{},
-		masters: map[*masterReg]bool{},
-	}
-}
-
-// markDead records p as dead; reports whether this was fresh news.
-func (f *ftState) markDead(p arch.ProcID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.dead[p] {
-		return false
-	}
-	f.dead[p] = true
-	return true
-}
-
-func (f *ftState) isDead(p arch.ProcID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dead[p]
-}
-
-func (f *ftState) register(r *masterReg) {
-	f.mu.Lock()
-	f.masters[r] = true
-	f.mu.Unlock()
-}
-
-func (f *ftState) unregister(r *masterReg) {
-	f.mu.Lock()
-	delete(f.masters, r)
-	f.mu.Unlock()
-}
-
-func (f *ftState) snapshotMasters() []*masterReg {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	rs := make([]*masterReg, 0, len(f.masters))
-	for r := range f.masters {
-		rs = append(rs, r)
-	}
-	return rs
+	dead  []atomic.Bool // indexed by processor: declared dead this run
+	farms []*farm       // every farm master this machine hosts
 }
 
 // procTolerable reports whether p's death is survivable: its program must
@@ -138,9 +66,6 @@ func (f *ftState) snapshotMasters() []*masterReg {
 // re-executable elsewhere. Anything else on the processor — sends,
 // receives, memory nodes, masters — is irreplaceable.
 func (m *Machine) procTolerable(p arch.ProcID) bool {
-	if int(p) < 0 || int(p) >= len(m.sched.Programs) {
-		return false
-	}
 	for _, op := range m.sched.Programs[p] {
 		if op.Kind != syndex.OpWorker {
 			return false
@@ -150,8 +75,11 @@ func (m *Machine) procTolerable(p arch.ProcID) bool {
 }
 
 // handlePeerDown is the transport's failure callback: classify the deaths
-// (tolerable or fatal), record them, and wake every active farm master so
-// it can re-dispatch the dead workers' in-flight tasks.
+// (tolerable or fatal), record them, and wake every farm master that is
+// mid-invocation so it can re-dispatch the dead workers' in-flight tasks.
+// The wake-up is a transport.ProcsDown self-sent to the master's reply
+// stream, so a master learns of deaths at the same point it learns of
+// everything else, with no extra synchronization in its dispatch loop.
 func (m *Machine) handlePeerDown(procs []arch.ProcID) {
 	ft := m.ft
 	if ft == nil {
@@ -159,7 +87,7 @@ func (m *Machine) handlePeerDown(procs []arch.ProcID) {
 	}
 	var fresh []arch.ProcID
 	for _, p := range procs {
-		if ft.markDead(p) {
+		if int(p) >= 0 && int(p) < len(ft.dead) && !ft.dead[p].Swap(true) {
 			fresh = append(fresh, p)
 		}
 	}
@@ -173,428 +101,15 @@ func (m *Machine) handlePeerDown(procs []arch.ProcID) {
 		}
 	}
 	for _, p := range fresh {
-		ft.failures.Add(1)
 		m.ftFailures.Add(1)
-		if m.Trace != nil {
-			m.Trace.Record(int32(p), obsv.EvPeerDown, 0, -1, 0)
+		m.Trace.Record(int32(p), obsv.EvPeerDown, 0, -1, 0)
+	}
+	for _, f := range ft.farms {
+		// A master marks itself active before it reads the dead set, and the
+		// deaths above are marked before active is read here: a death the
+		// master did not see at its start reaches it as ProcsDown.
+		if f.active.Load() {
+			m.t.Send(f.p, f.p, f.replyKey, transport.ProcsDown{Procs: fresh})
 		}
 	}
-	for _, r := range ft.snapshotMasters() {
-		m.t.Send(r.proc, r.proc, r.key, transport.ProcsDown{Procs: fresh})
-	}
-}
-
-// suspectDeadline declares a worker's processor dead after a task deadline
-// overrun, going through the same path a transport-detected death takes:
-// the transport stops routing to it (and, on the hub, tells every node),
-// and handlePeerDown classifies, records and wakes the masters. The
-// current master re-dispatches when its own ProcsDown arrives.
-func (m *Machine) suspectDeadline(p arch.ProcID) {
-	if pd, ok := m.t.(transport.PeerDowner); ok {
-		pd.MarkPeerDown(p)
-	}
-	m.handlePeerDown([]arch.ProcID{p})
-}
-
-// ftTask is one farm task's recovery state.
-type ftTask struct {
-	val   value.Value // retained until done, for re-dispatch
-	tries int         // dispatch count (1 = first attempt; speculation uncounted)
-	done  bool        // a valid reply was folded
-	specW int         // worker index of the active speculative duplicate, -1 none
-}
-
-// runMasterFT is the fault-tolerant variant of the farm-master protocol.
-// It differs from runMaster (the legacy path, kept byte-for-byte intact so
-// FT-disabled runs produce identical message sequences) in that it tracks
-// which task is in flight on which worker, reacts to ProcsDown and
-// DeadlineTick control values interleaved into its reply stream, and
-// re-enqueues the in-flight tasks of dead workers — bounded by
-// FaultTolerance.MaxRetries per task — onto the surviving pool.
-func (m *Machine) runMasterFT(st *procState, id graph.NodeID) error {
-	g := m.sched.Graph
-	n := g.Node(id)
-	inputs, err := m.inputsOf(st, id)
-	if err != nil {
-		return err
-	}
-	xs, ok := inputs[0].(value.List)
-	if !ok {
-		return fmt.Errorf("exec: farm input of %s is not a list", n.Name)
-	}
-	acc := inputs[1]
-	accFn, ok := m.reg.Lookup(n.AccFn)
-	if !ok {
-		return fmt.Errorf("exec: accumulate function %q not registered", n.AccFn)
-	}
-
-	workerProc := make([]arch.ProcID, n.Workers)
-	for _, e := range g.OutEdges(id) {
-		if w := g.Node(e.To); w.Kind == graph.KindWorker {
-			workerProc[w.Index] = m.sched.Assign[w.ID]
-		}
-	}
-
-	// gen tags this master invocation: reply keys are shared across
-	// iterations, and a deadline-suspected worker that was merely slow can
-	// deliver its reply arbitrarily late — without the generation check it
-	// would be folded into a later iteration's accumulator.
-	gen := m.farmGen.Add(1)
-	replyKey := transport.ReplyKey(id)
-
-	// Register for death notifications before reading the dead set: a death
-	// landing between the two is then delivered as ProcsDown rather than
-	// lost.
-	reg := &masterReg{proc: st.p, key: replyKey}
-	m.ft.register(reg)
-	defer m.ft.unregister(reg)
-
-	tasks := make([]ftTask, 0, len(xs))
-	queue := make([]int, 0, len(xs))
-	for i, x := range xs {
-		tasks = append(tasks, ftTask{val: x, specW: -1})
-		queue = append(queue, i)
-	}
-	remaining := len(tasks)
-
-	var buffered []value.Value
-	deterministic := m.DeterministicFarm && !n.TaskFarm
-	if deterministic {
-		buffered = make([]value.Value, len(xs))
-	}
-
-	alive := make([]bool, n.Workers)
-	inflight := make([]int, n.Workers)
-	deadlines := make([]time.Time, n.Workers)
-	dispatched := make([]time.Time, n.Workers) // when inflight[w] was handed out
-	suspected := make([]bool, n.Workers)       // deadline verdicts issued, for false-suspicion accounting
-	aliveCount := 0
-	for w := 0; w < n.Workers; w++ {
-		alive[w] = !m.ft.isDead(workerProc[w])
-		if alive[w] {
-			aliveCount++
-		}
-		inflight[w] = -1
-	}
-	// outstanding mirrors the number of in-flight dispatches for the
-	// watchdog goroutine, which must not tick while nothing is waiting.
-	var outstanding atomic.Int32
-
-	send := func(w, idx int) {
-		inflight[w] = idx
-		dispatched[w] = time.Now()
-		if m.FT.TaskDeadline > 0 {
-			deadlines[w] = dispatched[w].Add(m.FT.TaskDeadline)
-		}
-		outstanding.Add(1)
-		m.t.Send(st.p, workerProc[w], transport.TaskKey(id, w),
-			transport.Task{Idx: idx, Gen: gen, V: tasks[idx].val})
-	}
-	dispatch := func(w, idx int) {
-		tasks[idx].tries++
-		send(w, idx)
-	}
-	// speculate duplicates a slow task onto an idle worker. Unlike dispatch
-	// it charges no retry — the original worker is slow, not suspected — and
-	// the generation/done machinery discards whichever reply loses the race.
-	speculate := func(w, idx int) {
-		tasks[idx].specW = w
-		m.ft.speculations.Add(1)
-		m.ftSpeculations.Add(1)
-		if m.Trace != nil {
-			m.Trace.Record(int32(st.p), obsv.EvSpeculate, 0, int32(workerProc[w]), int64(idx))
-		}
-		send(w, idx)
-	}
-	// clearInflight retires w's dispatch (reply arrived or worker died) and
-	// returns the task index it held, -1 if it was idle.
-	clearInflight := func(w int) int {
-		idx := inflight[w]
-		if idx >= 0 {
-			inflight[w] = -1
-			outstanding.Add(-1)
-		}
-		return idx
-	}
-	// requeue returns a dead worker's in-flight task to the queue (retry
-	// budget permitting) and records the re-dispatch.
-	requeue := func(w int) error {
-		idx := clearInflight(w)
-		if idx < 0 || tasks[idx].done {
-			return nil
-		}
-		if tasks[idx].specW == w {
-			// The speculative copy died; the original still carries the task.
-			tasks[idx].specW = -1
-		}
-		for w2 := 0; w2 < n.Workers; w2++ {
-			// A live duplicate still runs the task: nothing to re-enqueue and
-			// no retry charged — speculation already covers this loss.
-			if w2 != w && inflight[w2] == idx {
-				return nil
-			}
-		}
-		if tasks[idx].tries > m.FT.MaxRetries {
-			if m.Trace != nil {
-				m.Trace.Record(int32(st.p), obsv.EvDegrade, 0, -1, int64(idx))
-			}
-			return fmt.Errorf("exec: farm %s task %d lost its worker %d times (max-retries %d exhausted)",
-				n.Name, idx, tasks[idx].tries, m.FT.MaxRetries)
-		}
-		m.ft.redispatches.Add(1)
-		m.ftRedispatches.Add(1)
-		if m.Trace != nil {
-			m.Trace.Record(int32(st.p), obsv.EvRedispatch, 0, -1, int64(idx))
-		}
-		queue = append(queue, idx)
-		return nil
-	}
-	// fill hands queued tasks to idle surviving workers. The scan start
-	// rotates (round-robin over the worker array) so queue refills spread
-	// across the pool instead of systematically favoring low indices — on a
-	// heterogeneous fleet the old scan-from-0 piled refills and speculative
-	// duplicates onto the same few workers.
-	fillNext := 0
-	idleWorker := func() int {
-		for k := 0; k < n.Workers; k++ {
-			w := (fillNext + k) % n.Workers
-			if alive[w] && inflight[w] < 0 {
-				return w
-			}
-		}
-		return -1
-	}
-	fill := func() {
-		start := fillNext
-		for k := 0; k < n.Workers && len(queue) > 0; k++ {
-			w := (start + k) % n.Workers
-			if alive[w] && inflight[w] < 0 {
-				idx := queue[0]
-				queue = queue[1:]
-				dispatch(w, idx)
-				fillNext = (w + 1) % n.Workers
-			}
-		}
-	}
-	// markWorkersDead contains a set of processor deaths inside the farm.
-	markWorkersDead := func(dead map[arch.ProcID]bool) error {
-		for w := 0; w < n.Workers; w++ {
-			if alive[w] && dead[workerProc[w]] {
-				alive[w] = false
-				aliveCount--
-				if err := requeue(w); err != nil {
-					return err
-				}
-			}
-		}
-		if aliveCount == 0 && remaining > 0 {
-			return fmt.Errorf("exec: every worker of farm %s is dead with %d tasks unfinished", n.Name, remaining)
-		}
-		return nil
-	}
-
-	if err := markWorkersDead(map[arch.ProcID]bool{}); err != nil {
-		return err // degenerate: started with zero live workers
-	}
-	fill()
-
-	// The watchdog self-sends ticks into the reply stream so the master
-	// checks deadline overruns and speculation thresholds without a second
-	// blocking point; ticking at a quarter of the tightest armed threshold
-	// bounds detection latency to 1.25 thresholds. Two guards keep stale
-	// ticks out of the shared reply key: the goroutine skips the send while
-	// nothing is in flight, and stopTicks — called when the dispatch loop
-	// exits and again (idempotently) on any return path — excludes further
-	// sends under tickMu, so no DeadlineTick can land after the master
-	// returns for the next iteration's master to consume.
-	specAfter := m.FT.speculateAfter()
-	stopTicks := func() {}
-	watch := m.FT.TaskDeadline
-	if specAfter > 0 && (watch <= 0 || specAfter < watch) {
-		watch = specAfter
-	}
-	if watch > 0 {
-		stop := make(chan struct{})
-		var tickMu sync.Mutex
-		ticksStopped := false
-		stopTicks = func() {
-			tickMu.Lock()
-			ticksStopped = true
-			tickMu.Unlock()
-		}
-		defer func() {
-			stopTicks()
-			close(stop)
-		}()
-		tick := watch / 4
-		if tick <= 0 {
-			tick = watch
-		}
-		go func() {
-			t := time.NewTicker(tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					tickMu.Lock()
-					if !ticksStopped && outstanding.Load() > 0 {
-						m.t.Send(st.p, st.p, replyKey, transport.DeadlineTick{})
-					}
-					tickMu.Unlock()
-				}
-			}
-		}()
-	}
-
-	replies := m.t.Receiver(st.p, replyKey)
-	for remaining > 0 {
-		rv, ok := replies.Recv()
-		if !ok {
-			return fmt.Errorf("exec: master receive aborted")
-		}
-		switch rep := rv.(type) {
-		case transport.ProcsDown:
-			dead := make(map[arch.ProcID]bool, len(rep.Procs))
-			for _, p := range rep.Procs {
-				dead[p] = true
-			}
-			if err := markWorkersDead(dead); err != nil {
-				return err
-			}
-			fill()
-
-		case transport.DeadlineTick:
-			now := time.Now()
-			if m.FT.TaskDeadline > 0 {
-				var overrun []arch.ProcID
-				for w := 0; w < n.Workers; w++ {
-					if alive[w] && inflight[w] >= 0 && now.After(deadlines[w]) {
-						suspected[w] = true
-						overrun = append(overrun, workerProc[w])
-					}
-				}
-				for _, p := range overrun {
-					// Routes back to this master as a ProcsDown on the reply
-					// stream (and to every other master), where the
-					// re-dispatch happens.
-					m.suspectDeadline(p)
-				}
-			}
-			if specAfter > 0 {
-				// Straggler speculation: a task outstanding past the
-				// threshold on a worker still considered live is duplicated
-				// onto an idle worker — at most one active copy beyond the
-				// original, placed with the same rotating scan fill uses.
-				for w := 0; w < n.Workers; w++ {
-					idx := inflight[w]
-					if !alive[w] || idx < 0 || tasks[idx].done ||
-						tasks[idx].specW >= 0 || now.Sub(dispatched[w]) < specAfter {
-						continue
-					}
-					duplicated := false
-					for w2 := 0; w2 < n.Workers; w2++ {
-						if w2 != w && inflight[w2] == idx {
-							duplicated = true
-							break
-						}
-					}
-					if duplicated {
-						continue
-					}
-					tgt := idleWorker()
-					if tgt < 0 {
-						break // the pool is saturated; nothing to speculate on
-					}
-					fillNext = (tgt + 1) % n.Workers
-					speculate(tgt, idx)
-				}
-			}
-
-		case transport.Reply:
-			if rep.Gen != gen {
-				continue // a previous invocation's straggler
-			}
-			if rep.Widx >= 0 && rep.Widx < n.Workers {
-				if inflight[rep.Widx] == rep.Task {
-					clearInflight(rep.Widx)
-				}
-				if suspected[rep.Widx] {
-					// The deadline verdict was wrong: the worker was slow,
-					// not dead. It stays marked down (the transport already
-					// tore its routes) but the operator learns the deadline
-					// is too tight.
-					suspected[rep.Widx] = false
-					m.ft.falseSuspicions.Add(1)
-					m.ftFalseSuspicions.Add(1)
-				}
-			}
-			if rep.Task < 0 || rep.Task >= len(tasks) {
-				return fmt.Errorf("exec: master %s received reply for unknown task %d", n.Name, rep.Task)
-			}
-			if !tasks[rep.Task].done {
-				if sw := tasks[rep.Task].specW; sw >= 0 {
-					if rep.Widx == sw {
-						m.ft.specWins.Add(1)
-						m.ftSpecWins.Add(1)
-						if m.Trace != nil {
-							m.Trace.Record(int32(st.p), obsv.EvSpecWin, 0, int32(workerProc[sw]), int64(rep.Task))
-						}
-					}
-					tasks[rep.Task].specW = -1 // the race is settled
-				}
-				tasks[rep.Task].done = true
-				tasks[rep.Task].val = nil
-				remaining--
-				if n.TaskFarm {
-					pair, ok := rep.V.(value.Tuple)
-					if !ok || len(pair) != 2 {
-						return fmt.Errorf("exec: tf worker must return (results, new-tasks)")
-					}
-					ys, ok1 := pair[0].(value.List)
-					more, ok2 := pair[1].(value.List)
-					if !ok1 || !ok2 {
-						return fmt.Errorf("exec: tf worker returned non-lists")
-					}
-					for _, y := range ys {
-						acc = accFn.Fn([]value.Value{acc, y})
-					}
-					for _, x := range more {
-						tasks = append(tasks, ftTask{val: x, specW: -1})
-						queue = append(queue, len(tasks)-1)
-						remaining++
-					}
-				} else if deterministic {
-					buffered[rep.Task] = rep.V
-				} else {
-					acc = accFn.Fn([]value.Value{acc, rep.V})
-				}
-			}
-			fill()
-			if aliveCount == 0 && remaining > 0 {
-				return fmt.Errorf("exec: every worker of farm %s is dead with %d tasks unfinished", n.Name, remaining)
-			}
-
-		default:
-			return fmt.Errorf("exec: master %s received non-reply", n.Name)
-		}
-	}
-	// Every task is folded: silence the watchdog before the post-loop work
-	// (sentinels, deterministic fold) so no tick lands under the shared
-	// reply key for the next iteration's master to consume.
-	stopTicks()
-	for w := 0; w < n.Workers; w++ {
-		// Sentinels go to every worker, dead ones included: the transport
-		// drops frames to the dead, and a falsely-suspected survivor's task
-		// stream was already killed with its mailbox.
-		m.t.Send(st.p, workerProc[w], transport.TaskKey(id, w), transport.Sentinel{})
-	}
-	if deterministic {
-		for _, y := range buffered {
-			acc = accFn.Fn([]value.Value{acc, y})
-		}
-	}
-	st.outs[id] = []value.Value{acc}
-	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"skipper/internal/exec/transport"
 	"skipper/internal/graph"
 	"skipper/internal/obsv"
-	"skipper/internal/skel"
 	"skipper/internal/syndex"
 	"skipper/internal/value"
 )
@@ -100,14 +99,13 @@ type Machine struct {
 	// Trace, when set before Run, records op start/end events (and, via
 	// the transport's TraceSink, send/recv/mailbox events) into the given
 	// recorder; the run's snapshot lands in RunResult.Trace. Nil — the
-	// default — keeps the executive on its untraced path, which costs one
-	// branch per op and nothing else.
+	// default — costs one branch per op and nothing else.
 	Trace *obsv.Recorder
 	// OpLatency, when set, receives every op's duration in seconds. It is
 	// independent of Trace (metrics without tracing and vice versa).
 	OpLatency *obsv.Histogram
-	// StageLatency, when set and the pipelined interpreter is active,
-	// receives each pipeline stage's busy time per frame in seconds — the
+	// StageLatency, when set, receives each pipeline stage's busy time per
+	// frame in seconds on every processor that pipelines — the
 	// measured per-stage period a latency/throughput re-mapper consumes.
 	// Like OpLatency it is independent of Trace (which records the same
 	// hand-offs as EvStageHand events).
@@ -128,10 +126,9 @@ type Machine struct {
 	// first farm, which overlaps frame k-1's second farm, and so on. The
 	// loop-carried MEM state stays single-buffered — a capacity-1 token
 	// serializes frame k+1's MEM read after frame k's MEM write — so
-	// outputs are bit-identical to the sequential executive. Processors
-	// whose program does not satisfy the pipelineCuts conditions fall back
-	// to the sequential interpreter, as does everything when the flag is
-	// off (the default).
+	// outputs are bit-identical to the unpipelined executive. A processor
+	// whose program does not satisfy the pipelineCuts conditions runs as a
+	// single stage, as does everything when the flag is off (the default).
 	Pipeline bool
 
 	// PipelineDepth caps the number of pipeline stages. Values below 2
@@ -155,21 +152,11 @@ type Machine struct {
 	ftSpecWins        atomic.Int64
 	ftFalseSuspicions atomic.Int64
 
-	// pool hosts the per-iteration farm-worker processes. The seed spawned
-	// a fresh goroutine per worker node per iteration; persistent pool
-	// workers make steady-state frame iterations goroutine-setup-free.
-	pool *skel.Pool
+	outputs []value.Value // outputs[i]: iteration i's output; allocated per run, by lowering, where the Output node is hosted
 
-	// opLabels[p][i] is the interned trace label of Programs[p][i],
-	// precomputed at run start so the op loop never formats a label.
-	opLabels [][]uint32
-
-	outMu   sync.Mutex
-	outputs map[int]value.Value // iteration -> output, reset every run
-
-	errMu sync.Mutex
-	err   error
-	wg    sync.WaitGroup // farm worker goroutines
+	errMu  sync.Mutex
+	err    error
+	failed chan struct{} // closed when err is first set; replaced every run
 }
 
 // NewMachine prepares an executive hosting every processor of the
@@ -179,7 +166,7 @@ func NewMachine(sched *syndex.Schedule, reg *value.Registry) *Machine {
 	for i := range local {
 		local[i] = arch.ProcID(i)
 	}
-	return &Machine{sched: sched, reg: reg, ownT: true, local: local}
+	return &Machine{sched: sched, reg: reg, ownT: true, local: local, failed: make(chan struct{})}
 }
 
 // NewMachineOn prepares an executive hosting only the given processors,
@@ -187,7 +174,7 @@ func NewMachine(sched *syndex.Schedule, reg *value.Registry) *Machine {
 // it on failure but never closes it after a successful run, so several
 // machines (or OS processes, via the net backend) can share one transport.
 func NewMachineOn(sched *syndex.Schedule, reg *value.Registry, t transport.Transport, local []arch.ProcID) *Machine {
-	return &Machine{sched: sched, reg: reg, t: t, local: local}
+	return &Machine{sched: sched, reg: reg, t: t, local: local, failed: make(chan struct{})}
 }
 
 // Run executes iters iterations of the distributed program (1 for one-shot
@@ -202,56 +189,61 @@ func (m *Machine) Run(iters int) (*RunResult, error) {
 // interrupt communication waits — a user sequential function that never
 // returns cannot be cancelled.
 func (m *Machine) RunWithTimeout(iters int, d time.Duration) (*RunResult, error) {
-	if iters < 1 {
-		iters = 1
-	}
+	iters = max(iters, 1)
 	// Per-run state: a machine is reusable, so the previous run's outputs
 	// and error must not leak into this one.
-	m.outMu.Lock()
-	m.outputs = map[int]value.Value{}
-	m.outMu.Unlock()
+	m.outputs = nil
 	m.errMu.Lock()
-	m.err = nil
+	m.err, m.failed = nil, make(chan struct{})
 	m.errMu.Unlock()
 
 	if m.ownT {
 		m.t = memtransport.New(m.sched.Arch)
 	}
-	if m.Trace != nil {
-		if ts, ok := m.t.(transport.TraceSink); ok {
-			ts.SetTrace(m.Trace)
-		}
-		m.buildOpLabels()
+	if ts, ok := m.t.(transport.TraceSink); ok && m.Trace != nil {
+		ts.SetTrace(m.Trace)
 	}
-	// Arm fault tolerance: registering a peer-down handler is what switches
-	// the transport from abort-the-cluster to contain-and-notify, so with FT
-	// off the handler is never installed and legacy behavior is untouched.
+	// Fault tolerance needs a transport that can attribute a failure to one
+	// process; without one (or with FT off) any peer death stays fatal.
 	m.ft = nil
-	if m.FT.enabled() {
-		if fn, ok := m.t.(transport.FailureNotifier); ok {
-			m.ft = newFTState()
-			fn.OnPeerDown(m.handlePeerDown)
-		}
+	notifier, canNotify := m.t.(transport.FailureNotifier)
+	if m.FT.MaxRetries > 0 && canNotify {
+		m.ft = &ftState{dead: make([]atomic.Bool, m.sched.Arch.N)}
 	}
+	ftBefore := m.ftCounts()
 	statsBefore := m.t.Stats()
 
-	m.pool = skel.NewPool(len(m.local))
-	defer m.pool.Close()
-
-	// Processors.
-	var procWG sync.WaitGroup
+	// Lower every hosted processor's program once, then start the run's
+	// processes: one per hosted farm worker, one per processor.
+	plans := make([]*procPlan, 0, len(m.local))
 	for _, p := range m.local {
-		procWG.Add(1)
-		go func(p arch.ProcID) {
-			defer procWG.Done()
-			if m.Pipeline {
-				if cuts := m.pipelineCuts(p); len(cuts) > 0 {
-					m.runProcessorPipelined(p, iters, cuts)
-					return
-				}
-			}
-			m.runProcessor(p, iters)
-		}(p)
+		pl, err := m.lower(p, iters)
+		if err != nil {
+			m.fail(err) // also unblocks the peers this machine will never serve
+			plans = nil
+			break
+		}
+		plans = append(plans, pl)
+	}
+	if m.ft != nil {
+		// Registering the handler is what switches the transport from
+		// abort-the-cluster to contain-and-notify. After lowering, so the
+		// handler finds every farm record in place.
+		notifier.OnPeerDown(m.handlePeerDown)
+	}
+	var wg sync.WaitGroup
+	for _, pl := range plans {
+		wg.Add(1 + len(pl.workers))
+		for _, w := range pl.workers {
+			go func() {
+				defer wg.Done()
+				m.runWorker(pl.p, w, iters)
+			}()
+		}
+		go func() {
+			defer wg.Done()
+			m.interpret(pl, iters)
+		}()
 	}
 	// Watchdog: abort all communication waits if the deadline passes.
 	var watchdog *time.Timer
@@ -260,11 +252,10 @@ func (m *Machine) RunWithTimeout(iters int, d time.Duration) (*RunResult, error)
 			m.fail(fmt.Errorf("exec: executive did not complete within %v (communication stalled)", d))
 		})
 	}
-	procWG.Wait()
+	wg.Wait()
 	if watchdog != nil {
 		watchdog.Stop()
 	}
-	m.wg.Wait() // farm workers
 	stats := m.t.Stats()
 	terr := m.t.Err()
 	if m.ownT {
@@ -275,28 +266,27 @@ func (m *Machine) RunWithTimeout(iters int, d time.Duration) (*RunResult, error)
 	if terr != nil {
 		return nil, terr
 	}
-	if err := m.firstErr(); err != nil {
+	m.errMu.Lock()
+	err := m.err
+	m.errMu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	res := &RunResult{
-		Outputs:  make([]value.Value, iters),
-		Messages: stats.Messages - statsBefore.Messages,
-		Hops:     stats.Hops - statsBefore.Hops,
-		Direct:   stats.Direct - statsBefore.Direct,
+	if m.outputs == nil {
+		m.outputs = make([]value.Value, iters) // the Output node lives elsewhere: all holes
 	}
-	if m.ft != nil {
-		// The per-run counters snapshot this run; the cumulative machine
-		// counters (the /metrics sources) are bumped at event time in ft.go,
-		// so a scrape that lands mid-run already sees them.
-		res.Failures = m.ft.failures.Load()
-		res.Redispatches = m.ft.redispatches.Load()
-		res.Speculations = m.ft.speculations.Load()
-		res.SpeculationWins = m.ft.specWins.Load()
-		res.FalseSuspicions = m.ft.falseSuspicions.Load()
-	}
-	for i := 0; i < iters; i++ {
-		res.Outputs[i] = m.outputs[i]
-	}
+	// The FT counters are cumulative (the /metrics sources, bumped at event
+	// time so a mid-run scrape sees them); the result reports this run's share.
+	res := m.ftCounts()
+	res.Failures -= ftBefore.Failures
+	res.Redispatches -= ftBefore.Redispatches
+	res.Speculations -= ftBefore.Speculations
+	res.SpeculationWins -= ftBefore.SpeculationWins
+	res.FalseSuspicions -= ftBefore.FalseSuspicions
+	res.Outputs = m.outputs
+	res.Messages = stats.Messages - statsBefore.Messages
+	res.Hops = stats.Hops - statsBefore.Hops
+	res.Direct = stats.Direct - statsBefore.Direct
 	if m.Trace != nil {
 		res.Trace = m.Trace.Snapshot()
 		res.Trace.Procs = make([]int, len(m.local))
@@ -305,20 +295,6 @@ func (m *Machine) RunWithTimeout(iters int, d time.Duration) (*RunResult, error)
 		}
 	}
 	return res, nil
-}
-
-// buildOpLabels interns every scheduled op's label up front, so recording
-// an op boundary on the hot path is an array index, not a format call.
-func (m *Machine) buildOpLabels() {
-	m.opLabels = make([][]uint32, m.sched.Arch.N)
-	for _, p := range m.local {
-		prog := m.sched.Programs[p]
-		labels := make([]uint32, len(prog))
-		for i, op := range prog {
-			labels[i] = m.Trace.Intern(m.sched.OpLabel(op))
-		}
-		m.opLabels[p] = labels
-	}
 }
 
 // ErrCancelled is the error a run returns after Cancel. Callers that kill
@@ -334,41 +310,34 @@ var ErrCancelled = errors.New("exec: run cancelled")
 // own-transport machine a Cancel racing run start may find no transport yet
 // and only record the error.
 func (m *Machine) Cancel() {
+	if m.fail(ErrCancelled) {
+		m.Trace.Record(-1, obsv.EvCancel, 0, -1, 0)
+	}
+}
+
+// fail records the run's first error and unblocks everything: the failed
+// channel every op loop polls, and every communication wait. It reports
+// whether err was the first.
+func (m *Machine) fail(err error) bool {
 	m.errMu.Lock()
-	already := m.err != nil
-	if !already {
-		m.err = ErrCancelled
+	first := m.err == nil
+	if first {
+		m.err = err
+		close(m.failed)
 	}
 	t := m.t
 	m.errMu.Unlock()
-	if already || t == nil {
-		return
+	if first && t != nil {
+		t.Abort()
 	}
-	if m.Trace != nil {
-		m.Trace.Record(-1, obsv.EvCancel, 0, -1, 0)
-	}
-	t.Abort()
+	return first
 }
 
-// fail records the first error and unblocks everything.
-func (m *Machine) fail(err error) {
-	m.errMu.Lock()
-	already := m.err != nil
-	if !already {
-		m.err = err
-	}
-	m.errMu.Unlock()
-	if already {
-		return
-	}
-	m.t.Abort()
-}
-
-// firstErr returns the recorded error, if any.
-func (m *Machine) firstErr() error {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	return m.err
+// ftCounts reads the cumulative fault-tolerance counters into a result.
+func (m *Machine) ftCounts() *RunResult {
+	return &RunResult{Failures: m.ftFailures.Load(), Redispatches: m.ftRedispatches.Load(),
+		Speculations: m.ftSpeculations.Load(), SpeculationWins: m.ftSpecWins.Load(),
+		FalseSuspicions: m.ftFalseSuspicions.Load()}
 }
 
 // FTFailures reports the processors declared dead across every run of this
@@ -391,767 +360,194 @@ func (m *Machine) FTSpeculationWins() int64 { return m.ftSpecWins.Load() }
 // suspected worker's own reply, across every run; see FTFailures.
 func (m *Machine) FTFalseSuspicions() int64 { return m.ftFalseSuspicions.Load() }
 
-// runFarmWorker runs a farm worker body on the persistent pool, pinning the
-// processor identity the body was launched from.
-func (m *Machine) runFarmWorker(p arch.ProcID, body func(arch.ProcID)) {
-	m.pool.Go(func() { body(p) })
-}
-
-// procState is the per-processor, per-iteration execution context.
-type procState struct {
-	p    arch.ProcID
-	outs map[graph.NodeID][]value.Value // local node outputs this iteration
-	recv map[graph.EdgeID]value.Value   // received static edge values
-}
-
-// runProcessor interprets the processor's static program iters times.
-func (m *Machine) runProcessor(p arch.ProcID, iters int) {
-	prog := m.sched.Programs[p]
-	mem := map[graph.NodeID]value.Value{} // Mem node state, persists
-	trace, hist := m.Trace, m.OpLatency
-	var labels []uint32
-	if trace != nil {
-		labels = m.opLabels[p]
-	}
-	for iter := 0; iter < iters; iter++ {
-		st := &procState{
-			p:    p,
-			outs: map[graph.NodeID][]value.Value{},
-			recv: map[graph.EdgeID]value.Value{},
-		}
-		if trace == nil && hist == nil {
-			for _, op := range prog {
-				if m.firstErr() != nil {
-					return
-				}
-				if err := m.step(st, op, mem, iter); err != nil {
-					m.fail(err)
-					return
-				}
-			}
-			continue
-		}
-		for i, op := range prog {
-			if m.firstErr() != nil {
-				return
-			}
-			// Bracket the op with start/end events; the end is recorded even
-			// for a failing op, so traces of aborted runs stay pairable.
-			var t0, durNS int64
-			var w0 time.Time
-			if trace != nil {
-				t0 = trace.Record(int32(p), obsv.EvOpStart, labels[i], -1, int64(iter))
-			} else {
-				w0 = time.Now()
-			}
-			err := m.step(st, op, mem, iter)
-			if trace != nil {
-				durNS = trace.Record(int32(p), obsv.EvOpEnd, labels[i], -1, int64(iter)) - t0
-			} else {
-				durNS = int64(time.Since(w0))
-			}
-			if hist != nil {
-				hist.Observe(float64(durNS) / 1e9)
-			}
-			if err != nil {
-				m.fail(err)
-				return
-			}
-		}
-	}
-}
-
-// pipelineCuts returns the ascending cut indices splitting processor p's
-// program into pipeline stages prog[:c1), prog[c1:c2), ..., prog[ck:], or
-// nil when the program does not pipeline. A cut falls just before each farm
-// master (its worker spawns ride with their master, so task streams of
-// consecutive frames never interleave), giving one stage per farm plus the
-// front end — the deepest cut the op program admits.
-//
-// Validity conditions: the front end must be non-empty — otherwise there is
-// nothing to overlap — and must contain no MEM write (state updates belong
-// to the frame that computed them) and no stray worker spawn or master of
-// another farm. MEM accesses at or beyond the first cut must all land in
-// the final stage: the MEM ownership baton is taken by the front end and
-// returned by the final stage, so a MEM touch in a middle stage would race
-// a neighbouring frame. Cuts that would strand one there are dropped
-// (merging those farms into the final stage) rather than giving up on
-// pipelining entirely.
-func (m *Machine) pipelineCuts(p arch.ProcID) []int {
-	prog := m.sched.Programs[p]
-	g := m.sched.Graph
-	var cuts []int
-	for i, op := range prog {
-		if op.Kind != syndex.OpMaster {
-			continue
-		}
-		c := i
-		for c > 0 && prog[c-1].Kind == syndex.OpWorker {
-			c--
-		}
-		cuts = append(cuts, c)
-	}
-	if len(cuts) == 0 || cuts[0] == 0 {
-		return nil
-	}
-	for _, op := range prog[:cuts[0]] {
-		switch op.Kind {
-		case syndex.OpMemWrite, syndex.OpWorker, syndex.OpMaster:
-			return nil
-		}
-	}
-	// First MEM access at or beyond the first cut bounds every later cut.
-	memBound := len(prog)
-	for i := cuts[0]; i < len(prog); i++ {
-		op := prog[i]
-		if op.Kind == syndex.OpMemWrite ||
-			(op.Kind == syndex.OpExec && g.Node(op.Node).Kind == graph.KindMem) {
-			memBound = i
-			break
-		}
-	}
-	kept := cuts[:1]
-	for _, c := range cuts[1:] {
-		if c <= memBound {
-			kept = append(kept, c)
-		}
-	}
-	cuts = kept
-	if d := m.PipelineDepth; d >= 2 && len(cuts) > d-1 {
-		cuts = cuts[:d-1]
-	}
-	return cuts
-}
-
 // pipeFrame is one in-flight iteration handed from stage to stage down the
-// pipeline. Ownership of st transfers with each send.
+// pipeline. Ownership of vals transfers with each send.
 type pipeFrame struct {
-	st   *procState
+	vals []value.Value // the frame's value slots, indexed by the plan
 	iter int
 }
 
-// runProcessorPipelined interprets processor p's program as an N-stage
-// software pipeline over the stage boundaries from pipelineCuts: the
-// front-end stage (this goroutine) runs prog[:cuts[0]] — grab,
-// preprocessing, splits — for frame k+N-1 while each successive stage
-// goroutine runs its slice for an earlier frame, down to the final stage —
-// last farm, merge, display, MEM writes — on frame k. Frames ride a baton
-// chain of capacity-1 hand channels, so each stage holds exactly one frame
-// and frames leave every stage in order.
+// interpret runs a processor's lowered program for iters frames — the
+// executive's one interpreter. The calling goroutine is the front end: it
+// runs stage 0 (for an unpipelined processor, the whole program) frame
+// after frame. Each further stage from cutStages is a goroutine running its
+// slice for an earlier frame, down to the final stage — last farm, merge,
+// display, MEM writes. Frames ride a baton chain of capacity-1 hand
+// channels, so each stage holds exactly one frame and frames leave every
+// stage in order.
 //
-// The loop-carried dependency is the itermem delay state: frame k+1's MEM
-// read must observe frame k's MEM write. A capacity-1 token channel,
-// seeded with one token, enforces exactly that — the token is taken just
-// before the frame's first MEM-touching op and returned by the final stage
-// after the frame completes (pipelineCuts guarantees all MEM writes are
-// the final stage's own ops). The linear schedule places the MEM read at
-// the top of the program (it is a topological source), which would pin the
-// take — and therefore the serialization point — to the front end even
-// when the state's first consumer is the final merge; the read is
-// therefore sunk to the stage of its earliest consumer, so every stage
-// before that one pipelines freely across frames. Front-end ops that are
-// transitively state-independent are additionally hoisted before the take
-// (grab k+1 overlaps farm k). Transport ops are never reordered, so their
-// relative order — the basis of the schedule's deadlock-freedom — is
-// preserved exactly. All mem-map accesses are ordered through the token
-// and hand channels, so the interleaving is deterministic and outputs are
-// bit-identical to runProcessor's.
-func (m *Machine) runProcessorPipelined(p arch.ProcID, iters int, cuts []int) {
-	prog := m.sched.Programs[p]
-	g := m.sched.Graph
-	mem := map[graph.NodeID]value.Value{} // owned alternately via memTok/hand
-	var labels []uint32
-	if m.Trace != nil {
-		labels = m.opLabels[p]
-	}
-
-	// Stage j starts out as prog[bounds[j]:bounds[j+1]); stage 0 is this
-	// goroutine. stageOps materializes the op order per stage so MEM reads
-	// can migrate between stages below.
-	stages := len(cuts) + 1
-	bounds := make([]int, 0, stages+1)
-	bounds = append(append(bounds, 0), cuts...)
-	bounds = append(bounds, len(prog))
-	stageOps := make([][]int, stages)
-	for j := 0; j < stages; j++ {
-		for i := bounds[j]; i < bounds[j+1]; i++ {
-			stageOps[j] = append(stageOps[j], i)
-		}
-	}
-	stageOf := func(i int) int {
-		for j := stages - 1; j >= 0; j-- {
-			if i >= bounds[j] {
-				return j
-			}
-		}
-		return 0
-	}
-	// minConsumerStage returns the earliest stage holding an op that reads
-	// node nid's output — an exec or master input, or a send of it.
-	minConsumerStage := func(nid graph.NodeID) int {
-		min := stages - 1 // an unconsumed state serializes nothing: sink all the way
-		for i, op := range prog {
-			consumes := false
-			switch op.Kind {
-			case syndex.OpExec, syndex.OpMaster:
-				for _, e := range g.InEdges(op.Node) {
-					if !e.Back && !e.Intra && e.From == nid {
-						consumes = true
-						break
-					}
-				}
-			case syndex.OpSend:
-				consumes = g.Edges[op.Edge].From == nid
-			}
-			if consumes {
-				if s := stageOf(i); s < min {
-					min = s
-				}
-			}
-		}
-		return min
-	}
-	// Sink each front-end MEM read to the stage of its earliest consumer:
-	// the read is a pure copy of the delay state into the frame context, so
-	// delaying it past stages that never look at the state is safe — and it
-	// moves the cross-frame serialization point (the baton take below) as
-	// late as the dataflow allows.
-	var sunk []int
-	sinkTo := map[int]int{}
-	keep := stageOps[0][:0]
-	for _, i := range stageOps[0] {
-		op := prog[i]
-		if op.Kind == syndex.OpExec && g.Node(op.Node).Kind == graph.KindMem {
-			if s := minConsumerStage(op.Node); s > 0 {
-				sinkTo[i] = s
-				sunk = append(sunk, i)
-				continue
-			}
-		}
-		keep = append(keep, i)
-	}
-	stageOps[0] = keep
-	for k := len(sunk) - 1; k >= 0; k-- { // reverse prepend keeps read order
-		i := sunk[k]
-		stageOps[sinkTo[i]] = append([]int{i}, stageOps[sinkTo[i]]...)
-	}
-
-	// Baton geometry: the take sits immediately before the first
-	// MEM-touching op of the earliest MEM-touching stage; the return is the
-	// end of the final stage. takeStage < 0 means no local MEM at all.
-	takeStage, takeIdx := -1, -1
-	for j := 0; j < stages && takeStage < 0; j++ {
-		for _, i := range stageOps[j] {
-			op := prog[i]
-			if op.Kind == syndex.OpMemWrite ||
-				(op.Kind == syndex.OpExec && g.Node(op.Node).Kind == graph.KindMem) {
-				takeStage, takeIdx = j, i
-				break
-			}
-		}
-	}
-
-	// hoist[i] marks front-end ops safe to run before the baton-ordered
-	// pass: pure local computation whose inputs all come from other hoisted
-	// local ops — transitively independent of the delay state.
-	hoist := make([]bool, len(prog))
-	hoisted := map[graph.NodeID]bool{}
-	for _, i := range stageOps[0] {
-		op := prog[i]
-		if op.Kind != syndex.OpExec {
-			continue
-		}
-		n := g.Node(op.Node)
-		if n.Kind == graph.KindMem {
-			continue
-		}
-		ok := true
-		for _, e := range g.InEdges(n.ID) {
-			if e.Back || e.Intra {
-				continue
-			}
-			if m.sched.Assign[e.From] != p || !hoisted[e.From] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			hoist[i] = true
-			hoisted[n.ID] = true
-		}
-	}
-
+// A capacity-1 token channel, seeded with one token, is the MEM baton: it is
+// taken just before a frame's first MEM-touching op and returned by the
+// final stage after the frame completes (pipelineCuts guarantees all MEM
+// writes are the final stage's own ops). All MEM-state accesses are ordered
+// through the token and hand channels, so the interleaving is deterministic
+// and outputs are bit-identical at every depth.
+func (m *Machine) interpret(pl *procPlan, iters int) {
+	stages := len(pl.stages)
 	hands := make([]chan pipeFrame, stages) // hands[j]: stage j-1 → stage j
-	done := make([]chan struct{}, stages)   // done[j] closed when stage j exits
-	for j := 1; j < stages; j++ {
-		hands[j] = make(chan pipeFrame, 1)
-		done[j] = make(chan struct{})
+	var memTok chan struct{}
+	if pl.takeStage >= 0 {
+		memTok = make(chan struct{}, 1)
+		memTok <- struct{}{} // frame 0 reads the initial state
 	}
-	memTok := make(chan struct{}, 1) // MEM ownership baton
-	memTok <- struct{}{}             // frame 0 reads the initial state
-
-	trace, stageLat := m.Trace, m.StageLatency
 	var bwg sync.WaitGroup
 	for j := 1; j < stages; j++ {
+		hands[j] = make(chan pipeFrame, 1)
+	}
+	for j := 1; j < stages; j++ {
 		bwg.Add(1)
-		go func(j int) {
+		go func() {
 			defer bwg.Done()
-			defer close(done[j])
-			last := j == stages-1
-			if !last {
+			if j+1 < stages {
 				defer close(hands[j+1])
 			}
 			for f := range hands[j] {
-				var s0 time.Time
-				if stageLat != nil {
-					s0 = time.Now()
+				if !m.runStage(pl, j, f, memTok) {
+					return // upstream notices through m.failed
 				}
-				for _, i := range stageOps[j] {
-					if m.firstErr() != nil {
-						return
-					}
-					if j == takeStage && i == takeIdx {
-						if last {
-							// The final stage returned the token itself at
-							// the end of the previous frame, so this never
-							// blocks — but it still orders the mem map.
-							<-memTok
-						} else {
-							select {
-							case <-memTok:
-							case <-done[stages-1]: // final stage died
-								return
-							}
-						}
-					}
-					if err := m.stepBracketed(f.st, i, prog[i], mem, f.iter, labels); err != nil {
-						m.fail(err)
-						return
-					}
-				}
-				// The frame leaves this stage: record the baton hand-off and
-				// the stage's busy time — the measured per-stage period.
-				if trace != nil {
-					trace.Record(int32(p), obsv.EvStageHand, 0, int32(j), int64(f.iter))
-				}
-				if stageLat != nil {
-					stageLat(j, time.Since(s0).Seconds())
-				}
-				if last {
-					// Frame done (MEM writes included): hand the state baton
-					// to the next frame's take. Non-blocking because with no
-					// local MEM the token is never taken and the buffer is
-					// still full.
-					select {
-					case memTok <- struct{}{}:
-					default:
+				if j == stages-1 {
+					// The frame is done, MEM writes included: its baton goes
+					// to the next frame's take.
+					if memTok != nil {
+						memTok <- struct{}{}
 					}
 					continue
 				}
 				select {
 				case hands[j+1] <- f:
-				case <-done[j+1]: // downstream died; error already recorded
+				case <-m.failed:
 					return
 				}
 			}
-		}(j)
+		}()
 	}
-	lastDone := done[stages-1]
-
-	for iter := 0; iter < iters; iter++ {
-		st := &procState{
-			p:    p,
-			outs: map[graph.NodeID][]value.Value{},
-			recv: map[graph.EdgeID]value.Value{},
-		}
-		var s0 time.Time
-		if stageLat != nil {
-			s0 = time.Now()
-		}
-		fail := false
-		// Pass 1: the hoisted state-independent ops — this is the work
-		// that overlaps the previous frame's downstream stages.
-		for _, i := range stageOps[0] {
-			if !hoist[i] {
-				continue
-			}
-			if m.firstErr() != nil {
-				fail = true
-				break
-			}
-			if err := m.stepBracketed(st, i, prog[i], mem, iter, labels); err != nil {
-				m.fail(err)
-				fail = true
-				break
-			}
-		}
-		// Pass 2: everything else in program order, taking the MEM baton
-		// just before the state read when it stayed in the front end.
-		if !fail {
-			for _, i := range stageOps[0] {
-				if hoist[i] {
-					continue
-				}
-				if m.firstErr() != nil {
-					fail = true
-					break
-				}
-				if takeStage == 0 && i == takeIdx {
-					select {
-					case <-memTok:
-					case <-lastDone: // final stage died; error already recorded
-						fail = true
-					}
-					if fail {
-						break
-					}
-				}
-				if err := m.stepBracketed(st, i, prog[i], mem, iter, labels); err != nil {
-					m.fail(err)
-					fail = true
-					break
-				}
-			}
-		}
-		if fail {
-			break
-		}
-		if trace != nil {
-			trace.Record(int32(p), obsv.EvStageHand, 0, 0, int64(iter))
-		}
-		if stageLat != nil {
-			stageLat(0, time.Since(s0).Seconds())
-		}
-		select {
-		case hands[1] <- pipeFrame{st: st, iter: iter}:
-		case <-done[1]:
-			iter = iters // next stage died; stop producing
-		}
-	}
-	close(hands[1])
-	bwg.Wait()
-}
-
-// stepBracketed is step with the runProcessor trace/latency bracketing, for
-// the pipelined interpreter's two op loops.
-func (m *Machine) stepBracketed(st *procState, i int, op syndex.Op, mem map[graph.NodeID]value.Value, iter int, labels []uint32) error {
-	trace, hist := m.Trace, m.OpLatency
-	if trace == nil && hist == nil {
-		return m.step(st, op, mem, iter)
-	}
-	var t0, durNS int64
-	var w0 time.Time
-	if trace != nil {
-		t0 = trace.Record(int32(st.p), obsv.EvOpStart, labels[i], -1, int64(iter))
-	} else {
-		w0 = time.Now()
-	}
-	err := m.step(st, op, mem, iter)
-	if trace != nil {
-		durNS = trace.Record(int32(st.p), obsv.EvOpEnd, labels[i], -1, int64(iter)) - t0
-	} else {
-		durNS = int64(time.Since(w0))
-	}
-	if hist != nil {
-		hist.Observe(float64(durNS) / 1e9)
-	}
-	return err
-}
-
-// inputsOf gathers a node's input values, in port order, from local outputs
-// or received packets. Back edges are excluded (Mem handles them).
-func (m *Machine) inputsOf(st *procState, id graph.NodeID) ([]value.Value, error) {
-	g := m.sched.Graph
-	var inputs []value.Value
-	for _, e := range g.InEdges(id) {
-		if e.Back || e.Intra {
+	// An unpipelined processor reuses one slot array, cleared between frames
+	// so a finished frame's values (images, windows) are garbage at once.
+	// Pipelined frames overlap, so each gets its own.
+	f := pipeFrame{vals: make([]value.Value, pl.nslots)}
+	for ; f.iter < iters && m.runStage(pl, 0, f, memTok); f.iter++ {
+		if stages == 1 {
+			clear(f.vals)
 			continue
 		}
-		if m.sched.Assign[e.From] == st.p {
-			outs, ok := st.outs[e.From]
-			if !ok || e.FromPort >= len(outs) {
-				return nil, fmt.Errorf("exec: value for edge %d not yet produced at %s",
-					e.ID, g.Node(id).Name)
-			}
-			inputs = append(inputs, outs[e.FromPort])
-		} else {
-			v, ok := st.recv[e.ID]
-			if !ok {
-				return nil, fmt.Errorf("exec: edge %d consumed before receive at %s",
-					e.ID, g.Node(id).Name)
-			}
-			inputs = append(inputs, v)
+		select {
+		case hands[1] <- f:
+			f.vals = make([]value.Value, pl.nslots)
+		case <-m.failed:
+			f.iter = iters // stop producing
 		}
 	}
-	return inputs, nil
+	if stages > 1 {
+		close(hands[1])
+		bwg.Wait()
+	}
 }
 
-func (m *Machine) step(st *procState, op syndex.Op, mem map[graph.NodeID]value.Value, iter int) error {
-	g := m.sched.Graph
-	switch op.Kind {
+// runStage executes stage j's ops on frame f — the executive's one op loop.
+// Each op is bracketed with start/end trace events and the op-latency
+// observation when those are armed (the end is recorded even for a failing
+// op, so traces of aborted runs stay pairable). On a pipelined processor the
+// frame leaving the stage is recorded too: the hand-off event and the
+// stage's busy time — the measured per-stage period. It reports false when
+// the run is failing.
+func (m *Machine) runStage(pl *procPlan, j int, f pipeFrame, memTok chan struct{}) bool {
+	trace, hist, stageLat := m.Trace, m.OpLatency, m.StageLatency
+	pipelined := len(pl.stages) > 1
+	var s0 time.Time
+	if pipelined && stageLat != nil {
+		s0 = time.Now()
+	}
+	for k, i := range pl.stages[j] {
+		select {
+		case <-m.failed:
+			return false
+		default:
+		}
+		if j == pl.takeStage && k == pl.takeAt {
+			// The final stage returned the token itself at the end of the
+			// previous frame, so there this never blocks — but it still
+			// orders the MEM state.
+			select {
+			case <-memTok:
+			case <-m.failed:
+				return false
+			}
+		}
+		op := &pl.ops[i]
+		var t0, durNS int64
+		var w0 time.Time
+		if trace != nil {
+			t0 = trace.Record(int32(pl.p), obsv.EvOpStart, op.label, -1, int64(f.iter))
+		} else if hist != nil {
+			w0 = time.Now()
+		}
+		err := m.step(pl, op, f)
+		if trace != nil {
+			durNS = trace.Record(int32(pl.p), obsv.EvOpEnd, op.label, -1, int64(f.iter)) - t0
+		} else if hist != nil {
+			durNS = int64(time.Since(w0))
+		}
+		if hist != nil {
+			hist.Observe(float64(durNS) / 1e9)
+		}
+		if err != nil {
+			m.fail(err)
+			return false
+		}
+	}
+	if pipelined {
+		trace.Record(int32(pl.p), obsv.EvStageHand, 0, int32(j), int64(f.iter))
+		if stageLat != nil {
+			stageLat(j, time.Since(s0).Seconds())
+		}
+	}
+	return true
+}
+
+// step executes one lowered op on frame f.
+func (m *Machine) step(pl *procPlan, op *planOp, f pipeFrame) error {
+	vals := f.vals
+	switch op.kind {
 	case syndex.OpRecv:
-		v, ok := m.t.Recv(st.p, transport.EdgeKey(op.Edge))
+		v, ok := op.rx.Recv()
 		if !ok {
 			return fmt.Errorf("exec: receive aborted")
 		}
-		st.recv[op.Edge] = v
-		return nil
+		vals[op.out] = v
 
 	case syndex.OpSend:
-		e := g.Edges[op.Edge]
-		outs, ok := st.outs[e.From]
-		if !ok || e.FromPort >= len(outs) {
-			return fmt.Errorf("exec: send of unproduced edge %d", e.ID)
-		}
-		m.t.Send(st.p, op.Peer, transport.EdgeKey(e.ID), outs[e.FromPort])
-		return nil
+		m.t.Send(pl.p, op.peer, op.key, vals[op.in[0]])
 
 	case syndex.OpExec:
-		n := g.Node(op.Node)
-		if n.Kind == graph.KindMem {
-			// Read: iteration 0 uses the init input; later iterations use
-			// the stored feedback value.
-			v, ok := mem[n.ID]
-			if !ok {
-				inputs, err := m.inputsOf(st, n.ID)
-				if err != nil {
-					return err
-				}
-				v = inputs[0]
+		if op.mem != nil {
+			// Read: the init input until the first write, then the stored
+			// feedback value.
+			vals[op.out] = vals[op.in[0]]
+			if op.mem.set {
+				vals[op.out] = op.mem.v
 			}
-			st.outs[n.ID] = []value.Value{v}
 			return nil
 		}
-		inputs, err := m.inputsOf(st, n.ID)
-		if err != nil {
+		// A fresh argument slice per call: user functions may retain it
+		// (a merge function receives it as the list itself).
+		inputs := make([]value.Value, len(op.in))
+		for k, s := range op.in {
+			inputs[k] = vals[s]
+		}
+		if err := applyNode(op.node, op.fn, inputs, vals[op.out:op.out+op.nout]); err != nil {
 			return err
 		}
-		outs, err := EvalNode(n, m.reg, inputs)
-		if err != nil {
-			return err
+		if op.node.Kind == graph.KindOutput {
+			m.outputs[f.iter] = inputs[0]
 		}
-		st.outs[n.ID] = outs
-		if n.Kind == graph.KindOutput {
-			m.outMu.Lock()
-			m.outputs[iter] = inputs[0]
-			m.outMu.Unlock()
-		}
-		return nil
 
 	case syndex.OpMemWrite:
-		n := g.Node(op.Node)
-		for _, e := range g.InEdges(n.ID) {
-			if !e.Back {
-				continue
-			}
-			var v value.Value
-			if m.sched.Assign[e.From] == st.p {
-				outs, ok := st.outs[e.From]
-				if !ok || e.FromPort >= len(outs) {
-					return fmt.Errorf("exec: mem feedback not produced")
-				}
-				v = outs[e.FromPort]
-			} else {
-				rv, ok := st.recv[e.ID]
-				if !ok {
-					return fmt.Errorf("exec: mem feedback edge %d not received", e.ID)
-				}
-				v = rv
-			}
-			mem[n.ID] = v
-		}
-		return nil
-
-	case syndex.OpWorker:
-		w := g.Node(op.Node)
-		masterID, comp, err := m.workerWiring(w)
-		if err != nil {
-			return err
-		}
-		masterProc := m.sched.Assign[masterID]
-		trace := m.Trace
-		var wlabel uint32
-		if trace != nil {
-			// Label worker compute spans by function name — the same label
-			// the simulator gives its predicted worker spans, so measured
-			// and predicted chronograms line up block for block.
-			wlabel = trace.Intern(comp.Name)
-		}
-		m.wg.Add(1)
-		m.runFarmWorker(st.p, func(p arch.ProcID) {
-			defer m.wg.Done()
-			// Hoist the task receiver: the loop always waits on one key.
-			tasks := m.t.Receiver(p, transport.TaskKey(masterID, w.Index))
-			replyKey := transport.ReplyKey(masterID)
-			for {
-				tv, ok := tasks.Recv()
-				if !ok {
-					return
-				}
-				if _, done := tv.(transport.Sentinel); done {
-					return
-				}
-				tk, ok := tv.(transport.Task)
-				if !ok {
-					m.fail(fmt.Errorf("exec: worker received non-task payload"))
-					return
-				}
-				if trace != nil {
-					trace.Record(int32(p), obsv.EvOpStart, wlabel, -1, int64(tk.Idx))
-				}
-				y := comp.Fn([]value.Value{tk.V})
-				if trace != nil {
-					trace.Record(int32(p), obsv.EvOpEnd, wlabel, -1, int64(tk.Idx))
-				}
-				m.t.Send(p, masterProc, replyKey,
-					transport.Reply{Widx: w.Index, Task: tk.Idx, Gen: tk.Gen, V: y})
-			}
-		})
-		return nil
+		op.mem.v, op.mem.set = vals[op.in[0]], true
 
 	case syndex.OpMaster:
-		if m.ft != nil {
-			return m.runMasterFT(st, op.Node)
-		}
-		return m.runMaster(st, op.Node)
-	}
-	return fmt.Errorf("exec: unknown op kind %v", op.Kind)
-}
-
-// workerWiring finds a worker's master and compute function.
-func (m *Machine) workerWiring(w *graph.Node) (graph.NodeID, *value.Func, error) {
-	g := m.sched.Graph
-	var masterID graph.NodeID = -1
-	for _, e := range g.InEdges(w.ID) {
-		if g.Node(e.From).Kind == graph.KindMaster {
-			masterID = e.From
-		}
-	}
-	if masterID < 0 {
-		return -1, nil, fmt.Errorf("exec: worker %s has no master", w.Name)
-	}
-	comp, ok := m.reg.Lookup(w.Fn)
-	if !ok {
-		return -1, nil, fmt.Errorf("exec: worker function %q not registered", w.Fn)
-	}
-	return masterID, comp, nil
-}
-
-// runMaster executes the dynamic farm protocol: demand-driven dispatch of
-// the input list to the worker pool, accumulation of results in arrival
-// order, task feedback for tf, and sentinel-based termination.
-func (m *Machine) runMaster(st *procState, id graph.NodeID) error {
-	g := m.sched.Graph
-	n := g.Node(id)
-	inputs, err := m.inputsOf(st, id)
-	if err != nil {
+		var err error
+		vals[op.out], err = m.runMaster(op.farm, vals[op.in[0]], vals[op.in[1]])
 		return err
 	}
-	xs, ok := inputs[0].(value.List)
-	if !ok {
-		return fmt.Errorf("exec: farm input of %s is not a list", n.Name)
-	}
-	acc := inputs[1]
-	accFn, ok := m.reg.Lookup(n.AccFn)
-	if !ok {
-		return fmt.Errorf("exec: accumulate function %q not registered", n.AccFn)
-	}
-
-	// Worker processor table, indexed by worker index.
-	workerProc := make([]arch.ProcID, n.Workers)
-	for _, e := range g.OutEdges(id) {
-		if w := g.Node(e.To); w.Kind == graph.KindWorker {
-			workerProc[w.Index] = m.sched.Assign[w.ID]
-		}
-	}
-	sendTask := func(widx int, t transport.Task) {
-		m.t.Send(st.p, workerProc[widx], transport.TaskKey(id, widx), t)
-	}
-	sendSentinel := func(widx int) {
-		m.t.Send(st.p, workerProc[widx], transport.TaskKey(id, widx), transport.Sentinel{})
-	}
-
-	pending := make([]transport.Task, 0, len(xs))
-	for i, x := range xs {
-		pending = append(pending, transport.Task{Idx: i, V: x})
-	}
-	// In deterministic mode, buffer df results by task index and fold at
-	// the end in input order.
-	var buffered []value.Value
-	deterministic := m.DeterministicFarm && !n.TaskFarm
-	if deterministic {
-		buffered = make([]value.Value, len(xs))
-	}
-	outstanding := 0
-	idle := make([]int, 0, n.Workers)
-	// Hoist the reply receiver: every receive in this farm loop uses one key.
-	replies := m.t.Receiver(st.p, transport.ReplyKey(id))
-	// Initial dispatch: one task per worker while tasks remain.
-	for w := 0; w < n.Workers; w++ {
-		if len(pending) > 0 {
-			sendTask(w, pending[0])
-			pending = pending[1:]
-			outstanding++
-		} else {
-			idle = append(idle, w)
-		}
-	}
-	for outstanding > 0 {
-		rv, ok := replies.Recv()
-		if !ok {
-			return fmt.Errorf("exec: master receive aborted")
-		}
-		rep, ok := rv.(transport.Reply)
-		if !ok {
-			return fmt.Errorf("exec: master %s received non-reply", n.Name)
-		}
-		outstanding--
-		if n.TaskFarm {
-			pair, ok := rep.V.(value.Tuple)
-			if !ok || len(pair) != 2 {
-				return fmt.Errorf("exec: tf worker must return (results, new-tasks)")
-			}
-			ys, ok1 := pair[0].(value.List)
-			more, ok2 := pair[1].(value.List)
-			if !ok1 || !ok2 {
-				return fmt.Errorf("exec: tf worker returned non-lists")
-			}
-			for _, y := range ys {
-				acc = accFn.Fn([]value.Value{acc, y})
-			}
-			for _, x := range more {
-				pending = append(pending, transport.Task{Idx: -1, V: x})
-			}
-		} else if deterministic {
-			buffered[rep.Task] = rep.V
-		} else {
-			acc = accFn.Fn([]value.Value{acc, rep.V})
-		}
-		if len(pending) > 0 {
-			sendTask(rep.Widx, pending[0])
-			pending = pending[1:]
-			outstanding++
-		} else {
-			idle = append(idle, rep.Widx)
-		}
-		// Re-dispatch to idle workers when tf feedback refills the queue.
-		for len(pending) > 0 && len(idle) > 0 {
-			w := idle[len(idle)-1]
-			idle = idle[:len(idle)-1]
-			sendTask(w, pending[0])
-			pending = pending[1:]
-			outstanding++
-		}
-	}
-	// Terminate every worker for this iteration.
-	for w := 0; w < n.Workers; w++ {
-		sendSentinel(w)
-	}
-	if deterministic {
-		for _, y := range buffered {
-			acc = accFn.Fn([]value.Value{acc, y})
-		}
-	}
-	st.outs[id] = []value.Value{acc}
 	return nil
 }

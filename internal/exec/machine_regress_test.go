@@ -1,13 +1,17 @@
 package exec
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"skipper/internal/arch"
 	"skipper/internal/exec/memtransport"
 	"skipper/internal/exec/transport"
 	"skipper/internal/graph"
 	"skipper/internal/syndex"
+	"skipper/internal/value"
 )
 
 // TestMachineReuseAcrossRuns is the regression test for the stale-state
@@ -131,5 +135,60 @@ func TestSharedTransportFarmFrames(t *testing.T) {
 	}
 	if _, isSentinel := v.(transport.Sentinel); !isSentinel {
 		t.Fatalf("expected sentinel, got %#v", v)
+	}
+}
+
+// TestRunGoroutinesBoundedAndReclaimed pins the executive's process model: a
+// run holds one goroutine per hosted processor, pipeline stage and farm
+// worker (plus the in-process transport's routers) however many frames it
+// is asked for, and gives them all back when it returns. Spawning every
+// iteration's farm workers up front parked 7 500 goroutines at frame
+// 10 of this 2 000-frame run.
+func TestRunGoroutinesBoundedAndReclaimed(t *testing.T) {
+	for _, pipeline := range []bool{false, true} {
+		a := arch.Ring(8)
+		var frames int64
+		var midRun atomic.Int64
+		r := pipeRegistry(&frames, nil)
+		grab, _ := r.Lookup("grab")
+		count := grab.Fn
+		grab.Fn = func(args []value.Value) value.Value {
+			v := count(args)
+			if v.(int) == 10 {
+				midRun.Store(int64(runtime.NumGoroutine()))
+			}
+			return v
+		}
+		s := compile(t, pipeSrc, r, a, syndex.Structured)
+		m := NewMachine(s, r)
+		m.DeterministicFarm, m.Pipeline = true, pipeline
+		stages, workers := 1, 0
+		for p, prog := range s.Programs {
+			if pipeline {
+				stages = max(stages, len(m.pipelineCuts(arch.ProcID(p)))+1)
+			}
+			for _, op := range prog {
+				if op.Kind == syndex.OpWorker {
+					workers++
+				}
+			}
+		}
+		baseline := runtime.NumGoroutine()
+		if _, err := m.RunWithTimeout(2000, 60*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if limit := int64(8*(stages+workers) + 32); midRun.Load() == 0 || midRun.Load() >= limit {
+			t.Errorf("pipeline=%v: %d goroutines at frame 10, want below %d (0 = never sampled)",
+				pipeline, midRun.Load(), limit)
+		}
+		// Goroutines unwind after the WaitGroup they signalled; give the
+		// stragglers a moment before calling it a leak.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if now := runtime.NumGoroutine(); now > baseline {
+			t.Errorf("pipeline=%v: %d goroutines after the run, %d before it", pipeline, now, baseline)
+		}
 	}
 }

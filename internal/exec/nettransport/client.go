@@ -205,6 +205,7 @@ func newClient(fingerprint uint64, local []arch.ProcID, c wire, br *bufio.Reader
 	if o.trace != nil {
 		// Armed before the loops below start: the first inbound frame can
 		// beat any post-Dial SetTrace call.
+		cl.kl.Reset(o.trace)
 		cl.rec.Store(o.trace)
 	}
 	cl.w = newWConn(c, func(err error) {

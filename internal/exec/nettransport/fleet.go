@@ -91,6 +91,7 @@ func (f *FleetHub) OpenSession(a *arch.Arch, fingerprint uint64, local []arch.Pr
 	if f.trace != nil {
 		// Before the registry insert: once registered, a dialing node's
 		// frames route to this session immediately.
+		s.kl.Reset(f.trace)
 		s.rec.Store(f.trace)
 	}
 	f.sessions[fingerprint] = s

@@ -11,6 +11,7 @@ import (
 	"skipper/internal/exec/nettransport"
 	"skipper/internal/exec/transport"
 	"skipper/internal/graph"
+	"skipper/internal/obsv"
 )
 
 // waitCluster polls a session's ClusterInfo until cond holds or the
@@ -50,8 +51,10 @@ func TestWorkerChurnFreshSession(t *testing.T) {
 	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Attached is empty before the hub has registered the connection too
+	// (Dial returns on the hello reply), so wait for the detach itself.
 	ci := waitCluster(t, hub.Session, func(ci nettransport.ClusterInfo) bool {
-		return len(ci.Attached) == 0
+		return len(ci.Attached) == 0 && len(ci.Departed) == 1
 	})
 	if len(ci.Departed) != 1 || ci.Departed[0] != 1 {
 		t.Fatalf("departed = %v, want [1]", ci.Departed)
@@ -94,6 +97,77 @@ func TestWorkerChurnFreshSession(t *testing.T) {
 	c2.Send(2, 1, km, "mesh")
 	if v, ok := c1b.Recv(1, km); !ok || v.(string) != "mesh" {
 		t.Fatalf("mesh frame after churn = %v %v, want \"mesh\"", v, ok)
+	}
+}
+
+// TestEarlyDetachStillCompletes: a node whose program is empty detaches
+// cleanly before the slowest node has dialed in. The cluster must still
+// complete — the hub becomes ready and the late node gets its peers map, so
+// its first remote Send goes out instead of waiting out the mesh timeout.
+func TestEarlyDetachStillCompletes(t *testing.T) {
+	a := arch.Ring(3)
+	hub, err := nettransport.NewHub("127.0.0.1:0", a, 0xea71, []arch.ProcID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+
+	c1, err := nettransport.Dial(hub.Addr(), 0xea71, []arch.ProcID{1}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitCluster(t, hub.Session, func(ci nettransport.ClusterInfo) bool {
+		return len(ci.Departed) == 1
+	})
+
+	c2, err := nettransport.Dial(hub.Addr(), 0xea71, []arch.ProcID{2}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := hub.WaitReady(2 * time.Second); err != nil {
+		t.Fatalf("session not ready although every processor attached at some point: %v", err)
+	}
+	k := transport.EdgeKey(graph.EdgeID(6))
+	c2.Send(2, 0, k, "late")
+	if v, ok := hub.Recv(0, k); !ok || v.(string) != "late" {
+		t.Fatalf("recv from the late node = %v %v, want \"late\"", v, ok)
+	}
+}
+
+// TestDialTraceRecordsBeforeSetTrace: a recorder handed to Dial is live from
+// the first inbound frame, which can beat the executive's SetTrace call, so
+// the option itself must arm the key-label cache the receive path interns
+// through (it used to be armed by SetTrace only, and the reader panicked).
+func TestDialTraceRecordsBeforeSetTrace(t *testing.T) {
+	a := arch.Ring(2)
+	hub, err := nettransport.NewHub("127.0.0.1:0", a, 0x7ace, []arch.ProcID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	rec := obsv.NewRecorder(a.N, 0)
+	c1, err := nettransport.Dial(hub.Addr(), 0x7ace, []arch.ProcID{1}, time.Second, nettransport.WithTrace(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	k := transport.EdgeKey(graph.EdgeID(7))
+	hub.Send(0, 1, k, "early")
+	if v, ok := c1.Recv(1, k); !ok || v.(string) != "early" {
+		t.Fatalf("recv = %v %v, want \"early\"", v, ok)
+	}
+	var recvs int
+	for _, ev := range rec.Snapshot().Events {
+		if ev.Kind == obsv.EvRecv {
+			recvs++
+		}
+	}
+	if recvs != 1 {
+		t.Fatalf("recorded %d receive events before SetTrace, want 1", recvs)
 	}
 }
 

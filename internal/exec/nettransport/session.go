@@ -3,12 +3,14 @@ package nettransport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"skipper/internal/arch"
@@ -217,14 +219,13 @@ func (s *Session) serveConn(c net.Conn, br *bufio.Reader, hel hello) {
 	if sc != nil {
 		br = bufio.NewReaderSize(sc, shmReadBufSize)
 	}
-	w := newWConn(cw, func(err error) {
-		// A write failure to a node already declared dead is expected noise
-		// (the peer-down broadcast races its socket teardown), not a cluster
-		// fault.
-		if !s.closing.Load() && !s.aborted.Load() && !s.allDead(hel.procs) {
-			s.failf("nettransport: writing to node %v: %v", hel.procs, err)
-		}
-	}, &s.rec)
+	// No write-error handler: the connection's reader is the one judge of a
+	// broken connection — a clean detach, or a death it reports through
+	// connDeath — and a failed write is the same event seen from the other
+	// side, often earlier: a control broadcast racing a node's clean exit
+	// finds the socket closed before the reader has seen the detach frame,
+	// and the peer-down broadcast races a dead node's socket teardown.
+	w := newWConn(cw, nil, &s.rec)
 	cs := &connState{w: w, procs: hel.procs}
 	cs.lastHeard.Store(time.Now().UnixNano())
 	s.mu.Lock()
@@ -234,7 +235,6 @@ func (s *Session) serveConn(c net.Conn, br *bufio.Reader, hel hello) {
 		return
 	}
 	for _, p := range hel.procs {
-		delete(s.departed, p) // re-attach after clean detach: fresh epoch
 		s.remote[p] = w
 		s.dataAddr[p] = hel.dataAddr
 		for _, f := range s.pending[p] {
@@ -248,7 +248,10 @@ func (s *Session) serveConn(c net.Conn, br *bufio.Reader, hel hello) {
 	}
 	s.conns = append(s.conns, w)
 	s.states = append(s.states, cs)
-	allAttached := len(s.remote)+len(s.localSet) == s.a.N
+	// A processor that already detached cleanly has attached and finished
+	// (an idle node's empty program ends before the slowest node dials in):
+	// it counts toward completeness, or the peers map would never go out.
+	allAttached := len(s.remote)+len(s.localSet)+len(s.departed) == s.a.N
 	firstComplete := false
 	var peersFrame []byte
 	var conns []*wconn
@@ -330,6 +333,13 @@ func (s *Session) validateHello(hel hello) string {
 			return fmt.Sprintf("processor %d already attached", p)
 		}
 	}
+	// A re-attach after a clean detach starts a fresh epoch here, before the
+	// node hears it was accepted: from the dialer's return on, the processor
+	// no longer counts as departed (and so not toward completeness either)
+	// until its registration lands.
+	for _, p := range hel.procs {
+		delete(s.departed, p)
+	}
 	return ""
 }
 
@@ -346,13 +356,16 @@ func (s *Session) readLoop(br *bufio.Reader, cs *connState) bool {
 	for {
 		n, dst, key, err := readFrameHeader(br)
 		if err != nil {
-			if s.closing.Load() || s.aborted.Load() || (err == io.EOF && detached) {
+			// After a detach frame any end of stream is the clean one: a node
+			// that closes with control frames unread (a peers map it never
+			// needed) resets the connection instead of ending it with EOF.
+			if s.closing.Load() || s.aborted.Load() || detached {
 				return detached
 			}
 			if cs.condemned.Load() {
 				return false // the monitor already declared this node dead
 			}
-			if err == io.EOF {
+			if err == io.EOF || errors.Is(err, syscall.ECONNRESET) {
 				s.connDeath(procs, fmt.Sprintf("nettransport: node %v closed its connection without detaching (process died?)", procs))
 				return false
 			}

@@ -31,70 +31,88 @@ func (e *NodeError) Unwrap() error { return e.Err }
 // backend and the timing simulator, which is what makes their functional
 // results identical by construction.
 func EvalNode(n *graph.Node, reg *value.Registry, inputs []value.Value) ([]value.Value, error) {
+	f, err := nodeFunc(n, reg)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]value.Value, max(n.Out, 1))
+	if err := applyNode(n, f, inputs, outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// nodeFunc resolves the sequential function a static node runs; nil for the
+// kinds that need none (constants, tuple plumbing, a display-less Output).
+// The executive calls it once per run at lowering, EvalNode on every call.
+func nodeFunc(n *graph.Node, reg *value.Registry) (*value.Func, error) {
+	switch n.Kind {
+	case graph.KindConst, graph.KindPack, graph.KindUnpack:
+		return nil, nil
+	case graph.KindOutput:
+		if n.Fn == "" {
+			return nil, nil
+		}
+	}
+	f, ok := reg.Lookup(n.Fn)
+	if !ok {
+		return nil, &NodeError{Node: n.Name, Err: fmt.Errorf("function %q not registered", n.Fn)}
+	}
+	return f, nil
+}
+
+// applyNode runs node n's function f (from nodeFunc) on inputs and stores
+// the results in outs, which holds max(n.Out, 1) values.
+func applyNode(n *graph.Node, f *value.Func, inputs, outs []value.Value) error {
 	switch n.Kind {
 	case graph.KindConst:
-		return []value.Value{n.Const}, nil
+		outs[0] = n.Const
 
 	case graph.KindFunc, graph.KindInput:
-		f, ok := reg.Lookup(n.Fn)
-		if !ok {
-			return nil, &NodeError{Node: n.Name, Err: fmt.Errorf("function %q not registered", n.Fn)}
-		}
 		if len(inputs) != f.Arity {
-			return nil, &NodeError{Node: n.Name,
+			return &NodeError{Node: n.Name,
 				Err: fmt.Errorf("arity mismatch: %d inputs for %q/%d", len(inputs), n.Fn, f.Arity)}
 		}
-		return []value.Value{f.Fn(inputs)}, nil
+		outs[0] = f.Fn(inputs)
 
 	case graph.KindOutput:
 		// Output nodes deliver their input to the host; when a display
 		// function is attached it runs first.
-		if n.Fn != "" {
-			f, ok := reg.Lookup(n.Fn)
-			if !ok {
-				return nil, &NodeError{Node: n.Name, Err: fmt.Errorf("function %q not registered", n.Fn)}
-			}
+		if f != nil {
 			f.Fn(inputs)
 		}
-		return nil, nil
 
 	case graph.KindSplit:
-		f, ok := reg.Lookup(n.Fn)
+		parts, ok := f.Fn(inputs).(value.List)
 		if !ok {
-			return nil, &NodeError{Node: n.Name, Err: fmt.Errorf("split function %q not registered", n.Fn)}
-		}
-		res := f.Fn(inputs)
-		parts, ok := res.(value.List)
-		if !ok {
-			return nil, &NodeError{Node: n.Name, Err: fmt.Errorf("split did not return a list")}
+			return &NodeError{Node: n.Name, Err: fmt.Errorf("split did not return a list")}
 		}
 		if len(parts) != n.Out {
-			return nil, &NodeError{Node: n.Name,
+			return &NodeError{Node: n.Name,
 				Err: fmt.Errorf("scm split produced %d sub-domains for %d compute processes", len(parts), n.Out)}
 		}
-		return parts, nil
+		copy(outs, parts)
 
 	case graph.KindMerge:
-		f, ok := reg.Lookup(n.Fn)
-		if !ok {
-			return nil, &NodeError{Node: n.Name, Err: fmt.Errorf("merge function %q not registered", n.Fn)}
-		}
-		return []value.Value{f.Fn([]value.Value{value.List(inputs)})}, nil
+		outs[0] = f.Fn([]value.Value{value.List(inputs)})
 
 	case graph.KindPack:
-		return []value.Value{value.Tuple(append([]value.Value{}, inputs...))}, nil
+		outs[0] = value.Tuple(append([]value.Value{}, inputs...))
 
 	case graph.KindUnpack:
 		t, ok := inputs[0].(value.Tuple)
 		if !ok {
-			return nil, &NodeError{Node: n.Name, Err: fmt.Errorf("unpack of non-tuple %s", value.Show(inputs[0]))}
+			return &NodeError{Node: n.Name, Err: fmt.Errorf("unpack of non-tuple %s", value.Show(inputs[0]))}
 		}
 		if len(t) < n.Out {
-			return nil, &NodeError{Node: n.Name, Err: fmt.Errorf("unpack of %d-tuple into %d ports", len(t), n.Out)}
+			return &NodeError{Node: n.Name, Err: fmt.Errorf("unpack of %d-tuple into %d ports", len(t), n.Out)}
 		}
-		return t[:n.Out], nil
+		copy(outs, t[:n.Out])
+
+	default:
+		return &NodeError{Node: n.Name, Err: fmt.Errorf("EvalNode cannot run a %s node", n.Kind)}
 	}
-	return nil, &NodeError{Node: n.Name, Err: fmt.Errorf("EvalNode cannot run a %s node", n.Kind)}
+	return nil
 }
 
 // CostOfNode estimates the cycles consumed by running a static node on the

@@ -16,13 +16,13 @@ import (
 // Sentinel terminates a farm worker's task loop for one iteration.
 type Sentinel struct{}
 
-// Task couples a packet of work with its position in the input list
-// (Idx = -1 for tasks spawned dynamically by tf feedback). Gen tags the
-// master invocation that dispatched it: workers echo it back in the Reply,
-// and a fault-tolerant master ignores replies from other generations — a
-// deadline-suspected worker may deliver its answer late, after the task was
-// re-dispatched or even after the next iteration's farm started, and task
-// indices repeat across iterations.
+// Task couples a packet of work with its index in the master's task table:
+// the position in the input list, or for a task spawned by tf feedback the
+// next free index after it. Gen tags the master invocation that dispatched
+// it: workers echo it back in the Reply, and the master ignores replies from
+// other generations — a deadline-suspected worker may deliver its answer
+// late, after the task was re-dispatched or even after the next iteration's
+// farm started, and task indices repeat across iterations.
 type Task struct {
 	Idx int
 	Gen int64
@@ -32,7 +32,7 @@ type Task struct {
 // Reply is a worker's answer to its master.
 type Reply struct {
 	Widx int
-	Task int   // index of the task within this iteration's input list
+	Task int   // echoed from the Task's Idx
 	Gen  int64 // echoed from the Task, see Task.Gen
 	V    value.Value
 }

@@ -38,8 +38,9 @@ type Flight struct {
 
 	trigger  chan EventKind
 	done     chan struct{}
-	lastDump atomic.Int64 // unix nanos of the last dump
-	seq      atomic.Int64 // artifact sequence number
+	stopped  chan struct{} // closed when the dump goroutine has exited
+	lastDump atomic.Int64  // unix nanos of the last dump
+	seq      atomic.Int64  // artifact sequence number
 
 	mu        sync.Mutex
 	lastPaths []string
@@ -96,6 +97,7 @@ func NewFlight(dir, name string, opt FlightOptions) *Flight {
 		extra:       opt.Extra,
 		trigger:     make(chan EventKind, 1),
 		done:        make(chan struct{}),
+		stopped:     make(chan struct{}),
 	}
 	f.rec.SetFaultHook(f.Trigger)
 	go f.loop()
@@ -131,19 +133,21 @@ func (f *Flight) LastDump() []string {
 	return append([]string(nil), f.lastPaths...)
 }
 
-// Close stops the dump goroutine. Pending triggers are dropped.
+// Close stops the dump goroutine and waits for a dump in progress to finish
+// writing, so the caller may remove the directory afterwards. Pending
+// triggers are dropped.
 func (f *Flight) Close() {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
+	if !f.closed {
+		f.closed = true
+		close(f.done)
 	}
-	f.closed = true
 	f.mu.Unlock()
-	close(f.done)
+	<-f.stopped
 }
 
 func (f *Flight) loop() {
+	defer close(f.stopped)
 	for {
 		select {
 		case <-f.done:

@@ -653,10 +653,7 @@ func (s *Server) executeJob(st *jobState, placement map[*workerState][]int) ([]t
 		cleanup = func() { sess.Close() }
 		hubProcs = []int{0}
 	}
-	mach.DeterministicFarm = sp.Deterministic
-	mach.FT = sp.FT()
-	mach.Pipeline = sp.Pipeline
-	mach.PipelineDepth = sp.PipelineDepth
+	sp.Configure(mach)
 	mach.StageLatency = s.stageLat
 	defer cleanup()
 
