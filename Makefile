@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 build test vet race bench bench-smoke clean
+.PHONY: all tier1 build test vet race stress bench bench-smoke clean
 
 all: tier1
 
@@ -25,6 +25,12 @@ vet:
 # under -race.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^skipper/bench$$')
+
+# Repeat the two suites whose tests drive real fleets, sockets and timers,
+# without -race (which slows the executive enough to hide timing-dependent
+# flakes): a test that passes 1 run in 15 fails here.
+stress:
+	$(GO) test -count=10 ./internal/serve/ ./internal/distrib/
 
 # Regenerate the machine-readable perf snapshot consumed by the tier-1
 # envelope guard (bench_guard_test.go). See README § Performance.

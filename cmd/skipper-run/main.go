@@ -17,6 +17,10 @@
 // The optional positional argument names the architecture compactly:
 // "ring(8)" is shorthand for -topology ring -procs 8.
 //
+// Every -backend exec run goes through internal/distrib (RunInProcess for
+// -transport mem, RunCoordinator otherwise) and prints, once the run is
+// over, one display line per frame, the run's accounting and the summary.
+//
 // With -transport=tcp, unix or shm the executive really runs as N
 // OS processes: this process hosts processor 0 and the routing hub, and
 // one skipper-node child process is spawned per remaining processor (the
@@ -66,10 +70,20 @@ import (
 
 	"skipper"
 	"skipper/internal/distrib"
+	goexec "skipper/internal/exec"
 	"skipper/internal/obsv"
 	"skipper/internal/track"
 	"skipper/internal/video"
 )
+
+// chaos is the scripted fault-injection drill, if any: killProc severs
+// itself after killAfter sends; slowProc delays every slowEvery'th send by
+// slowFor. A zero processor disables that drill.
+type chaos struct {
+	killProc, killAfter int
+	slowProc, slowEvery int
+	slowFor             time.Duration
+}
 
 func main() {
 	// Deployment and executive flags come from the shared distrib set, so
@@ -78,135 +92,150 @@ func main() {
 	backend := flag.String("backend", "exec", "execution backend: exec (goroutines) or sim (timing model)")
 	transportFlag := flag.String("transport", "mem", "with -backend exec: mem (in-process), tcp, unix or shm (one OS process per processor)")
 	svgPath := flag.String("svg", "", "with -backend sim -trace: also write the predicted SVG chronogram to this file")
-	chaosKillProc := flag.Int("chaos-kill-proc", 0, "chaos drill, with -transport tcp: sever this node processor mid-run (0 disables)")
-	chaosKillAfter := flag.Int("chaos-kill-after", 2, "chaos drill: how many frames the victim sends before it is severed")
-	chaosSlowProc := flag.Int("chaos-slow-proc", 0, "chaos drill, with -transport tcp/unix/shm: make this node processor a straggler (0 disables)")
-	chaosSlowEvery := flag.Int("chaos-slow-every", 1, "chaos drill: delay every Nth frame the straggler sends")
-	chaosSlowFor := flag.Duration("chaos-slow-for", 200*time.Millisecond, "chaos drill: how long the straggler delays each scripted send")
+	var c chaos
+	flag.IntVar(&c.killProc, "chaos-kill-proc", 0, "chaos drill, with -transport tcp: sever this node processor mid-run (0 disables)")
+	flag.IntVar(&c.killAfter, "chaos-kill-after", 2, "chaos drill: how many frames the victim sends before it is severed")
+	flag.IntVar(&c.slowProc, "chaos-slow-proc", 0, "chaos drill, with -transport tcp/unix/shm: make this node processor a straggler (0 disables)")
+	flag.IntVar(&c.slowEvery, "chaos-slow-every", 1, "chaos drill: delay every Nth frame the straggler sends")
+	flag.DurationVar(&c.slowFor, "chaos-slow-for", 200*time.Millisecond, "chaos drill: how long the straggler delays each scripted send")
 	flag.Parse()
 
+	// The positional architecture and the shm transport's data plane are set
+	// as the shared flags they abbreviate, so they reach the node processes
+	// (shared.Args) like anything typed out in full. The plane must reach
+	// every process: a node left on "auto" would negotiate plain unix while
+	// its peers offer rings.
 	if flag.NArg() > 0 {
-		if err := parseTopologyArg(flag.Arg(0), shared.Topology, shared.Procs); err != nil {
+		if err := setTopologyArg(flag.Arg(0)); err != nil {
 			fatal(err)
 		}
 	}
+	if *transportFlag == "shm" && *shared.DataPlane == "" {
+		flag.Set("data-plane", "shm")
+	}
 
 	sp := shared.Spec()
-	if *backend == "exec" && (*transportFlag == "tcp" || *transportFlag == "unix" || *transportFlag == "shm") {
-		if *transportFlag == "shm" && sp.DataPlane == "" {
-			sp.DataPlane = "shm"
-		}
-		runMulti(sp, *transportFlag, *chaosKillProc, *chaosKillAfter,
-			*chaosSlowProc, *chaosSlowEvery, *chaosSlowFor)
-		return
+	switch *backend {
+	case "exec":
+		runExec(sp, shared.Args(), *transportFlag, c)
+	case "sim":
+		runSim(sp, *svgPath)
+	default:
+		fatal(fmt.Errorf("unknown backend %q", *backend))
 	}
-	if *chaosKillProc != 0 {
-		fatal(fmt.Errorf("-chaos-kill-proc needs a real node process to kill (use -transport tcp, unix or shm)"))
-	}
-	if *chaosSlowProc != 0 {
-		fatal(fmt.Errorf("-chaos-slow-proc needs a real node process to slow (use -transport tcp, unix or shm)"))
-	}
-	if *transportFlag != "mem" {
-		fatal(fmt.Errorf("unknown transport %q", *transportFlag))
-	}
-	// Tracing, metrics, deterministic accumulation and the pipelined
-	// executive all run through the distrib in-process path, which knows
-	// how to arm them.
-	if *backend == "exec" && (sp.TraceDir != "" || sp.DebugAddr != "" || sp.Pipeline || sp.Deterministic) {
-		runMemObserved(sp)
-		return
-	}
+}
 
+// setTopologyArg accepts "ring(8)" or plain "ring" and sets the
+// -topology/-procs flags accordingly.
+func setTopologyArg(arg string) error {
+	name := arg
+	if i := strings.IndexByte(arg, '('); i >= 0 {
+		if !strings.HasSuffix(arg, ")") {
+			return fmt.Errorf("malformed topology %q (want e.g. ring(8))", arg)
+		}
+		procs := arg[i+1 : len(arg)-1]
+		if n, err := strconv.Atoi(procs); err != nil || n < 1 {
+			return fmt.Errorf("malformed processor count in %q", arg)
+		}
+		flag.Set("procs", procs)
+		name = arg[:i]
+	}
+	switch name {
+	case "ring", "chain", "star", "full":
+		return flag.Set("topology", name)
+	}
+	return fmt.Errorf("unknown topology %q", name)
+}
+
+// runExec executes the deployment on the goroutine executive — in this
+// process (mem) or as N OS processes — and prints the one exec epilogue:
+// the per-frame display lines, the run's accounting, the tracking summary.
+func runExec(sp distrib.Spec, nodeArgs []string, transport string, c chaos) {
+	var rec *track.Recorder
+	var res *goexec.RunResult
+	var err error
+	if transport == "mem" {
+		if c.killProc != 0 || c.slowProc != 0 {
+			fatal(fmt.Errorf("-chaos-kill-proc and -chaos-slow-proc need a real node process (use -transport tcp, unix or shm)"))
+		}
+		rec, res, err = distrib.RunInProcess(sp, 5*time.Minute)
+	} else {
+		rec, res, err = runMulti(sp, nodeArgs, transport, c)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	for _, r := range rec.Results {
+		fmt.Println(track.Display(r))
+	}
+	if sp.TraceDir != "" {
+		exportTrace(sp.TraceDir)
+	}
+	if transport != "mem" {
+		fmt.Printf("%d processors as OS processes over %s, %d messages from coordinator\n",
+			sp.Procs, transport, res.Messages)
+		if sp.MaxRetries > 0 || c.killProc != 0 {
+			fmt.Printf("fault tolerance: %d peer failure(s), %d task re-dispatch(es)\n",
+				res.Failures, res.Redispatches)
+		}
+		if res.Speculations > 0 || c.slowProc != 0 {
+			fmt.Printf("speculation: %d duplicate(s), %d win(s), %d false suspicion(s)\n",
+				res.Speculations, res.SpeculationWins, res.FalseSuspicions)
+		}
+	}
+	printTrackingSummary(rec)
+}
+
+// runSim runs the deployment on the Transvision timing simulator: a
+// different backend, compiled through the public library API.
+func runSim(sp distrib.Spec, svgPath string) {
 	scene := video.NewScene(sp.Width, sp.Height, sp.Vehicles, sp.Seed)
 	reg, rec := track.NewRegistry(scene, os.Stdout)
 	prog, err := skipper.Compile(track.ProgramSource(sp.Procs, sp.Width, sp.Height), reg)
 	if err != nil {
 		fatal(err)
 	}
-	var a *skipper.Arch
-	switch sp.Topology {
-	case "ring":
-		a = skipper.Ring(sp.Procs)
-	case "chain":
-		a = skipper.Chain(sp.Procs)
-	case "star":
-		a = skipper.Star(sp.Procs)
-	case "full":
-		a = skipper.Full(sp.Procs)
-	default:
-		fatal(fmt.Errorf("unknown topology %q", sp.Topology))
+	a, err := sp.Arch()
+	if err != nil {
+		fatal(err)
 	}
 	dep, err := prog.MapOnto(a, skipper.Structured)
 	if err != nil {
 		fatal(err)
 	}
-
-	switch *backend {
-	case "exec":
-		if _, err := dep.Run(sp.Iters); err != nil {
-			fatal(err)
-		}
-	case "sim":
-		doTrace := sp.TraceDir != "" || *svgPath != ""
-		res, err := dep.Simulate(skipper.SimOptions{
-			Iters: sp.Iters, FramePeriod: skipper.VideoPeriod, Trace: doTrace,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\n%s, %d iterations at 25 Hz:\n", a.Name, sp.Iters)
-		fmt.Printf("  mean latency : %6.1f ms\n", res.MeanLatency(2)*1000)
-		fmt.Printf("  max latency  : %6.1f ms\n", res.MaxLatency(2)*1000)
-		fmt.Printf("  frames skipped: %d\n", res.FramesSkipped)
-		if doTrace {
-			fmt.Println()
-			fmt.Print(res.Chronogram(100))
-			svg := res.ChronogramSVG(900, 16)
-			if sp.TraceDir != "" {
-				if err := os.MkdirAll(sp.TraceDir, 0o755); err != nil {
-					fatal(err)
-				}
-				out := filepath.Join(sp.TraceDir, "chronogram-predicted.svg")
-				if err := os.WriteFile(out, []byte(svg), 0o644); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("predicted chronogram written to %s\n", out)
-			}
-			if *svgPath != "" {
-				if err := os.WriteFile(*svgPath, []byte(svg), 0o644); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("chronogram written to %s\n", *svgPath)
-			}
-		}
-	default:
-		fatal(fmt.Errorf("unknown backend %q", *backend))
+	doTrace := sp.TraceDir != "" || svgPath != ""
+	res, err := dep.Simulate(skipper.SimOptions{
+		Iters: sp.Iters, FramePeriod: skipper.VideoPeriod, Trace: doTrace,
+	})
+	if err != nil {
+		fatal(err)
 	}
-
+	fmt.Printf("\n%s, %d iterations at 25 Hz:\n", a.Name, sp.Iters)
+	fmt.Printf("  mean latency : %6.1f ms\n", res.MeanLatency(2)*1000)
+	fmt.Printf("  max latency  : %6.1f ms\n", res.MaxLatency(2)*1000)
+	fmt.Printf("  frames skipped: %d\n", res.FramesSkipped)
+	if doTrace {
+		fmt.Println()
+		fmt.Print(res.Chronogram(100))
+		svg := res.ChronogramSVG(900, 16)
+		if sp.TraceDir != "" {
+			if err := os.MkdirAll(sp.TraceDir, 0o755); err != nil {
+				fatal(err)
+			}
+			out := filepath.Join(sp.TraceDir, "chronogram-predicted.svg")
+			if err := os.WriteFile(out, []byte(svg), 0o644); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("predicted chronogram written to %s\n", out)
+		}
+		if svgPath != "" {
+			if err := os.WriteFile(svgPath, []byte(svg), 0o644); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("chronogram written to %s\n", svgPath)
+		}
+	}
 	printTrackingSummary(rec)
-}
-
-// parseTopologyArg accepts "ring(8)" or plain "ring" and overrides the
-// -topology/-procs flags accordingly.
-func parseTopologyArg(arg string, topology *string, procs *int) error {
-	name := arg
-	if i := strings.IndexByte(arg, '('); i >= 0 {
-		if !strings.HasSuffix(arg, ")") {
-			return fmt.Errorf("malformed topology %q (want e.g. ring(8))", arg)
-		}
-		n, err := strconv.Atoi(arg[i+1 : len(arg)-1])
-		if err != nil || n < 1 {
-			return fmt.Errorf("malformed processor count in %q", arg)
-		}
-		*procs = n
-		name = arg[:i]
-	}
-	switch name {
-	case "ring", "chain", "star", "full":
-		*topology = name
-		return nil
-	}
-	return fmt.Errorf("unknown topology %q", name)
 }
 
 func printTrackingSummary(rec *track.Recorder) {
@@ -242,99 +271,41 @@ func exportTrace(dir string) {
 		len(tr.Events), len(tr.Procs), dir)
 }
 
-// runMemObserved executes the in-process deployment with tracing and/or the
-// debug endpoint armed, via the same distrib path the TCP deployment uses.
-func runMemObserved(sp distrib.Spec) {
-	rec, _, err := distrib.RunInProcess(sp, 5*time.Minute)
-	if err != nil {
-		fatal(err)
-	}
-	if sp.TraceDir != "" {
-		exportTrace(sp.TraceDir)
-	}
-	printTrackingSummary(rec)
-}
-
 // runMulti executes the tracking deployment as N communicating OS
 // processes on this host — over localhost TCP or unix-domain sockets per
 // transport — with processor 0 plus the hub here and one spawned
-// skipper-node per remaining processor. chaosKillProc, when non-zero,
-// scripts a chaos drill: that node process is spawned with
-// -die-after-sends so it severs itself mid-run, and the run must degrade
-// (or, with -max-retries, finish) without it. chaosSlowProc scripts the
-// straggler drill instead: the node stays alive but delays its sends, the
-// scenario -speculate-after exists for.
-func runMulti(sp distrib.Spec, transport string, chaosKillProc, chaosKillAfter,
-	chaosSlowProc, chaosSlowEvery int, chaosSlowFor time.Duration) {
+// skipper-node per remaining processor, each given nodeArgs (the shared
+// flags as typed). c.killProc, when non-zero, scripts a chaos drill: that
+// node process is spawned with -die-after-sends so it severs itself
+// mid-run, and the run must degrade (or, with -max-retries, finish) without
+// it. c.slowProc scripts the straggler drill instead: the node stays alive
+// but delays its sends, the scenario -speculate-after exists for.
+func runMulti(sp distrib.Spec, nodeArgs []string, transport string, c chaos) (*track.Recorder, *goexec.RunResult, error) {
 	nodeBin, err := findNodeBinary()
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
 	listen, cleanup, err := distrib.HubListenAddr(transport)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
 	defer cleanup()
-	if chaosKillProc != 0 && (chaosKillProc < 1 || chaosKillProc >= sp.Procs) {
-		fatal(fmt.Errorf("-chaos-kill-proc %d outside node range 1..%d", chaosKillProc, sp.Procs-1))
-	}
-	if chaosSlowProc != 0 && (chaosSlowProc < 1 || chaosSlowProc >= sp.Procs) {
-		fatal(fmt.Errorf("-chaos-slow-proc %d outside node range 1..%d", chaosSlowProc, sp.Procs-1))
+	for name, p := range map[string]int{"-chaos-kill-proc": c.killProc, "-chaos-slow-proc": c.slowProc} {
+		if p != 0 && (p < 1 || p >= sp.Procs) {
+			return nil, nil, fmt.Errorf("%s %d outside node range 1..%d", name, p, sp.Procs-1)
+		}
 	}
 	var children []*exec.Cmd
 	spawn := func(addr string) error {
 		for p := 1; p < sp.Procs; p++ {
-			args := []string{
-				"-hub", addr,
-				"-proc", strconv.Itoa(p),
-				"-procs", strconv.Itoa(sp.Procs),
-				"-iters", strconv.Itoa(sp.Iters),
-				"-size", strconv.Itoa(sp.Width),
-				"-vehicles", strconv.Itoa(sp.Vehicles),
-				"-seed", strconv.FormatInt(sp.Seed, 10),
-				"-topology", sp.Topology,
+			args := append([]string{"-hub", addr, "-proc", strconv.Itoa(p)}, nodeArgs...)
+			if p == c.killProc {
+				args = append(args, "-die-after-sends", strconv.Itoa(c.killAfter))
 			}
-			if sp.TraceDir != "" {
-				args = append(args, "-trace", sp.TraceDir)
-			}
-			if sp.Pipeline {
-				args = append(args, "-pipeline")
-			}
-			if sp.PipelineDepth != 0 {
-				args = append(args, "-pipeline-depth", strconv.Itoa(sp.PipelineDepth))
-			}
-			if sp.DataPlane != "" {
-				// The plane must reach every process: a node left on "auto"
-				// would negotiate plain unix while its peers offer rings.
-				args = append(args, "-data-plane", sp.DataPlane)
-			}
-			if sp.Deterministic {
-				// The flag must reach every process: deterministic farm
-				// accumulation only reproduces when the whole deployment
-				// agrees on it.
-				args = append(args, "-deterministic")
-			}
-			if sp.MaxRetries > 0 {
-				args = append(args, "-max-retries", strconv.Itoa(sp.MaxRetries))
-			}
-			if sp.TaskDeadline > 0 {
-				args = append(args, "-task-deadline", sp.TaskDeadline.String())
-			}
-			if sp.Heartbeat > 0 {
-				args = append(args, "-heartbeat", sp.Heartbeat.String())
-			}
-			if sp.SpeculateAfter != 0 {
-				// Reaches every node for completeness; only the master's
-				// process (the coordinator, here) acts on it.
-				args = append(args, "-speculate-after", sp.SpeculateAfter.String())
-			}
-			if p == chaosKillProc {
-				args = append(args, "-die-after-sends", strconv.Itoa(chaosKillAfter))
-			}
-			if p == chaosSlowProc && chaosSlowEvery > 0 && chaosSlowFor > 0 {
+			if p == c.slowProc && c.slowEvery > 0 && c.slowFor > 0 {
 				args = append(args,
-					"-slow-every-nth", strconv.Itoa(chaosSlowEvery),
-					"-slow-for", chaosSlowFor.String())
+					"-slow-every-nth", strconv.Itoa(c.slowEvery),
+					"-slow-for", c.slowFor.String())
 			}
 			cmd := exec.Command(nodeBin, args...)
 			cmd.Stderr = os.Stderr
@@ -346,32 +317,16 @@ func runMulti(sp distrib.Spec, transport string, chaosKillProc, chaosKillAfter,
 		return nil
 	}
 	rec, res, err := distrib.RunCoordinator(sp, listen, spawn, 5*time.Minute)
-	for i, c := range children {
-		werr := c.Wait()
-		if werr != nil && i+1 == chaosKillProc {
+	for i, ch := range children {
+		werr := ch.Wait()
+		if werr != nil && i+1 == c.killProc {
 			continue // the scripted victim is supposed to die
 		}
 		if werr != nil && err == nil {
-			err = fmt.Errorf("node process %v: %w", c.Args[2:4], werr)
+			err = fmt.Errorf("node process %v: %w", ch.Args[3:5], werr)
 		}
 	}
-	if err != nil {
-		fatal(err)
-	}
-	if sp.TraceDir != "" {
-		exportTrace(sp.TraceDir)
-	}
-	fmt.Printf("%d processors as OS processes over %s, %d messages from coordinator\n",
-		sp.Procs, transport, res.Messages)
-	if sp.MaxRetries > 0 || chaosKillProc != 0 {
-		fmt.Printf("fault tolerance: %d peer failure(s), %d task re-dispatch(es)\n",
-			res.Failures, res.Redispatches)
-	}
-	if res.Speculations > 0 || chaosSlowProc != 0 {
-		fmt.Printf("speculation: %d duplicate(s), %d win(s), %d false suspicion(s)\n",
-			res.Speculations, res.SpeculationWins, res.FalseSuspicions)
-	}
-	printTrackingSummary(rec)
+	return rec, res, err
 }
 
 // findNodeBinary locates skipper-node: next to this executable first, then

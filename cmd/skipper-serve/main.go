@@ -44,23 +44,20 @@ func main() {
 	jobRequeues := flag.Int("job-requeues", 2, "re-runs granted per job after worker deaths")
 	inProcess := flag.Bool("in-process", false, "run jobs on the in-process executive (no fleet; scheduler benchmarking)")
 	flightDir := flag.String("flight", "skipper-flight", "directory for the always-on flight recorder's fault artifacts (empty disables)")
-	execFlags := distrib.ExecFlagSet(flag.CommandLine)
+	tuning := distrib.ExecFlagSet(flag.CommandLine)
 	flag.Parse()
 
 	s, err := serve.New(serve.Config{
-		HTTPAddr:       *httpAddr,
-		FleetAddr:      *fleetAddr,
-		HubAddr:        *hubAddr,
-		QueueLimit:     *queueLimit,
-		MaxRunning:     *maxRunning,
-		JobTimeout:     *jobTimeout,
-		JobRequeues:    *jobRequeues,
-		InProcess:      *inProcess,
-		FlightDir:      *flightDir,
-		MaxRetries:     *execFlags.MaxRetries,
-		TaskDeadline:   *execFlags.TaskDeadline,
-		Heartbeat:      *execFlags.Heartbeat,
-		SpeculateAfter: *execFlags.SpeculateAfter,
+		HTTPAddr:    *httpAddr,
+		FleetAddr:   *fleetAddr,
+		HubAddr:     *hubAddr,
+		QueueLimit:  *queueLimit,
+		MaxRunning:  *maxRunning,
+		JobTimeout:  *jobTimeout,
+		JobRequeues: *jobRequeues,
+		InProcess:   *inProcess,
+		FlightDir:   *flightDir,
+		Tuning:      *tuning,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "skipper-serve:", err)

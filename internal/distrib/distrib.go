@@ -25,6 +25,7 @@ import (
 	"skipper/internal/exec/nettransport"
 	"skipper/internal/exec/transport"
 	"skipper/internal/expand"
+	"skipper/internal/obsv"
 	"skipper/internal/syndex"
 	"skipper/internal/track"
 	"skipper/internal/value"
@@ -81,8 +82,8 @@ type Job struct {
 
 // Spec is one process's full view of a deployment: the shared Job plus the
 // fleet/runtime configuration that is free to differ per process (tracing,
-// debug endpoints) or that tunes the executive fleet-wide (fault tolerance,
-// heartbeats) without entering the job description.
+// debug endpoints) or that tunes the executive fleet-wide (Tuning) without
+// entering the job description.
 type Spec struct {
 	Job
 
@@ -96,24 +97,9 @@ type Spec struct {
 	TraceDir  string
 	DebugAddr string
 
-	// Fault tolerance (DESIGN.md §11). MaxRetries > 0 enables farm task
-	// re-dispatch: a worker processor's death re-enqueues its in-flight
-	// tasks on survivors, each task surviving at most MaxRetries losses.
-	// TaskDeadline, when positive, additionally declares a worker dead when
-	// a task sits unanswered that long (catching hangs no transport error
-	// reveals). Heartbeat arms control-plane liveness probes at that
-	// interval — pass the same value to every process, like the topology.
-	// SpeculateAfter is the fleet-wide straggler-speculation threshold
-	// (DESIGN.md §16): positive duplicates a task onto an idle worker once
-	// it has sat unanswered that long, zero defaults to TaskDeadline/2 when
-	// a deadline is armed, negative disables. Job.SpeculateAfterMS, when
-	// non-zero, overrides it per job.
-	// None of these enter the schedule fingerprint: they tune the
-	// executive, not the compiled deployment.
-	MaxRetries     int
-	TaskDeadline   time.Duration
-	Heartbeat      time.Duration
-	SpeculateAfter time.Duration
+	// Tuning is the fleet-wide executive tuning; it does not enter the
+	// schedule fingerprint.
+	Tuning
 
 	// DieAfterSends is the chaos knob: when positive on a node process,
 	// its transport is severed — no detach, sockets torn mid-frame, the
@@ -136,6 +122,32 @@ type Spec struct {
 	// of the schedule fingerprint — it tunes how frames travel, never what
 	// they say.
 	DataPlane string
+}
+
+// Tuning is the executive tuning a whole deployment (or a whole serve fleet)
+// shares: the fault-tolerance policy of DESIGN.md §11 and §16. It is set
+// once — by the shared command-line flags or serve.Config — and travels as
+// one value: embedded in Spec and serve.Config, carried by FleetMsg. None of
+// it enters the schedule fingerprint: it tunes the executive, not the
+// compiled deployment.
+type Tuning struct {
+	// MaxRetries > 0 enables farm task re-dispatch: a worker processor's
+	// death re-enqueues its in-flight tasks on survivors, each task
+	// surviving at most MaxRetries losses.
+	MaxRetries int
+	// TaskDeadline, when positive, additionally declares a worker dead when
+	// a task sits unanswered that long (catching hangs no transport error
+	// reveals).
+	TaskDeadline time.Duration
+	// Heartbeat arms control-plane liveness probes at that interval — the
+	// same value on every process, like the topology.
+	Heartbeat time.Duration
+	// SpeculateAfter is the straggler-speculation threshold: positive
+	// duplicates a task onto an idle worker once it has sat unanswered that
+	// long, zero defaults to TaskDeadline/2 when a deadline is armed,
+	// negative disables. Job.SpeculateAfterMS, when non-zero, overrides it
+	// per job.
+	SpeculateAfter time.Duration
 }
 
 // ErrChaosKilled marks a node run that ended because its own DieAfterSends
@@ -228,22 +240,9 @@ func (j Job) Compile() (*syndex.Schedule, *value.Registry, *track.Recorder, erro
 	return s, reg, rec, nil
 }
 
-// netOptions collects the transport options the spec implies.
-func (sp Spec) netOptions() []nettransport.Option {
-	var opts []nettransport.Option
-	if sp.Heartbeat > 0 {
-		opts = append(opts, nettransport.WithHeartbeat(sp.Heartbeat))
-	}
-	if sp.DataPlane != "" {
-		opts = append(opts, nettransport.WithDataPlane(sp.DataPlane))
-	}
-	return opts
-}
-
 // Configure copies the spec's executive knobs onto a machine — the one place
-// a launch path (node, coordinator, in-process, fleet worker, serve) turns a
-// Spec into machine settings, so a knob added here reaches all of them. The
-// fault-tolerance policy is the fleet's flags, with the job's own
+// a Spec becomes machine settings, so a knob added here reaches every launch.
+// The fault-tolerance policy is the fleet's tuning, with the job's own
 // speculation override winning when set.
 func (sp Spec) Configure(m *exec.Machine) {
 	speculate := sp.SpeculateAfter
@@ -260,79 +259,175 @@ func (sp Spec) Configure(m *exec.Machine) {
 	m.PipelineDepth = sp.PipelineDepth
 }
 
-// RunNode is the whole lifecycle of one node process: compile the spec,
-// dial the hub claiming proc, run the processor's program and detach. Used
-// by cmd/skipper-node and, in-process, by tests.
-func RunNode(sp Spec, proc int, hubAddr string, d time.Duration) error {
-	return RunProcs(sp, []int{proc}, hubAddr, 0, d)
+// Deployment is a compiled Spec: the mapped schedule, this process's
+// registry and the recorder its display node fills. Every launch — one-shot
+// node, coordinator, in-process run, fleet assignment, serve attempt — is a
+// Deployment attached to a transport by one of the three roles below
+// (RunMem, RunHost, RunNode), which all end in the same run.
+type Deployment struct {
+	Spec
+	Sched *syndex.Schedule
+	Reg   *value.Registry
+	// Results holds the per-iteration tracking results once the run is over;
+	// only the process hosting processor 0 (display node) sees any.
+	Results *track.Recorder
 }
 
-// RunProcs is RunNode generalized for an elastic fleet: one worker process
-// hosting any subset of a deployment's processors (a 4-worker fleet can run
-// an 8-processor schedule at 2 processors per worker), attaching under the
-// schedule fingerprint XOR salt. The salt is the scheduler's session
-// namespace — it lets two concurrent submissions of an identical job hold
-// distinct sessions on one fleet hub — and must be 0 for classic one-job
-// deployments, where the fingerprint alone is the agreement.
-func RunProcs(sp Spec, procs []int, hubAddr string, salt uint64, d time.Duration) error {
-	s, reg, _, err := sp.Compile()
+// Deploy compiles the spec into this process's Deployment.
+func (sp Spec) Deploy() (*Deployment, error) {
+	s, reg, rec, err := sp.Compile()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return &Deployment{Spec: sp, Sched: s, Reg: reg, Results: rec}, nil
+}
+
+// run is the one way a deployment's processors start running in this
+// process: build the machine over t, configure it from the spec, arm rec
+// (nil = untraced), hand the machine to the caller's hook, run it under the
+// timeout watchdog, and seal rec's events into the run's trace — best
+// effort even after a failed run, since a partial trace is exactly what a
+// post-mortem needs. The hook is where callers differ: the classic paths
+// bring up the debug endpoint (and the coordinator spawns its nodes), a
+// fleet worker registers the session for Kill, serve publishes the machine
+// for Cancel and dispatches the assignments; an error from it skips the run
+// and becomes the run's error. clockOff is the process's estimated offset
+// onto the coordinator's wall clock (0 on the coordinator itself).
+func (d *Deployment) run(t transport.Transport, local []arch.ProcID, clockOff int64,
+	rec *obsv.Recorder, timeout time.Duration, started func(*exec.Machine) error) (*exec.RunResult, *obsv.Trace, error) {
+	m := exec.NewMachineOn(d.Sched, d.Reg, t, local)
+	d.Configure(m)
+	m.Trace = rec
+	var res *exec.RunResult
+	err := started(m)
+	if err == nil {
+		res, err = m.RunWithTimeout(d.Iters, timeout)
+	}
+	if rec == nil {
+		return res, nil, err
+	}
+	var tr *obsv.Trace
+	if res != nil && res.Trace != nil {
+		tr = res.Trace // carries the hosted-processor list
+	} else {
+		tr = rec.Snapshot()
+		for _, p := range local {
+			tr.Procs = append(tr.Procs, int(p))
+		}
+	}
+	tr.ClockOffsetNS = clockOff
+	tr.Meta = d.TraceMeta()
+	return res, tr, err
+}
+
+// RunMem is the mem role: every processor of the deployment in this
+// process, over a fresh in-process transport.
+func (d *Deployment) RunMem(rec *obsv.Recorder, timeout time.Duration,
+	started func(*exec.Machine, transport.Transport) error) (*exec.RunResult, *obsv.Trace, error) {
+	t := memtransport.New(d.Sched.Arch)
+	defer t.Close()
+	local := make([]arch.ProcID, d.Sched.Arch.N)
+	for i := range local {
+		local[i] = arch.ProcID(i)
+	}
+	return d.run(t, local, 0, rec, timeout, func(m *exec.Machine) error { return started(m, t) })
+}
+
+// RunHost is the host role: processor 0 (input, output and farm masters)
+// on a hub session the remaining processors attach to over the network —
+// the classic coordinator's single session or one of a fleet hub's many.
+// The caller opened sess under the deployment's (salted) fingerprint and
+// closes it. rec is armed on the session before the hook runs, so it is
+// live before the hook lets any node attach.
+func (d *Deployment) RunHost(sess *nettransport.Session, rec *obsv.Recorder, timeout time.Duration,
+	started func(*exec.Machine) error) (*exec.RunResult, *obsv.Trace, error) {
+	if rec != nil {
+		sess.SetTrace(rec)
+	}
+	return d.run(sess, []arch.ProcID{0}, 0, rec, timeout, started)
+}
+
+// netOptions collects the transport options the spec implies. The recorder
+// rides the dial/bind (WithTrace) so it is armed before the first inbound
+// frame — armed after the fact it can miss the initial task dispatch, which
+// the completeness suite rejects as unpaired sends.
+func (sp Spec) netOptions(rec *obsv.Recorder) []nettransport.Option {
+	opts := []nettransport.Option{nettransport.WithTrace(rec)}
+	if sp.Heartbeat > 0 {
+		opts = append(opts, nettransport.WithHeartbeat(sp.Heartbeat))
+	}
+	if sp.DataPlane != "" {
+		opts = append(opts, nettransport.WithDataPlane(sp.DataPlane))
+	}
+	return opts
+}
+
+// RunNode is the node role: processors procs (any subset of 1..N-1 — an
+// elastic fleet runs an 8-processor schedule at 2 processors per worker)
+// attached to the hub at hubAddr under the schedule fingerprint XOR salt.
+// The salt is a scheduler's session namespace — it lets two concurrent
+// submissions of an identical job hold distinct sessions on one fleet hub —
+// and is 0 for classic one-job deployments, where the fingerprint alone is
+// the agreement. The spec's chaos knobs, when set, wrap the connection in
+// scripted faults; a fired DieAfterSends trigger ends the run with
+// ErrChaosKilled. timeout bounds the dial retries and then the run.
+func (d *Deployment) RunNode(hubAddr string, salt uint64, procs []int, rec *obsv.Recorder, timeout time.Duration,
+	started func(*exec.Machine, *nettransport.Client) error) (*exec.RunResult, *obsv.Trace, error) {
 	if len(procs) == 0 {
-		return fmt.Errorf("distrib: no processors to host")
+		return nil, nil, errors.New("distrib: no processors to host")
 	}
 	local := make([]arch.ProcID, len(procs))
 	for i, p := range procs {
-		if p <= 0 || p >= s.Arch.N {
-			return fmt.Errorf("distrib: node processor %d outside 1..%d (0 is the coordinator)", p, s.Arch.N-1)
+		if p <= 0 || p >= d.Sched.Arch.N {
+			return nil, nil, fmt.Errorf("distrib: node processor %d outside 1..%d (0 is the coordinator)", p, d.Sched.Arch.N-1)
 		}
 		local[i] = arch.ProcID(p)
 	}
-	trec := sp.newRecorder()
-	cl, err := nettransport.Dial(hubAddr, s.Fingerprint()^salt, local, d,
-		append(sp.netOptions(), nettransport.WithTrace(trec))...)
+	cl, err := nettransport.Dial(hubAddr, d.Sched.Fingerprint()^salt, local, timeout, d.netOptions(rec)...)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer cl.Close()
 	var tr transport.Transport = cl
 	var killed atomic.Bool
-	fault := faulttransport.Fault{KillAfterSends: sp.DieAfterSends}
-	if sp.SlowEveryNth > 0 && sp.SlowFor > 0 {
-		fault.SlowEveryNth = sp.SlowEveryNth
-		fault.SlowFor = sp.SlowFor
+	fault := faulttransport.Fault{KillAfterSends: d.DieAfterSends}
+	if d.SlowEveryNth > 0 && d.SlowFor > 0 {
+		fault.SlowEveryNth = d.SlowEveryNth
+		fault.SlowFor = d.SlowFor
 	}
 	if fault != (faulttransport.Fault{}) {
 		cfg := faulttransport.Config{
 			Faults: map[arch.ProcID]faulttransport.Fault{local[0]: fault},
 		}
-		if sp.DieAfterSends > 0 {
+		if d.DieAfterSends > 0 {
 			// Sever, not Close: the cluster must see a death (EOF without
 			// detach, sockets torn mid-frame), not a clean shutdown.
 			cfg.OnKill = func(arch.ProcID) { killed.Store(true); cl.Sever() }
 		}
 		tr = faulttransport.New(cl, cfg)
 	}
-	m := exec.NewMachineOn(s, reg, tr, local)
-	sp.Configure(m)
-	ob, err := sp.observe(tr, m, nil, trec)
+	res, trace, err := d.run(tr, local, cl.ClockOffsetNS(), rec, timeout,
+		func(m *exec.Machine) error { return started(m, cl) })
+	if killed.Load() {
+		err = ErrChaosKilled
+	}
+	return res, trace, err
+}
+
+// RunNode is the whole lifecycle of one classic node process: compile the
+// spec, dial the hub claiming proc, run the processor's program and detach.
+// Used by cmd/skipper-node and, in-process, by tests.
+func RunNode(sp Spec, proc int, hubAddr string, d time.Duration) error {
+	dep, err := sp.Deploy()
 	if err != nil {
 		return err
 	}
+	var ob observer
 	defer ob.close()
-	res, runErr := m.RunWithTimeout(sp.Iters, d)
-	if killed.Load() {
-		runErr = ErrChaosKilled
-	}
-	// Best effort even after a failed run: a partial trace is exactly what a
-	// post-mortem needs.
-	if werr := ob.writeTrace(sp, fmt.Sprintf("trace-node%d.json", procs[0]), res,
-		procs, cl.ClockOffsetNS()); werr != nil && runErr == nil {
-		runErr = werr
-	}
-	if runErr != nil {
-		return fmt.Errorf("distrib: node %v: %w", procs, runErr)
+	_, tr, err := dep.RunNode(hubAddr, 0, []int{proc}, dep.newRecorder(), d,
+		func(m *exec.Machine, cl *nettransport.Client) error { return ob.start(sp, cl, m, nil) })
+	if err = sp.writeTrace(tr, fmt.Sprintf("trace-node%d.json", proc), err); err != nil {
+		return fmt.Errorf("distrib: node %d: %w", proc, err)
 	}
 	return nil
 }
@@ -344,84 +439,53 @@ func RunProcs(sp Spec, procs []int, hubAddr string, salt uint64, d time.Duration
 // coordinator's recorder (which holds the per-iteration tracking results,
 // since processor 0 hosts the input/output nodes) and the run result.
 func RunCoordinator(sp Spec, listen string, spawn func(addr string) error, d time.Duration) (*track.Recorder, *exec.RunResult, error) {
-	s, reg, rec, err := sp.Compile()
+	dep, err := sp.Deploy()
 	if err != nil {
 		return nil, nil, err
 	}
-	trec := sp.newRecorder()
-	hub, err := nettransport.NewHub(listen, s.Arch, s.Fingerprint(), []arch.ProcID{0},
-		append(sp.netOptions(), nettransport.WithTrace(trec))...)
+	rec := dep.newRecorder()
+	hub, err := nettransport.NewHub(listen, dep.Sched.Arch, dep.Sched.Fingerprint(), []arch.ProcID{0}, sp.netOptions(rec)...)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer hub.Close()
-	m := exec.NewMachineOn(s, reg, hub, []arch.ProcID{0})
-	sp.Configure(m)
-	// The debug server comes up before the nodes are spawned and before the
-	// run starts, so health and metrics are scrapeable while the cluster is
-	// attaching and mid-run.
-	ob, err := sp.observe(hub, m, hub, trec)
-	if err != nil {
-		return nil, nil, err
-	}
+	var ob observer
 	defer ob.close()
-	if spawn != nil {
-		if err := spawn(hub.Addr()); err != nil {
-			return nil, nil, fmt.Errorf("distrib: spawning nodes: %w", err)
+	res, tr, err := dep.RunHost(hub.Session, rec, d, func(m *exec.Machine) error {
+		// The debug server comes up before the nodes are spawned, so health
+		// and metrics are scrapeable while the cluster is attaching.
+		if err := ob.start(sp, hub, m, hub.Session); err != nil {
+			return err
 		}
-	}
-	res, runErr := m.RunWithTimeout(sp.Iters, d)
-	if werr := ob.writeTrace(sp, "trace-coord.json", res, []int{0}, 0); werr != nil && runErr == nil {
-		runErr = werr
-	}
-	if runErr != nil {
-		return nil, nil, runErr
-	}
-	return rec, res, nil
+		if spawn != nil {
+			if err := spawn(hub.Addr()); err != nil {
+				return fmt.Errorf("distrib: spawning nodes: %w", err)
+			}
+		}
+		return nil
+	})
+	return dep.finish(res, tr, err)
 }
 
 // RunInProcess executes the spec on the plain in-process executive — the
 // reference the distributed run must match bit for bit.
 func RunInProcess(sp Spec, d time.Duration) (*track.Recorder, *exec.RunResult, error) {
-	s, reg, rec, err := sp.Compile()
+	dep, err := sp.Deploy()
 	if err != nil {
 		return nil, nil, err
 	}
-	if sp.TraceDir == "" && sp.DebugAddr == "" {
-		m := exec.NewMachine(s, reg)
-		sp.Configure(m)
-		res, err := m.RunWithTimeout(sp.Iters, d)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rec, res, nil
-	}
-	// Observability needs the transport before the run (metrics bind to its
-	// Stats, the recorder must be armed first), so host every processor on
-	// an explicit mem transport instead of the machine's per-run one.
-	t := memtransport.New(s.Arch)
-	defer t.Close()
-	local := make([]arch.ProcID, s.Arch.N)
-	for i := range local {
-		local[i] = arch.ProcID(i)
-	}
-	m := exec.NewMachineOn(s, reg, t, local)
-	sp.Configure(m)
-	ob, err := sp.observe(t, m, nil, sp.newRecorder())
-	if err != nil {
-		return nil, nil, err
-	}
+	var ob observer
 	defer ob.close()
-	procs := make([]int, s.Arch.N)
-	for i := range procs {
-		procs[i] = i
+	res, tr, err := dep.RunMem(dep.newRecorder(), d,
+		func(m *exec.Machine, t transport.Transport) error { return ob.start(sp, t, m, nil) })
+	return dep.finish(res, tr, err)
+}
+
+// finish is the epilogue of the two classic runs that host processor 0:
+// write the trace, then hand back the tracking results and the run result.
+func (d *Deployment) finish(res *exec.RunResult, tr *obsv.Trace, err error) (*track.Recorder, *exec.RunResult, error) {
+	if err = d.writeTrace(tr, "trace-coord.json", err); err != nil {
+		return nil, nil, err
 	}
-	res, runErr := m.RunWithTimeout(sp.Iters, d)
-	if werr := ob.writeTrace(sp, "trace-coord.json", res, procs, 0); werr != nil && runErr == nil {
-		runErr = werr
-	}
-	if runErr != nil {
-		return nil, nil, runErr
-	}
-	return rec, res, nil
+	return d.Results, res, nil
 }

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -312,5 +313,57 @@ func TestSpecConfigureSetsEveryKnob(t *testing.T) {
 	sp.Configure(&m)
 	if m.FT.SpeculateAfter != -time.Millisecond {
 		t.Fatalf("SpeculateAfter = %v, want the job's -1ms override", m.FT.SpeculateAfter)
+	}
+}
+
+// TestFlagsArgsRoundTrip pins the child command line skipper-run builds for
+// its skipper-node processes: with every shared flag set away from its
+// default, parsing Args() into a fresh flag set yields the same Spec, apart
+// from the per-process debug address. It walks whatever FlagSet declares,
+// so a flag added there is covered without editing this test.
+func TestFlagsArgsRoundTrip(t *testing.T) {
+	fs := flag.NewFlagSet("parent", flag.ContinueOnError)
+	parent := FlagSet(fs)
+	n := 0
+	fs.VisitAll(func(fl *flag.Flag) {
+		n++
+		var v string
+		switch fl.Value.(flag.Getter).Get().(type) {
+		case string:
+			v = fmt.Sprintf("v%d", n)
+		case bool:
+			v = "true"
+		case int, int64:
+			v = fmt.Sprint(100 + n)
+		case time.Duration:
+			v = (time.Duration(n) * time.Second).String()
+		default:
+			t.Fatalf("flag -%s: type %T not handled by the round-trip test", fl.Name, fl.Value)
+		}
+		if err := fs.Set(fl.Name, v); err != nil {
+			t.Fatal(err)
+		}
+		if fl.Value.String() == fl.DefValue {
+			t.Fatalf("flag -%s: test value %q is its default", fl.Name, v)
+		}
+	})
+
+	cfs := flag.NewFlagSet("child", flag.ContinueOnError)
+	child := FlagSet(cfs)
+	if err := cfs.Parse(parent.Args()); err != nil {
+		t.Fatalf("child rejects %v: %v", parent.Args(), err)
+	}
+	want := parent.Spec()
+	if want.DebugAddr == "" {
+		t.Fatal("test did not set -debug-addr")
+	}
+	want.DebugAddr = ""
+	if got := child.Spec(); got != want {
+		t.Fatalf("child spec %+v, want %+v (args %v)", got, want, parent.Args())
+	}
+
+	// Untouched flags are not forwarded: the child's defaults are the same.
+	if args := FlagSet(flag.NewFlagSet("idle", flag.ContinueOnError)).Args(); len(args) != 0 {
+		t.Fatalf("default flags forwarded: %v", args)
 	}
 }

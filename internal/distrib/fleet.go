@@ -24,12 +24,10 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"skipper/internal/arch"
 	"skipper/internal/exec"
 	"skipper/internal/exec/nettransport"
 	"skipper/internal/obsv"
@@ -49,8 +47,10 @@ const (
 // FleetPingInterval is how often an idle worker proves liveness.
 const FleetPingInterval = time.Second
 
-// FleetMsg is one line of the fleet protocol. Durations travel as
-// milliseconds so the JSON stays tool-friendly.
+// FleetMsg is one line of the fleet protocol. The channel is internal: both
+// ends ship from this repository and no outside tool speaks it, so the
+// tuning travels as the Tuning struct itself, durations as plain
+// time.Duration nanoseconds, rather than as a per-field wire format.
 type FleetMsg struct {
 	Type string `json:"type"`
 	// Name identifies the worker (join/leave).
@@ -66,12 +66,10 @@ type FleetMsg struct {
 	HubAddr string `json:"hub,omitempty"`
 	// Job is the deployment agreement, shipped verbatim from the submitter.
 	Job *Job `json:"spec,omitempty"`
-	// Executive tuning the whole deployment must agree on.
-	MaxRetries       int   `json:"maxRetries,omitempty"`
-	TaskDeadlineMS   int64 `json:"taskDeadlineMs,omitempty"`
-	HeartbeatMS      int64 `json:"heartbeatMs,omitempty"`
-	SpeculateAfterMS int64 `json:"speculateAfterMs,omitempty"`
-	TimeoutMS        int64 `json:"timeoutMs,omitempty"`
+	// Tuning is the executive tuning the whole deployment must agree on;
+	// Timeout the per-attempt dial + run watchdog (run messages).
+	Tuning  Tuning        `json:"tuning"`
+	Timeout time.Duration `json:"timeout,omitempty"`
 	// Error reports a failed assignment (done messages).
 	Error string `json:"error,omitempty"`
 	// Trace is a traced assignment's event snapshot, shipped back with the
@@ -80,15 +78,6 @@ type FleetMsg struct {
 	// echo Salt so the control plane can attribute the snapshot to the
 	// right attempt of a requeued job.
 	Trace *obsv.Trace `json:"trace,omitempty"`
-}
-
-// splitFleetAddr mirrors the nettransport address scheme: "unix:"-prefixed
-// means a unix-domain socket path, anything else TCP.
-func splitFleetAddr(addr string) (network, address string) {
-	if strings.HasPrefix(addr, "unix:") {
-		return "unix", strings.TrimPrefix(addr, "unix:")
-	}
-	return "tcp", addr
 }
 
 // Worker is one fleet member: a process (or goroutine, in tests) that has
@@ -104,10 +93,9 @@ type Worker struct {
 	encMu sync.Mutex
 	enc   *json.Encoder
 
-	mu      sync.Mutex
-	active  map[string]*nettransport.Client // job id → its session transport
-	jobRecs map[string]*obsv.Recorder       // job id → traced assignment's recorder
-	killed  bool
+	mu     sync.Mutex
+	active map[string]*assignment // job id → the assignment running it
+	killed bool
 
 	// flight, when armed (EnableFlight), is the worker's always-on flight
 	// recorder: untraced assignments record into its bounded ring, and any
@@ -120,6 +108,14 @@ type Worker struct {
 	pingOnce sync.Once
 }
 
+// assignment is what the worker tracks per running job, guarded by Worker.mu:
+// the session transport once dialed (so Kill can sever it mid-run) and a
+// traced job's own recorder (so a flight dump can carry its timeline).
+type assignment struct {
+	cl  *nettransport.Client
+	rec *obsv.Recorder
+}
+
 // JoinFleet dials the control plane at addr, retrying until d elapses
 // (workers may start before skipper-serve binds), and registers under name
 // (defaulting to host-pid). The returned worker serves assignments once
@@ -129,7 +125,7 @@ func JoinFleet(addr, name string, d time.Duration) (*Worker, error) {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	network, address := splitFleetAddr(addr)
+	network, address := nettransport.SplitNetAddr(addr)
 	deadline := time.Now().Add(d)
 	var c net.Conn
 	var err error
@@ -148,8 +144,7 @@ func JoinFleet(addr, name string, d time.Duration) (*Worker, error) {
 		conn:     c,
 		dec:      json.NewDecoder(c),
 		enc:      json.NewEncoder(c),
-		active:   map[string]*nettransport.Client{},
-		jobRecs:  map[string]*obsv.Recorder{},
+		active:   map[string]*assignment{},
 		pingStop: make(chan struct{}),
 	}
 	if err := w.send(FleetMsg{Type: MsgJoin, Name: name}); err != nil {
@@ -217,8 +212,10 @@ func (w *Worker) activeTraces() []*obsv.Trace {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var out []*obsv.Trace
-	for _, r := range w.jobRecs {
-		out = append(out, r.Snapshot())
+	for _, a := range w.active {
+		if a.rec != nil {
+			out = append(out, a.rec.Snapshot())
+		}
 	}
 	return out
 }
@@ -299,8 +296,10 @@ func (w *Worker) Kill() {
 	w.mu.Lock()
 	w.killed = true
 	cls := make([]*nettransport.Client, 0, len(w.active))
-	for _, cl := range w.active {
-		cls = append(cls, cl)
+	for _, a := range w.active {
+		if a.cl != nil {
+			cls = append(cls, a.cl)
+		}
 	}
 	w.mu.Unlock()
 	w.conn.Close()
@@ -321,11 +320,12 @@ func (w *Worker) runAssignment(m FleetMsg) {
 	w.send(done) // best effort: the control plane may be gone
 }
 
-// execute is the worker-side job lifecycle: compile the shipped Job, dial
-// the fleet hub under the salted fingerprint claiming the assigned
-// processors, run their op programs, detach. It is RunProcs with the
-// session transport registered on the worker so Kill can sever mid-run.
-// For a traced job it returns the assignment's event snapshot.
+// execute is the worker-side job lifecycle: compile the shipped Job and run
+// the assigned processors in the node role on the fleet hub, under the
+// job's salt. A traced job records into its own full-size ring, whose sealed
+// snapshot is returned to ship home; an untraced one records into the
+// bounded always-on flight ring (nil unless armed). Either way faults route
+// through the flight's dump path.
 func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
 	if m.Job == nil {
 		return nil, errors.New("distrib: run message without job spec")
@@ -333,94 +333,45 @@ func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
 	if m.HubAddr == "" {
 		return nil, errors.New("distrib: run message without hub address")
 	}
-	sp := Spec{
-		Job:            *m.Job,
-		MaxRetries:     m.MaxRetries,
-		TaskDeadline:   time.Duration(m.TaskDeadlineMS) * time.Millisecond,
-		Heartbeat:      time.Duration(m.HeartbeatMS) * time.Millisecond,
-		SpeculateAfter: time.Duration(m.SpeculateAfterMS) * time.Millisecond,
+	dep, err := Spec{Job: *m.Job, Tuning: m.Tuning}.Deploy()
+	if err != nil {
+		return nil, err
 	}
-	timeout := time.Duration(m.TimeoutMS) * time.Millisecond
+	timeout := m.Timeout
 	if timeout <= 0 {
 		timeout = 2 * time.Minute
 	}
-	s, reg, _, err := sp.Compile()
-	if err != nil {
-		return nil, err
-	}
-	if len(m.Procs) == 0 {
-		return nil, errors.New("distrib: run message assigns no processors")
-	}
-	local := make([]arch.ProcID, len(m.Procs))
-	for i, p := range m.Procs {
-		if p <= 0 || p >= s.Arch.N {
-			return nil, fmt.Errorf("distrib: assigned processor %d outside 1..%d", p, s.Arch.N-1)
-		}
-		local[i] = arch.ProcID(p)
-	}
-	// A traced job records into its own full-size ring whose snapshot ships
-	// home; an untraced one records into the bounded always-on flight ring.
-	// Either way the fault hook routes through the flight's dump path, and
-	// the recorder rides the dial (WithTrace) so it is armed before the
-	// session's first inbound frame — a post-Dial SetTrace can lose the
-	// initial task dispatch to the arming race.
-	var jrec *obsv.Recorder
+	a := &assignment{}
 	rec := w.flightRecorder()
-	if sp.Trace {
-		jrec = obsv.NewRecorder(s.Arch.N, 0)
-		jrec.SetFaultHook(w.flightTrigger)
-		w.mu.Lock()
-		w.jobRecs[m.JobID] = jrec
-		w.mu.Unlock()
-		defer func() {
-			w.mu.Lock()
-			delete(w.jobRecs, m.JobID)
-			w.mu.Unlock()
-		}()
-		rec = jrec
-	}
-	cl, err := nettransport.Dial(m.HubAddr, s.Fingerprint()^m.Salt, local, 30*time.Second,
-		append(sp.netOptions(), nettransport.WithTrace(rec))...)
-	if err != nil {
-		return nil, err
+	if dep.Trace {
+		a.rec = obsv.NewRecorder(dep.Sched.Arch.N, 0)
+		a.rec.SetFaultHook(w.flightTrigger)
+		rec = a.rec
 	}
 	w.mu.Lock()
-	if w.killed {
-		w.mu.Unlock()
-		cl.Sever()
-		return nil, errors.New("distrib: worker killed")
-	}
-	w.active[m.JobID] = cl
+	w.active[m.JobID] = a
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
 		delete(w.active, m.JobID)
-		killed := w.killed
 		w.mu.Unlock()
-		if !killed {
-			cl.Close()
-		}
 	}()
-	mach := exec.NewMachineOn(s, reg, cl, local)
-	sp.Configure(mach)
-	mach.Trace = rec
-	res, runErr := mach.RunWithTimeout(sp.Iters, timeout)
-	if jrec == nil {
-		return nil, runErr
+	_, tr, err := dep.RunNode(m.HubAddr, m.Salt, m.Procs, rec, timeout,
+		func(_ *exec.Machine, cl *nettransport.Client) error {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			if w.killed {
+				cl.Sever()
+				return errors.New("distrib: worker killed")
+			}
+			a.cl = cl // from here on Kill severs the session mid-run
+			return nil
+		})
+	if a.rec == nil || tr == nil {
+		return nil, err // untraced, or the run never reached its transport
 	}
-	var tr *obsv.Trace
-	if res != nil && res.Trace != nil {
-		tr = res.Trace
-	} else {
-		tr = jrec.Snapshot()
-	}
-	if len(tr.Procs) == 0 {
-		tr.Procs = m.Procs
-	}
-	tr.ClockOffsetNS = cl.ClockOffsetNS()
-	tr.Meta = sp.traceMeta()
 	tr.Meta["worker"] = w.name
-	return tr, runErr
+	return tr, err
 }
 
 // RunWorker is the whole lifecycle of one fleet worker process: join the

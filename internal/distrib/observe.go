@@ -1,10 +1,11 @@
 package distrib
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"skipper/internal/exec"
 	"skipper/internal/exec/nettransport"
@@ -13,50 +14,34 @@ import (
 	"skipper/internal/vision"
 )
 
-// observer holds one process's observability state: the event recorder (when
-// the spec names a trace directory) and the debug HTTP server (when it names
-// a debug address). Both are optional and independent.
+// observer is one classic process's debug HTTP server (when the spec names
+// a debug address); the zero value is ready and close is safe either way.
 type observer struct {
-	rec *obsv.Recorder
 	dbg *obsv.DebugServer
 }
 
 // queueDepther is implemented by both transport backends.
 type queueDepther interface{ QueueDepth() int }
 
-// newRecorder mints this process's event recorder when the spec asks for
-// tracing, nil otherwise. Minted before the transport comes up so it can
-// ride the dial/bind (nettransport.WithTrace) — a recorder armed after the
-// fact can miss the first inbound frames, which the completeness suite
-// rejects as unpaired sends.
-func (sp Spec) newRecorder() *obsv.Recorder {
-	if sp.TraceDir == "" {
+// newRecorder mints a classic run's event recorder when the spec names a
+// trace directory, nil otherwise.
+func (d *Deployment) newRecorder() *obsv.Recorder {
+	if d.TraceDir == "" {
 		return nil
 	}
-	n := sp.Procs
-	if n < 1 {
-		n = 1
-	}
-	return obsv.NewRecorder(n, 0)
+	return obsv.NewRecorder(d.Sched.Arch.N, 0)
 }
 
-// observe wires tracing and the debug endpoint into machine m running over
-// transport t. hub is non-nil only on the coordinator, whose /varz then
-// carries the cluster-aggregate view. rec is the process recorder from
-// newRecorder, already handed to the transport at dial/bind time. Must be
-// called before m runs: the debug server starts serving immediately (so a
-// scrape can land mid-run).
-func (sp Spec) observe(t transport.Transport, m *exec.Machine, hub *nettransport.Hub, rec *obsv.Recorder) (*observer, error) {
-	ob := &observer{}
+// start is the classic paths' machine hook: it creates the trace directory
+// and brings up the debug endpoint for machine m running over transport t.
+// sess is non-nil only on the coordinator, whose /varz then carries the
+// cluster-aggregate view. The debug server starts serving immediately, so a
+// scrape can land while the cluster is attaching and mid-run.
+func (ob *observer) start(sp Spec, t transport.Transport, m *exec.Machine, sess *nettransport.Session) error {
 	if sp.TraceDir != "" {
 		if err := os.MkdirAll(sp.TraceDir, 0o755); err != nil {
-			return nil, fmt.Errorf("distrib: trace dir: %w", err)
+			return fmt.Errorf("distrib: trace dir: %w", err)
 		}
-		if rec == nil {
-			rec = sp.newRecorder()
-		}
-		ob.rec = rec
-		m.Trace = ob.rec
 	}
 	if sp.DebugAddr != "" {
 		mx := obsv.NewMetrics()
@@ -129,16 +114,10 @@ func (sp Spec) observe(t transport.Transport, m *exec.Machine, hub *nettransport
 				}
 				return float64(h) / float64(h+m)
 			})
-		if ob.rec != nil {
-			rec := ob.rec
-			mx.CounterFunc("skipper_trace_dropped_events_total",
-				"Trace events lost to ring wrap-around.",
-				func() int64 { return rec.Dropped() })
-			// Canonical short name; kept alongside the historical series so
-			// existing dashboards survive.
+		if rec := m.Trace; rec != nil {
 			mx.CounterFunc("skipper_trace_dropped_total",
 				"Trace events lost to ring wrap-around.",
-				func() int64 { return rec.Dropped() })
+				rec.Dropped)
 		}
 		varz := func() map[string]any {
 			v := map[string]any{
@@ -147,41 +126,30 @@ func (sp Spec) observe(t transport.Transport, m *exec.Machine, hub *nettransport
 			}
 			h, ms := vision.ArenaStats()
 			v["arena"] = map[string]int64{"hits": h, "misses": ms}
-			if hub != nil {
-				v["cluster"] = hub.ClusterInfo()
+			if sess != nil {
+				v["cluster"] = sess.ClusterInfo()
 			}
 			return v
 		}
 		dbg, err := obsv.ServeDebug(sp.DebugAddr, mx, t.Err, varz)
 		if err != nil {
-			return nil, fmt.Errorf("distrib: debug listener: %w", err)
+			return fmt.Errorf("distrib: debug listener: %w", err)
 		}
 		ob.dbg = dbg
 	}
-	return ob, nil
+	return nil
 }
 
-// writeTrace exports this process's events as TraceDir/name. It prefers the
-// run result's snapshot (which carries the hosted-processor list) but falls
-// back to a direct recorder snapshot, so a failed run still leaves a trace
-// behind for post-mortem. clockOff is the process's estimated offset onto
-// the coordinator's wall clock (0 on the coordinator itself).
-func (ob *observer) writeTrace(sp Spec, name string, res *exec.RunResult, procs []int, clockOff int64) error {
-	if ob.rec == nil {
-		return nil
+// writeTrace exports a classic run's sealed trace (nil when the run was
+// untraced) as TraceDir/name. The run's own error wins over a write failure.
+func (sp Spec) writeTrace(tr *obsv.Trace, name string, runErr error) error {
+	if tr == nil {
+		return runErr
 	}
-	var tr *obsv.Trace
-	if res != nil && res.Trace != nil {
-		tr = res.Trace
-	} else {
-		tr = ob.rec.Snapshot()
+	if err := tr.WriteFile(filepath.Join(sp.TraceDir, name)); err != nil && runErr == nil {
+		return err
 	}
-	if len(tr.Procs) == 0 {
-		tr.Procs = procs
-	}
-	tr.ClockOffsetNS = clockOff
-	tr.Meta = sp.traceMeta()
-	return tr.WriteFile(filepath.Join(sp.TraceDir, name))
+	return runErr
 }
 
 // close stops the debug server, if one was started.
@@ -191,61 +159,26 @@ func (ob *observer) close() {
 	}
 }
 
-// traceMeta embeds the deployment parameters in every trace file, so the
-// trace tooling can recompile the exact spec (SpecFromMeta) and diff
-// measured timings against the predicted schedule.
-func (sp Spec) traceMeta() map[string]string {
-	return map[string]string{
-		"app":           "tracking",
-		"topology":      sp.Topology,
-		"procs":         strconv.Itoa(sp.Procs),
-		"width":         strconv.Itoa(sp.Width),
-		"height":        strconv.Itoa(sp.Height),
-		"vehicles":      strconv.Itoa(sp.Vehicles),
-		"seed":          strconv.FormatInt(sp.Seed, 10),
-		"iters":         strconv.Itoa(sp.Iters),
-		"deterministic": strconv.FormatBool(sp.Deterministic),
-	}
+// TraceMeta is the deployment meta embedded in every trace: the whole Job,
+// so the trace tooling can recompile the exact executive that was traced
+// (SpecFromMeta) and diff measured timings against the predicted schedule.
+// The key is "spec" because serve tags its traces' "job" with the job id.
+func (sp Spec) TraceMeta() map[string]string {
+	spec, _ := json.Marshal(sp.Job) // a struct of scalars cannot fail to marshal
+	return map[string]string{"app": "tracking", "spec": string(spec)}
 }
-
-// TraceMeta exposes the deployment meta embedded in trace files, for
-// control planes (serve) that assemble job traces outside this package.
-func (sp Spec) TraceMeta() map[string]string { return sp.traceMeta() }
 
 // SpecFromMeta reconstructs the deployment spec a trace was recorded under.
 func SpecFromMeta(meta map[string]string) (Spec, error) {
 	var sp Spec
 	if len(meta) == 0 {
-		return sp, fmt.Errorf("distrib: trace carries no deployment meta")
+		return sp, errors.New("distrib: trace carries no deployment meta")
 	}
 	if app := meta["app"]; app != "tracking" {
 		return sp, fmt.Errorf("distrib: trace meta names unknown app %q", app)
 	}
-	sp.Topology = meta["topology"]
-	atoi := func(key string, dst *int) error {
-		n, err := strconv.Atoi(meta[key])
-		if err != nil {
-			return fmt.Errorf("distrib: trace meta %s=%q: %w", key, meta[key], err)
-		}
-		*dst = n
-		return nil
+	if err := json.Unmarshal([]byte(meta["spec"]), &sp.Job); err != nil {
+		return sp, fmt.Errorf("distrib: trace meta spec: %w", err)
 	}
-	for _, f := range []struct {
-		key string
-		dst *int
-	}{
-		{"procs", &sp.Procs}, {"width", &sp.Width}, {"height", &sp.Height},
-		{"vehicles", &sp.Vehicles}, {"iters", &sp.Iters},
-	} {
-		if err := atoi(f.key, f.dst); err != nil {
-			return sp, err
-		}
-	}
-	seed, err := strconv.ParseInt(meta["seed"], 10, 64)
-	if err != nil {
-		return sp, fmt.Errorf("distrib: trace meta seed=%q: %w", meta["seed"], err)
-	}
-	sp.Seed = seed
-	sp.Deterministic = meta["deterministic"] == "true"
 	return sp, nil
 }

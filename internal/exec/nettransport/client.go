@@ -100,7 +100,7 @@ var (
 // the reader and acceptor loops.
 func Dial(addr string, fingerprint uint64, local []arch.ProcID, d time.Duration, opts ...Option) (*Client, error) {
 	o := buildOptions(opts)
-	network, address := splitNetAddr(addr)
+	network, address := SplitNetAddr(addr)
 	deadline := time.Now().Add(d)
 	bo := newBackoff()
 	var c net.Conn
@@ -125,7 +125,7 @@ func Dial(addr string, fingerprint uint64, local []arch.ProcID, d time.Duration,
 	// segments before saying hello — the hello carries their paths, the
 	// hub's reply says whether it mapped them. Creation failure (no tmpfs,
 	// quota) silently degrades to the plain socket.
-	h := hello{fingerprint: fingerprint, procs: local, dataAddr: joinNetAddr(ln)}
+	h := hello{fingerprint: fingerprint, procs: local, dataAddr: JoinNetAddr(ln)}
 	var shmOut, shmIn *shmRing
 	if o.dataPlane == "shm" && sameHost(c) {
 		if shmOut, err = createShmRing(fingerprint, shmDefaultSlots); err == nil {

@@ -49,7 +49,7 @@ type FleetHub struct {
 // fingerprint matches no open session is rejected in the handshake.
 func NewFleetHub(addr string, opts ...Option) (*FleetHub, error) {
 	o := buildOptions(opts)
-	ln, err := listenNet(addr)
+	ln, err := ListenNet(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func NewFleetHub(addr string, opts ...Option) (*FleetHub, error) {
 
 // Addr is the address clients should dial ("unix:"-prefixed when the hub
 // listens on a unix-domain socket).
-func (f *FleetHub) Addr() string { return joinNetAddr(f.ln) }
+func (f *FleetHub) Addr() string { return JoinNetAddr(f.ln) }
 
 // OpenSession registers a deployment on the hub: connections whose hello
 // carries fingerprint are routed to the returned Session. local are the

@@ -32,7 +32,7 @@ func (cl *Client) peerConn(addr string) (*wconn, error) {
 	if w, ok := cl.pconns[addr]; ok {
 		return w, nil
 	}
-	network, address := splitNetAddr(addr)
+	network, address := SplitNetAddr(addr)
 	deadline := time.Now().Add(flushTimeout)
 	bo := newBackoff()
 	var c net.Conn

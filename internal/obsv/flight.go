@@ -63,6 +63,11 @@ type FlightOptions struct {
 	Extra func() []*Trace
 }
 
+// DefaultFlightWindow is the trailing window a dump is trimmed to unless
+// FlightOptions.Window says otherwise; companion-trace callbacks use it to
+// decide how stale a settled timeline may be and still be worth attaching.
+const DefaultFlightWindow = 10 * time.Second
+
 // FlightRingSize is the default per-processor ring capacity of an
 // always-on flight recorder: big enough for several seconds of executive
 // traffic, small enough (96B * 4096 per proc) to leave resident.
@@ -82,7 +87,7 @@ func NewFlight(dir, name string, opt FlightOptions) *Flight {
 	}
 	window := opt.Window
 	if window == 0 {
-		window = 10 * time.Second
+		window = DefaultFlightWindow
 	}
 	minInt := opt.MinInterval
 	if minInt <= 0 {

@@ -3,6 +3,7 @@ package obsv
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -133,7 +134,9 @@ func Merge(traces []*Trace) *Trace {
 			procSet[p] = true
 		}
 		if out.Meta == nil && len(t.Meta) > 0 {
-			out.Meta = t.Meta
+			// A copy: callers tag the merged trace's meta (flight dumps, job
+			// traces) while the input may be a sealed trace others still read.
+			out.Meta = maps.Clone(t.Meta)
 		}
 		shift := t.EpochUnixNano + t.ClockOffsetNS - base
 		for _, ev := range t.Events {

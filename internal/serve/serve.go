@@ -19,15 +19,14 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
 	"skipper/internal/arch"
 	"skipper/internal/distrib"
 	"skipper/internal/exec"
-	"skipper/internal/exec/memtransport"
 	"skipper/internal/exec/nettransport"
+	"skipper/internal/exec/transport"
 	"skipper/internal/obsv"
 	"skipper/internal/track"
 )
@@ -71,14 +70,9 @@ type Config struct {
 	JobRequeues int
 	// JobTimeout is the per-attempt executive watchdog (default 2m).
 	JobTimeout time.Duration
-	// MaxRetries, TaskDeadline, Heartbeat and SpeculateAfter are the
-	// deployment-wide executive tuning applied to every job (distrib.Spec
-	// fields). A job may override SpeculateAfter via its speculateAfterMs
-	// field.
-	MaxRetries     int
-	TaskDeadline   time.Duration
-	Heartbeat      time.Duration
-	SpeculateAfter time.Duration
+	// Tuning is the deployment-wide executive tuning applied to every job. A
+	// job may override SpeculateAfter via its speculateAfterMs field.
+	distrib.Tuning
 	// InProcess runs jobs on the in-process executive instead of the fleet:
 	// no workers, no network, every processor hosted by the server. The
 	// scheduler (queue, limits, cancellation, statuses) is exercised
@@ -239,7 +233,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FlightDir != "" {
 		s.flight = obsv.NewFlight(cfg.FlightDir, "serve", obsv.FlightOptions{
 			Procs: 16,
-			Extra: s.liveAttemptTraces,
+			Extra: s.attemptTraces,
 		})
 	}
 
@@ -254,8 +248,7 @@ func New(cfg Config) (*Server, error) {
 	s.hub = hub
 
 	if !cfg.InProcess {
-		network, address := splitAddr(cfg.FleetAddr)
-		ln, err := net.Listen(network, address)
+		ln, err := nettransport.ListenNet(cfg.FleetAddr)
 		if err != nil {
 			hub.Close()
 			return nil, fmt.Errorf("serve: fleet listener: %w", err)
@@ -273,13 +266,6 @@ func New(cfg Config) (*Server, error) {
 	s.wg.Add(1)
 	go s.scheduler()
 	return s, nil
-}
-
-func splitAddr(addr string) (network, address string) {
-	if strings.HasPrefix(addr, "unix:") {
-		return "unix", strings.TrimPrefix(addr, "unix:")
-	}
-	return "tcp", addr
 }
 
 func (s *Server) initMetrics() {
@@ -333,10 +319,7 @@ func (s *Server) FleetAddr() string {
 	if s.fleetLn == nil {
 		return ""
 	}
-	if s.fleetLn.Addr().Network() == "unix" {
-		return "unix:" + s.fleetLn.Addr().String()
-	}
-	return s.fleetLn.Addr().String()
+	return nettransport.JoinNetAddr(s.fleetLn)
 }
 
 // HubAddr is the bound frame-traffic hub address.
@@ -360,20 +343,26 @@ func (s *Server) flightRecord(kind obsv.EventKind, peer int32, arg int64) {
 	}
 }
 
-// liveAttemptTraces snapshots the running traced attempts' hub-side
-// recorders at flight-dump time, so a fault artifact carries the in-flight
-// job timelines alongside the scheduler's own ring. Best-effort mid-run
-// snapshots — fine for a post-mortem artifact.
-func (s *Server) liveAttemptTraces() []*obsv.Trace {
+// attemptTraces collects the traced jobs' newest hub-side timelines at
+// flight-dump time, so a fault artifact carries the job timelines alongside
+// the scheduler's own ring: a best-effort mid-run snapshot of a running
+// attempt, or the sealed snapshot of one that settled in the meantime — the
+// dump is asynchronous, and the attempt whose fault triggered it has often
+// sealed (and its job re-queued or finished) by the time it runs. Jobs that
+// finished longer ago than a dump's trailing window are skipped.
+func (s *Server) attemptTraces() []*obsv.Trace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*obsv.Trace
 	for _, st := range s.jobs {
-		if st.status != StatusRunning || len(st.attempts) == 0 {
+		if len(st.attempts) == 0 || (!st.finished.IsZero() && time.Since(st.finished) > obsv.DefaultFlightWindow) {
 			continue
 		}
-		if att := st.attempts[len(st.attempts)-1]; att.rec != nil {
+		switch att := st.attempts[len(st.attempts)-1]; {
+		case att.rec != nil:
 			out = append(out, att.rec.Snapshot())
+		case att.hub != nil:
+			out = append(out, att.hub)
 		}
 	}
 	return out
@@ -616,101 +605,110 @@ func (s *Server) runJob(st *jobState, placement map[*workerState][]int) {
 	s.kickScheduler()
 }
 
-// executeJob runs one attempt: compile, open the job's salted session on
-// the shared hub, assign remote processors to the fleet, host processor 0.
+// executeJob runs one attempt: compile, then either host every processor
+// in process or open the job's salted session on the shared hub, assign the
+// remote processors to the fleet and host processor 0.
 func (s *Server) executeJob(st *jobState, placement map[*workerState][]int) ([]track.Result, error) {
-	sp := distrib.Spec{
-		Job:            st.job,
-		MaxRetries:     s.cfg.MaxRetries,
-		TaskDeadline:   s.cfg.TaskDeadline,
-		Heartbeat:      s.cfg.Heartbeat,
-		SpeculateAfter: s.cfg.SpeculateAfter,
-	}
-	sched, reg, rec, err := sp.Compile()
+	dep, err := distrib.Spec{Job: st.job, Tuning: s.cfg.Tuning}.Deploy()
 	if err != nil {
 		return nil, err
 	}
 
-	var mach *exec.Machine
 	var sess *nettransport.Session
-	var cleanup func()
-	var hubProcs []int
-	if s.cfg.InProcess || st.job.Procs == 1 {
-		t := memtransport.New(sched.Arch)
-		local := make([]arch.ProcID, sched.Arch.N)
-		for i := range local {
-			local[i] = arch.ProcID(i)
-			hubProcs = append(hubProcs, i)
-		}
-		mach = exec.NewMachineOn(sched, reg, t, local)
-		cleanup = func() { t.Close() }
-	} else {
-		sess, err = s.hub.OpenSession(sched.Arch, sched.Fingerprint()^st.salt, []arch.ProcID{0})
+	if !s.cfg.InProcess && st.job.Procs > 1 {
+		sess, err = s.hub.OpenSession(dep.Sched.Arch, dep.Sched.Fingerprint()^st.salt, []arch.ProcID{0})
 		if err != nil {
 			return nil, err
 		}
-		mach = exec.NewMachineOn(sched, reg, sess, []arch.ProcID{0})
-		cleanup = func() { sess.Close() }
-		hubProcs = []int{0}
+		defer sess.Close()
 	}
-	sp.Configure(mach)
-	mach.StageLatency = s.stageLat
-	defer cleanup()
 
-	// A traced job records the hub-side attempt into its own full-size ring;
-	// the snapshot seals into the attempt record when this attempt settles
-	// (before cleanup closes the session), and worker snapshots merge in as
+	// A traced job records the hub-side attempt into its own full-size ring,
+	// live in the attempt record while it runs; worker snapshots merge in as
 	// their done messages arrive. Faults route through the flight recorder's
 	// dump path either way.
+	var att *jobAttempt
+	var rec *obsv.Recorder
 	if st.job.Trace {
-		rec := obsv.NewRecorder(sched.Arch.N, 0)
+		rec = obsv.NewRecorder(dep.Sched.Arch.N, 0)
 		if s.flight != nil {
 			rec.SetFaultHook(s.flight.Trigger)
 		}
-		if sess != nil {
-			sess.SetTrace(rec)
-		}
-		mach.Trace = rec
-		att := &jobAttempt{salt: st.salt, rec: rec}
+		att = &jobAttempt{salt: st.salt, rec: rec}
 		s.mu.Lock()
 		st.attempts = append(st.attempts, att)
 		s.mu.Unlock()
-		defer func() {
-			tr := rec.Snapshot()
-			if len(tr.Procs) == 0 {
-				tr.Procs = hubProcs
-			}
-			tr.Meta = sp.TraceMeta()
-			tr.Meta["job"] = st.id
-			tr.Meta["role"] = "hub"
-			s.mu.Lock()
-			att.hub = tr
-			att.rec = nil
+	}
+
+	// started publishes the machine for Cancel and, on the fleet, ships the
+	// assignments: from here on the attempt is abortable and attachable.
+	started := func(mach *exec.Machine) error {
+		mach.StageLatency = s.stageLat
+		s.mu.Lock()
+		if st.cancelled {
 			s.mu.Unlock()
-		}()
-	}
-
-	s.mu.Lock()
-	if st.cancelled {
+			return exec.ErrCancelled
+		}
+		st.mach = mach
 		s.mu.Unlock()
-		return nil, exec.ErrCancelled
+		s.assign(st, placement, mach)
+		return nil
 	}
-	st.mach = mach
-	s.mu.Unlock()
 
+	var res *exec.RunResult
+	var tr *obsv.Trace
+	if sess == nil {
+		res, tr, err = dep.RunMem(rec, s.cfg.JobTimeout,
+			func(mach *exec.Machine, _ transport.Transport) error { return started(mach) })
+	} else {
+		res, tr, err = dep.RunHost(sess, rec, s.cfg.JobTimeout, started)
+	}
+	if att != nil {
+		// Seal the hub-side snapshot into the attempt record (before the
+		// deferred Close tears the session down).
+		tr.Meta["job"] = st.id
+		tr.Meta["role"] = "hub"
+		s.mu.Lock()
+		att.hub, att.rec = tr, nil
+		s.mu.Unlock()
+	}
+	if res != nil {
+		// Speculation runs on the master — hosted here — so the hub machine
+		// holds the whole deployment's straggler accounting.
+		s.mSpeculations.Add(res.Speculations)
+		s.mSpecWins.Add(res.SpeculationWins)
+		s.mFalseSusp.Add(res.FalseSuspicions)
+	}
+	if err != nil {
+		// A failed attempt whose deployment never became ready — the
+		// assigned workers died before attaching — never actually started,
+		// so it re-queues without burning the budget (up to a hard cap, so
+		// a pathologically broken fleet cannot loop the job forever).
+		if sess != nil && !sess.Ready() {
+			s.mu.Lock()
+			if !st.cancelled && st.freeRequeues < maxFreeRequeues {
+				st.freeRequeues++
+				st.placementFailed = true
+			}
+			s.mu.Unlock()
+		}
+		return nil, err
+	}
+	return dep.Results.Results, nil
+}
+
+// assign ships an attempt's run messages to the workers it was placed on.
+func (s *Server) assign(st *jobState, placement map[*workerState][]int, mach *exec.Machine) {
 	for w, procs := range placement {
 		msg := distrib.FleetMsg{
-			Type:             distrib.MsgRun,
-			JobID:            st.id,
-			Salt:             st.salt,
-			Procs:            procs,
-			HubAddr:          s.hub.Addr(),
-			Job:              &st.job,
-			MaxRetries:       s.cfg.MaxRetries,
-			TaskDeadlineMS:   s.cfg.TaskDeadline.Milliseconds(),
-			HeartbeatMS:      s.cfg.Heartbeat.Milliseconds(),
-			SpeculateAfterMS: s.cfg.SpeculateAfter.Milliseconds(),
-			TimeoutMS:        s.cfg.JobTimeout.Milliseconds(),
+			Type:    distrib.MsgRun,
+			JobID:   st.id,
+			Salt:    st.salt,
+			Procs:   procs,
+			HubAddr: s.hub.Addr(),
+			Job:     &st.job,
+			Tuning:  s.cfg.Tuning,
+			Timeout: s.cfg.JobTimeout,
 		}
 		if err := w.send(msg); err != nil {
 			// The worker died between placement and assignment (the
@@ -727,31 +725,6 @@ func (s *Server) executeJob(st *jobState, placement map[*workerState][]int) ([]t
 			break
 		}
 	}
-
-	res, runErr := mach.RunWithTimeout(st.job.Iters, s.cfg.JobTimeout)
-	if res != nil {
-		// Speculation runs on the master — hosted here — so the hub machine
-		// holds the whole deployment's straggler accounting.
-		s.mSpeculations.Add(res.Speculations)
-		s.mSpecWins.Add(res.SpeculationWins)
-		s.mFalseSusp.Add(res.FalseSuspicions)
-	}
-	if runErr != nil {
-		// A failed attempt whose deployment never became ready — the
-		// assigned workers died before attaching — never actually started,
-		// so it re-queues without burning the budget (up to a hard cap, so
-		// a pathologically broken fleet cannot loop the job forever).
-		if sess != nil && !sess.Ready() {
-			s.mu.Lock()
-			if !st.cancelled && st.freeRequeues < maxFreeRequeues {
-				st.freeRequeues++
-				st.placementFailed = true
-			}
-			s.mu.Unlock()
-		}
-		return nil, runErr
-	}
-	return rec.Results, nil
 }
 
 // maxFreeRequeues bounds never-became-ready re-queues per job.

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"skipper/internal/distrib"
+	"skipper/internal/exec/nettransport"
 	"skipper/internal/track"
 )
 
@@ -112,10 +115,13 @@ func TestServeEquivalenceElasticFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-job fleet run")
 	}
+	// Enough frames (most of a second each) that both attempts are still
+	// mid-run when the join and the kill land, tens of milliseconds after
+	// they are seen running.
 	jobA := distrib.Job{Topology: "ring", Procs: 6, Width: 128, Height: 128,
-		Vehicles: 2, Seed: 5, Iters: 12, Deterministic: true}
+		Vehicles: 2, Seed: 5, Iters: 1200, Deterministic: true}
 	jobB := distrib.Job{Topology: "star", Procs: 4, Width: 96, Height: 96,
-		Vehicles: 1, Seed: 9, Iters: 10, Deterministic: true}
+		Vehicles: 1, Seed: 9, Iters: 1200, Deterministic: true}
 
 	// Solo references first: fresh scenes, plain in-process executive.
 	recA, _, err := distrib.RunInProcess(distrib.Spec{Job: jobA}, time.Minute)
@@ -191,6 +197,12 @@ func TestServeEquivalenceElasticFleet(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// w2 hosted processors of both jobs. A re-queue (charged, or free when
+	// the attempt was still attaching) proves the kill landed on a dispatched
+	// attempt rather than after the jobs had finished.
+	if strings.Contains(string(metrics), "\nskipper_serve_job_requeues_total 0\n") {
+		t.Error("the kill forced no re-queue: it never hit a running job")
 	}
 }
 
@@ -341,4 +353,30 @@ func TestServeRequeueBudgetExhausted(t *testing.T) {
 	if v.Requeues != 1 {
 		t.Fatalf("requeues = %d, want 1", v.Requeues)
 	}
+}
+
+// TestServeRestartsOnStaleFleetSocket: a skipper-serve killed with SIGKILL
+// leaves its unix fleet socket file behind; the next start on the same path
+// must reclaim it (nobody is listening) instead of failing with "address
+// already in use", the way the hub listener already does.
+func TestServeRestartsOnStaleFleetSocket(t *testing.T) {
+	path := nettransport.ShortSockPath("skipper-fleet-test")
+	defer os.Remove(path)
+	ln, err := net.ListenUnix("unix", &net.UnixAddr{Name: path, Net: "unix"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.SetUnlinkOnClose(false) // what SIGKILL leaves: no listener, file still there
+	ln.Close()
+
+	s, err := New(Config{FleetAddr: "unix:" + path})
+	if err != nil {
+		t.Fatalf("restart on a stale fleet socket: %v", err)
+	}
+	defer s.Close()
+	if got := s.FleetAddr(); got != "unix:"+path {
+		t.Fatalf("FleetAddr = %q, want %q", got, "unix:"+path)
+	}
+	w := startWorker(t, s, "w1")
+	defer w.Leave()
 }

@@ -38,7 +38,7 @@ func TestServeTracedJobSurvivesWorkerKill(t *testing.T) {
 		Pipeline: true, Trace: true}
 	id := postJob(t, base, job)
 	waitStatus(t, base, id, StatusRunning, 10*time.Second)
-	time.Sleep(100 * time.Millisecond) // let frames start flowing
+	waitFramesFlowing(t, s, id)
 	victim.Kill()
 
 	// The attempt settles, the job re-queues onto the survivor and finishes.
@@ -145,6 +145,30 @@ func TestServeTracedJobSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
+// waitFramesFlowing blocks until the traced job's running attempt has taken
+// replies from its workers for a few iterations: every assigned processor
+// has attached and the kill that follows lands mid-run, not on a session
+// still filling (which re-queues for free and proves nothing).
+func waitFramesFlowing(t *testing.T, s *Server, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		recvs := 0
+		if attempts, _ := s.JobTrace(id); len(attempts) > 0 {
+			for _, ev := range attempts[len(attempts)-1].Events {
+				if ev.Kind == obsv.EvRecv {
+					recvs++
+				}
+			}
+		}
+		if recvs >= 64 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s: only %d frames received at the hub after 15s", id, recvs)
+		}
+	}
+}
+
 // TestServeUntracedJobHasNoTrace pins the opt-in: a plain job yields 409 on
 // the trace endpoint, and tracing one job does not leak into another.
 func TestServeUntracedJobHasNoTrace(t *testing.T) {
@@ -200,5 +224,55 @@ func TestServeUntracedJobHasNoTrace(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("bogus sub-resource = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestFlightDumpCarriesSealedAttempt pins the companion-trace callback
+// against the dump's asynchrony: a fault recorded in a traced attempt's own
+// ring triggers the dump, but the attempt seals (recorder gone, job
+// re-queued) before the dump goroutine collects the companion traces. The
+// artifact must still carry the attempt's timeline — the flight ring itself
+// is empty — or the rate-limited artifact of that fault is written blank.
+func TestFlightDumpCarriesSealedAttempt(t *testing.T) {
+	s, err := New(Config{InProcess: true, FlightDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	rec := obsv.NewRecorder(2, 0)
+	rec.SetFaultHook(s.flight.Trigger)
+	att := &jobAttempt{salt: 1, rec: rec}
+	st := &jobState{id: "j1", status: StatusRunning, attempts: []*jobAttempt{att}}
+
+	// The dump goroutine needs s.mu to collect companions, so holding it
+	// orders the seal between the trigger and the collection whichever way
+	// the scheduler interleaves the two goroutines.
+	s.mu.Lock()
+	s.jobs[st.id] = st
+	rec.Record(0, obsv.EvOpStart, rec.Intern("grab"), -1, 0)
+	rec.Record(0, obsv.EvPeerDown, 0, 1, 0) // fault: triggers the asynchronous dump
+	att.hub, att.rec = rec.Snapshot(), nil
+	st.status = StatusQueued
+	s.mu.Unlock()
+
+	var dump []string
+	for deadline := time.Now().Add(5 * time.Second); len(dump) == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		dump = s.flight.LastDump()
+	}
+	if len(dump) == 0 {
+		t.Fatal("the fault never triggered a flight dump")
+	}
+	tr, err := obsv.ReadFile(dump[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sawFault bool
+	for _, ev := range tr.Events {
+		sawFault = sawFault || ev.Kind == obsv.EvPeerDown
+	}
+	if !sawFault {
+		t.Fatalf("flight artifact has %d events and no fault: the sealed attempt's timeline was dropped", len(tr.Events))
 	}
 }
