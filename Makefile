@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 build test vet race stress bench bench-smoke clean
+.PHONY: all tier1 build test vet race stress fuzz-smoke bench bench-smoke clean
 
 all: tier1
 
@@ -31,6 +31,15 @@ race:
 # flakes): a test that passes 1 run in 15 fails here.
 stress:
 	$(GO) test -count=10 ./internal/serve/ ./internal/distrib/
+
+# Ten seconds of coverage-guided fuzzing per target: the run-based labelling
+# kernel against its flood-fill oracle, and the two byte decoders. New
+# inputs land in the Go build cache; a failure writes its reproducer under
+# the package's testdata/fuzz/, to be committed as a regression seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzComponentsMatchFlood -fuzztime 10s ./internal/vision
+	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/value
+	$(GO) test -run '^$$' -fuzz FuzzBatchDecode -fuzztime 10s ./internal/exec/nettransport
 
 # Regenerate the machine-readable perf snapshot consumed by the tier-1
 # envelope guard (bench_guard_test.go). See README § Performance.

@@ -125,6 +125,13 @@ func GetWindows(np int, s *State, im *vision.Image) []vision.Window {
 	return windows
 }
 
+// detectScratch pools labelling scratch space across DetectMarks calls:
+// detection runs once per window per frame (the paper's per-frame hot
+// path), and the run/union-find/moments buffers never escape, so a
+// sync.Pool removes all per-call labelling allocations while staying safe
+// under the df skeleton's concurrent workers.
+var detectScratch = sync.Pool{New: func() any { return new(vision.LabelScratch) }}
+
 // DetectMarks detects the marks present in one window: connected groups of
 // pixels above the threshold, each characterized by center of gravity and
 // englobing frame (translated back to full-frame coordinates). It is the
@@ -132,16 +139,8 @@ func GetWindows(np int, s *State, im *vision.Image) []vision.Window {
 // returns a single mark per window; the abstract DSL type "mark" is carried
 // here as the list of blobs found in the window, which is the faithful
 // functional content when a reinitialization band holds several marks.)
-// detectScratch pools labelling scratch space across DetectMarks calls:
-// detection runs once per window per frame (the paper's per-frame hot
-// path), and the label/union-find/moments buffers never escape, so a
-// sync.Pool removes all per-call labelling allocations while staying safe
-// under the df skeleton's concurrent workers.
-var detectScratch = sync.Pool{New: func() any { return new(vision.LabelScratch) }}
-
 func DetectMarks(w vision.Window) []Mark {
 	s := detectScratch.Get().(*vision.LabelScratch)
-	defer detectScratch.Put(s)
 	comps := s.Components(w.Img, Threshold, MinMarkArea)
 	marks := make([]Mark, 0, len(comps))
 	for _, c := range comps {
@@ -155,6 +154,7 @@ func DetectMarks(w vision.Window) []Mark {
 			Area: c.Area,
 		})
 	}
+	detectScratch.Put(s) // comps aliases s; the marks are copies
 	return marks
 }
 

@@ -1,6 +1,8 @@
 package track
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -289,5 +291,50 @@ func TestDisplayFormatsPhases(t *testing.T) {
 func TestThresholdMatchesVideoContract(t *testing.T) {
 	if Threshold != video.DetectThreshold {
 		t.Fatal("threshold drifted from the video generator contract")
+	}
+}
+
+// detectDigest folds every field of every mark DetectMarks reports over 32
+// frames × 8 bands of a 512×512 scene — the labelling application's
+// per-frame work — into one FNV-1a value, floats by their bit patterns.
+func detectDigest(seed int64) uint64 {
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	sc := video.NewScene(512, 512, 3, seed)
+	for f := 0; f < 32; f++ {
+		im := sc.Next()
+		for _, r := range vision.SplitGrid(im.W, im.H, 8) {
+			ms := DetectMarks(vision.Extract(im, r))
+			put(uint64(len(ms)))
+			for _, m := range ms {
+				put(math.Float64bits(m.CX))
+				put(math.Float64bits(m.CY))
+				put(uint64(m.Area))
+				for _, c := range [4]int{m.BBox.X0, m.BBox.Y0, m.BBox.X1, m.BBox.Y1} {
+					put(uint64(c))
+				}
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// The digests are what the per-pixel two-pass labelling produced (the
+// kernel the sequential emulator's reference outputs were recorded with):
+// a labelling change that moves a centroid by one ulp, reorders two marks
+// or shifts a bounding box shows up here before it shows up as a frame
+// mismatch in the benchmark.
+func TestDetectMarksMatchesEmulatorGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		want uint64
+	}{{5, 0x88ba6755c2ba0756}, {11, 0x67907811cdab8dc2}} {
+		if got := detectDigest(c.seed); got != c.want {
+			t.Errorf("scene %d: DetectMarks digest %#x, want %#x", c.seed, got, c.want)
+		}
 	}
 }

@@ -43,6 +43,22 @@ func TestComponentsScratchZeroAlloc(t *testing.T) {
 	}
 }
 
+// A scratch regrown after the sync.Pool holding it was flushed by a
+// collection must stay cheap on the frames the applications label (dark
+// road, a few marks): runs, union-find parents, statistics and the
+// component list, with room for one doubling of the label tables. (Dense
+// noise mints thousands of provisional labels and grows the tables by
+// doubling, once per scratch.)
+func TestComponentsFreshScratchAllocBudget(t *testing.T) {
+	im := NewImage(512, 64)
+	for i := 0; i < 9; i++ {
+		FillDisc(im, 30+50*i, 10+5*i, 4, 250)
+	}
+	if got := testing.AllocsPerRun(20, func() { new(LabelScratch).Components(im, 200, 2) }); got > 6 {
+		t.Fatalf("Components on a fresh scratch allocates %.1f allocs/op, want <= 6", got)
+	}
+}
+
 func TestExtractIntoZeroAlloc(t *testing.T) {
 	im := allocTestFrame(128, 128)
 	var w Window

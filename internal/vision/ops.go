@@ -1,45 +1,49 @@
 package vision
 
-// Threshold returns a binary image: 255 where the source pixel is >= t,
-// 0 elsewhere. "Marks are detected as connected groups of pixels with values
-// above a given threshold" (paper §4).
-func Threshold(im *Image, t uint8) *Image {
-	return ThresholdInto(getImageDirty(im.W, im.H), im, t)
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+const (
+	swarLo7  = 0x7f7f7f7f7f7f7f7f
+	swarHi   = 0x8080808080808080
+	swarOnes = 0x0101010101010101
+)
+
+// swarGE prepares the per-byte "b >= t" test on eight pixels at once. Split
+// b and t into their low seven bits and their top bit: (b&0x7f)+(0x80-t&0x7f)
+// carries into the byte's top bit exactly when the low bits compare >=, and
+// never out of the byte; the top bits then decide — below 128 either one
+// suffices, from 128 up both are needed.
+type swarGE struct {
+	add, either uint64
 }
 
-// ThresholdInto writes the thresholded image into dst (reshaped to im's
-// geometry, reusing its pixel buffer when large enough) and returns dst.
-// With a reused dst this is allocation-free — the in-place variant for
-// per-frame hot loops. Large frames are processed as row bands across the
-// shared skeleton pool (see tile.go); bands write disjoint output rows, so
-// the result is identical at any parallelism.
-func ThresholdInto(dst *Image, im *Image, t uint8) *Image {
-	dst.reset(im.W, im.H)
-	if cuts := bandCuts(im.W, im.H); cuts != nil {
-		runBands(cuts, func(b, y0, y1 int) { thresholdRows(dst, im, t, y0, y1) })
-	} else {
-		thresholdRows(dst, im, t, 0, im.H)
+func newSwarGE(t uint8) swarGE {
+	g := swarGE{add: (0x80 - uint64(t&0x7f)) * swarOnes}
+	if t < 0x80 {
+		g.either = ^uint64(0)
 	}
-	return dst
+	return g
 }
 
-func thresholdRows(dst, im *Image, t uint8, y0, y1 int) {
-	w := im.W
-	src := im.Pix[y0*w : y1*w]
-	out := dst.Pix[y0*w : y1*w]
-	for i, p := range src {
-		var v uint8
-		if p >= t {
-			v = 255
-		}
-		out[i] = v
-	}
+// mask returns 0x80 in every byte of v that is >= t and 0 elsewhere.
+func (g swarGE) mask(v uint64) uint64 {
+	lo := v&swarLo7 + g.add
+	return (v&lo | (v|lo)&g.either) & swarHi
 }
 
-// CountAbove returns the number of pixels with value >= t.
+// CountAbove returns the number of pixels with value >= t, eight pixels per
+// step with the labelling kernel's byte mask.
 func CountAbove(im *Image, t uint8) int {
+	ge := newSwarGE(t)
+	pix := im.Pix
 	n := 0
-	for _, p := range im.Pix {
+	for ; len(pix) >= 8; pix = pix[8:] {
+		n += bits.OnesCount64(ge.mask(binary.LittleEndian.Uint64(pix)))
+	}
+	for _, p := range pix {
 		if p >= t {
 			n++
 		}
@@ -111,71 +115,158 @@ type LabelResult struct {
 	N      int
 }
 
-// LabelScratch carries every buffer the labelling kernels need — the
-// union-find parent array, the provisional→dense remap table, the label
-// plane and the per-component statistics — so a caller processing a frame
-// stream can reuse one scratch across frames and run the whole
-// label+moments pipeline without allocating. The zero value is ready to
-// use. A scratch is not safe for concurrent use; results returned by its
-// methods alias its buffers and are valid until the next call on the same
-// scratch.
-type LabelScratch struct {
-	uf     labelUF
-	bandUF []labelUF // per-band pass-1 union-finds (tiled path)
-	off    []int32   // per-band provisional-label offsets
-	remap  []int32
-	res    LabelResult
-	comps  []Component
-	sx     []int64
-	sy     []int64
+// run is a maximal horizontal stretch [x0,x1) of foreground pixels on row y,
+// carrying the provisional label it was given when it was scanned.
+type run struct {
+	x0, x1, y, label int32
 }
 
-// labelBand runs the provisional-labelling raster scan over rows [y0,y1),
-// merging with the left neighbour and with the up neighbour only when it
-// lies inside the band. Provisional label k is stored as k+1 so zero remains
-// "background". Labels and union-find entries are band-local: the band reads
-// and writes only its own rows, so bands are data-race free.
-func labelBand(im *Image, t uint8, labels []int32, uf *labelUF, y0, y1 int) {
-	w := im.W
-	for y := y0; y < y1; y++ {
-		row := y * w
-		for x := 0; x < w; x++ {
-			if im.Pix[row+x] < t {
+// labelStat accumulates one provisional label's share of its component:
+// pixel count, coordinate and gray-value sums and englobing frame. After
+// resolve, a root's entry holds the whole component and dense is the
+// component's final label (for every provisional label, not only roots).
+type labelStat struct {
+	sx, sy, sum    int64
+	area, dense    int32
+	x0, y0, x1, y1 int32 // englobing frame
+}
+
+// labelHint is the provisional-label capacity a fresh scratch starts with:
+// the workloads' windows hold a handful of convex marks (one provisional
+// label each), so growth past it is the exception.
+const labelHint = 32
+
+// LabelScratch carries every buffer the labelling kernel needs — the
+// union-find parent array, the foreground runs, the per-label statistics,
+// the component list and (for Label only) the label plane — so a caller
+// processing a frame stream can reuse one scratch across frames and run the
+// whole threshold+label+moments pipeline without allocating. The zero value
+// is ready to use. A scratch is not safe for concurrent use; results
+// returned by its methods alias its buffers and are valid until the next
+// call on the same scratch.
+type LabelScratch struct {
+	uf    labelUF
+	runs  []run
+	stats []labelStat
+	res   LabelResult
+	comps []Component
+}
+
+// scan is the labelling kernel: one pass over im that never looks at a
+// background pixel individually. Per row it skips background eight pixels at
+// a time, cuts the foreground into runs, gives each run the label of the
+// previous row's runs it overlaps (4-connectivity is interval overlap; both
+// rows are sorted, so a two-pointer walk finds the overlaps; several
+// overlapped labels are united) or a fresh one, and adds the run's area,
+// coordinate sums, gray sum and frame to that label in closed form. With
+// keep the runs of every row stay in s.runs for Label to paint; without it
+// only the previous and current rows are held.
+func (s *LabelScratch) scan(im *Image, t uint8, keep bool) {
+	w, h := im.W, im.H
+	if cap(s.runs) < w+2 { // two rows of at most (w+1)/2 runs
+		s.runs = make([]run, 0, w+2)
+	}
+	if cap(s.stats) < labelHint {
+		s.stats = make([]labelStat, 0, labelHint)
+		s.uf.parent = make([]int32, 0, labelHint)
+	}
+	s.uf.reset()
+	uf := &s.uf
+	runs, stats := s.runs[:0], s.stats[:0]
+	ge := newSwarGE(t)
+	p0, p1 := 0, 0 // previous row's runs are runs[p0:p1]
+	for y := 0; y < h; y++ {
+		row := im.Pix[y*w : (y+1)*w]
+		j := p0
+		for x := 0; x < w; {
+			if x+8 <= w {
+				m := ge.mask(binary.LittleEndian.Uint64(row[x:]))
+				if m == 0 {
+					x += 8
+					continue
+				}
+				x += bits.TrailingZeros64(m) >> 3
+			} else if row[x] < t {
+				x++
 				continue
 			}
-			var left, up int32
-			if x > 0 {
-				left = labels[row+x-1]
+			x0, sum := int32(x), int64(0)
+			for x < w && row[x] >= t {
+				sum += int64(row[x])
+				x++
 			}
-			if y > y0 {
-				up = labels[row-w+x]
+			x1 := int32(x)
+			for j < p1 && runs[j].x1 <= x0 {
+				j++
 			}
-			switch {
-			case left == 0 && up == 0:
-				labels[row+x] = uf.fresh() + 1
-			case left != 0 && up == 0:
-				labels[row+x] = left
-			case left == 0 && up != 0:
-				labels[row+x] = up
-			default:
-				labels[row+x] = uf.union(left-1, up-1) + 1
+			l := int32(-1)
+			for k := j; k < p1 && runs[k].x0 < x1; k++ {
+				if pl := runs[k].label; l < 0 {
+					l = pl
+				} else if pl != l {
+					l = uf.union(l, pl)
+				}
 			}
+			if l < 0 {
+				l = uf.fresh()
+				stats = append(stats, labelStat{})
+				stats[l].x0, stats[l].y0 = x0, int32(y)
+			}
+			st := &stats[l]
+			n := x1 - x0
+			st.area += n
+			st.sx += int64(n) * int64(x0+x1-1) / 2
+			st.sy += int64(n) * int64(y)
+			st.sum += sum
+			st.x0 = min(st.x0, x0)
+			st.x1 = max(st.x1, x1)
+			st.y1 = int32(y) + 1
+			runs = append(runs, run{x0: x0, x1: x1, y: int32(y), label: l})
+		}
+		if keep {
+			p0, p1 = p1, len(runs)
+		} else {
+			p0, p1 = 0, copy(runs, runs[p1:])
+			runs = runs[:p1]
 		}
 	}
+	s.runs, s.stats = runs, stats
 }
 
-// Label performs two-pass 4-connected component labelling with union-find
-// on the binary image produced by thresholding im at t. The returned labels
-// are dense (1..N) in raster order of first appearance. The result aliases
-// the scratch and is valid until the next call on s.
-//
-// Pass 1 runs as row bands on the shared skeleton pool (tile.go): each band
-// labels its rows with a private union-find, then the band structures are
-// translated into one global union-find by prefix-sum offsets and the bands
-// are stitched with one union per connected pixel pair straddling a cut row.
-// Pass 2 resolves every pixel through the global union-find in raster order,
-// so the dense output depends only on the connectivity partition — it is
-// bit-identical to the sequential labelling at any parallelism.
+// resolve folds every provisional label into its root and numbers the roots
+// 1..N, returning N. Smaller root wins in the union-find, so parent[p] <= p
+// throughout: one ascending sweep flattens every chain (p's parent is final
+// by the time p is reached), a component's root is its smallest label, and
+// the smallest label is the one minted at the component's first pixel in
+// raster order — ascending root order is raster order of first appearance.
+func (s *LabelScratch) resolve() int {
+	parent, stats := s.uf.parent, s.stats
+	n := int32(0)
+	for p := range parent {
+		r := parent[parent[p]]
+		parent[p] = r
+		if int(r) == p {
+			n++
+			stats[p].dense = n
+			continue
+		}
+		st, rs := &stats[p], &stats[r]
+		rs.area += st.area
+		rs.sx += st.sx
+		rs.sy += st.sy
+		rs.sum += st.sum
+		rs.x0, rs.y0 = min(rs.x0, st.x0), min(rs.y0, st.y0)
+		rs.x1, rs.y1 = max(rs.x1, st.x1), max(rs.y1, st.y1)
+		st.dense = rs.dense
+	}
+	return int(n)
+}
+
+// Label performs 4-connected component labelling on the binary image
+// produced by thresholding im at t. The returned labels are dense (1..N) in
+// raster order of first appearance. The result aliases the scratch and is
+// valid until the next call on s. It is the run scan Components uses,
+// followed by painting every run with its component's label.
 func (s *LabelScratch) Label(im *Image, t uint8) *LabelResult {
 	w, h := im.W, im.H
 	res := &s.res
@@ -186,90 +277,15 @@ func (s *LabelScratch) Label(im *Image, t uint8) *LabelResult {
 		res.Labels = res.Labels[:w*h]
 		clear(res.Labels)
 	}
-	s.uf.reset()
-	uf := &s.uf
-	cuts := bandCuts(w, h)
-	bands := 1
-	if cuts != nil {
-		bands = len(cuts) - 1
-	}
-	if cap(s.off) < bands {
-		s.off = make([]int32, bands)
-	} else {
-		s.off = s.off[:bands]
-	}
-	if cuts == nil {
-		// Single band: label straight into the global union-find.
-		s.off[0] = 0
-		labelBand(im, t, res.Labels, uf, 0, h)
-	} else {
-		if cap(s.bandUF) < bands {
-			bu := make([]labelUF, bands)
-			copy(bu, s.bandUF)
-			s.bandUF = bu
-		} else {
-			s.bandUF = s.bandUF[:bands]
-		}
-		runBands(cuts, func(b, y0, y1 int) {
-			bu := &s.bandUF[b]
-			bu.reset()
-			labelBand(im, t, res.Labels, bu, y0, y1)
-		})
-		// Translate the band union-finds into the global one: band b's local
-		// label l becomes global label off[b]+l, and its parent pointers
-		// (band-internal by construction) shift by the same offset.
-		for b := 0; b < bands; b++ {
-			s.off[b] = int32(len(uf.parent))
-			for _, p := range s.bandUF[b].parent {
-				uf.parent = append(uf.parent, s.off[b]+p)
-			}
-		}
-		// Stitch the seams: union across every vertically adjacent foreground
-		// pair straddling a cut row.
-		for b := 1; b < bands; b++ {
-			up := (cuts[b] - 1) * w
-			down := cuts[b] * w
-			for x := 0; x < w; x++ {
-				lu, ld := res.Labels[up+x], res.Labels[down+x]
-				if lu != 0 && ld != 0 {
-					uf.union(s.off[b-1]+lu-1, s.off[b]+ld-1)
-				}
-			}
+	s.scan(im, t, true)
+	res.N = s.resolve()
+	for _, r := range s.runs {
+		d := s.stats[r.label].dense
+		px := res.Labels[int(r.y)*w:]
+		for x := r.x0; x < r.x1; x++ {
+			px[x] = d
 		}
 	}
-	// Pass 2: resolve to dense final labels. Provisional labels are dense
-	// (0..len(parent)-1), so a flat remap table replaces the seed's
-	// per-frame map[int32]int32 — no hashing, no allocation on reuse.
-	nprov := len(uf.parent)
-	if cap(s.remap) < nprov {
-		s.remap = make([]int32, nprov)
-	} else {
-		s.remap = s.remap[:nprov]
-		clear(s.remap)
-	}
-	next := int32(1)
-	for b := 0; b < bands; b++ {
-		y0, y1 := 0, h
-		if cuts != nil {
-			y0, y1 = cuts[b], cuts[b+1]
-		}
-		base := s.off[b]
-		for i := y0 * w; i < y1*w; i++ {
-			l := res.Labels[i]
-			if l == 0 {
-				continue
-			}
-			root := uf.find(base + l - 1)
-			d := s.remap[root]
-			if d == 0 {
-				d = next
-				next++
-				s.remap[root] = d
-			}
-			res.Labels[i] = d
-		}
-	}
-	res.N = int(next - 1)
 	return res
 }
 
@@ -284,61 +300,31 @@ func Label(im *Image, t uint8) *LabelResult {
 // statistics, ordered by label (raster order of first appearance). minArea
 // filters out small noise blobs (components with Area < minArea are
 // dropped; labels of surviving components are NOT renumbered). The returned
-// slice aliases the scratch and is valid until the next call on s.
+// slice aliases the scratch and is valid until the next call on s. The
+// image is read once, a byte per pixel, and no label plane is written.
 func (s *LabelScratch) Components(im *Image, t uint8, minArea int) []Component {
-	lr := s.Label(im, t)
-	if lr.N == 0 {
+	s.scan(im, t, false)
+	n := s.resolve()
+	if n == 0 {
 		return nil
 	}
-	if cap(s.comps) < lr.N {
-		s.comps = make([]Component, lr.N)
-		s.sx = make([]int64, lr.N)
-		s.sy = make([]int64, lr.N)
-	} else {
-		s.comps = s.comps[:lr.N]
-		s.sx = s.sx[:lr.N]
-		s.sy = s.sy[:lr.N]
-		clear(s.sx)
-		clear(s.sy)
+	if cap(s.comps) < n {
+		s.comps = make([]Component, 0, n)
 	}
-	comps, sx, sy := s.comps, s.sx, s.sy
-	for i := range comps {
-		comps[i] = Component{Label: i + 1, BBox: Rect{X0: lr.W, Y0: lr.H, X1: 0, Y1: 0}}
-	}
-	for y := 0; y < lr.H; y++ {
-		for x := 0; x < lr.W; x++ {
-			l := lr.Labels[y*lr.W+x]
-			if l == 0 {
-				continue
-			}
-			c := &comps[l-1]
-			c.Area++
-			sx[l-1] += int64(x)
-			sy[l-1] += int64(y)
-			c.SumVal += int64(im.Pix[y*lr.W+x])
-			if x < c.BBox.X0 {
-				c.BBox.X0 = x
-			}
-			if y < c.BBox.Y0 {
-				c.BBox.Y0 = y
-			}
-			if x+1 > c.BBox.X1 {
-				c.BBox.X1 = x + 1
-			}
-			if y+1 > c.BBox.Y1 {
-				c.BBox.Y1 = y + 1
-			}
-		}
-	}
-	out := comps[:0]
-	for i := range comps {
-		if comps[i].Area < minArea {
+	out := s.comps[:0]
+	for p := range s.stats {
+		st := &s.stats[p]
+		if int(s.uf.parent[p]) != p || int(st.area) < minArea {
 			continue
 		}
-		comps[i].CX = float64(sx[i]) / float64(comps[i].Area)
-		comps[i].CY = float64(sy[i]) / float64(comps[i].Area)
-		out = append(out, comps[i])
+		out = append(out, Component{
+			Label: int(st.dense), Area: int(st.area),
+			CX: float64(st.sx) / float64(st.area), CY: float64(st.sy) / float64(st.area),
+			BBox:   Rect{int(st.x0), int(st.y0), int(st.x1), int(st.y1)},
+			SumVal: st.sum,
+		})
 	}
+	s.comps = out
 	return out
 }
 

@@ -3,7 +3,6 @@ package vision
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -107,54 +106,14 @@ func TestComponentsEmptyImage(t *testing.T) {
 	}
 }
 
-// normalize sorts components by centroid so union-find and flood-fill
-// results can be compared independent of label ordering.
-func normalize(cs []Component) []Component {
-	out := make([]Component, len(cs))
-	copy(out, cs)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CY != out[j].CY {
-			return out[i].CY < out[j].CY
-		}
-		return out[i].CX < out[j].CX
-	})
-	for i := range out {
-		out[i].Label = 0
-	}
-	return out
-}
-
-func componentsEqual(a, b []Component) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Area != b[i].Area || a[i].BBox != b[i].BBox || a[i].SumVal != b[i].SumVal {
-			return false
-		}
-		if math.Abs(a[i].CX-b[i].CX) > 1e-9 || math.Abs(a[i].CY-b[i].CY) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-// Property: union-find labelling agrees with brute-force flood fill on
-// random binary images of random sizes.
+// Property: the run-based labelling agrees exactly with brute-force flood
+// fill on random binary images of random sizes and densities.
 func TestLabelMatchesFloodFill(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w, h := 1+rng.Intn(40), 1+rng.Intn(40)
-		im := NewImage(w, h)
-		density := rng.Float64()
-		for i := range im.Pix {
-			if rng.Float64() < density {
-				im.Pix[i] = uint8(128 + rng.Intn(128))
-			}
-		}
-		a := normalize(Components(im, 100, 1))
-		b := normalize(FloodComponents(im, 100, 1))
-		return componentsEqual(a, b)
+		checkAgainstFlood(t, new(LabelScratch), noiseImage(w, h, rng.Float64(), seed), 100, 1)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,37 @@
+package vision
+
+// Threshold returns a binary image: 255 where the source pixel is >= t,
+// 0 elsewhere. "Marks are detected as connected groups of pixels with values
+// above a given threshold" (paper §4).
+func Threshold(im *Image, t uint8) *Image {
+	return ThresholdInto(getImageDirty(im.W, im.H), im, t)
+}
+
+// ThresholdInto writes the thresholded image into dst (reshaped to im's
+// geometry, reusing its pixel buffer when large enough) and returns dst.
+// With a reused dst this is allocation-free — the in-place variant for
+// per-frame hot loops. Large frames are processed as row bands across the
+// shared skeleton pool (see tile.go); bands write disjoint output rows, so
+// the result is identical at any parallelism.
+func ThresholdInto(dst *Image, im *Image, t uint8) *Image {
+	dst.reset(im.W, im.H)
+	if cuts := bandCuts(im.W, im.H); cuts != nil {
+		runBands(cuts, func(b, y0, y1 int) { thresholdRows(dst, im, t, y0, y1) })
+	} else {
+		thresholdRows(dst, im, t, 0, im.H)
+	}
+	return dst
+}
+
+func thresholdRows(dst, im *Image, t uint8, y0, y1 int) {
+	w := im.W
+	src := im.Pix[y0*w : y1*w]
+	out := dst.Pix[y0*w : y1*w]
+	for i, p := range src {
+		var v uint8
+		if p >= t {
+			v = 255
+		}
+		out[i] = v
+	}
+}

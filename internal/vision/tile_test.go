@@ -147,55 +147,3 @@ func TestBandedKernelsMatchNaive(t *testing.T) {
 		}
 	})
 }
-
-// Banded labelling must be bit-identical to the single-band labelling: the
-// dense output depends only on the connectivity partition, never on how
-// pass 1 was split.
-func TestBandedLabelMatchesSequential(t *testing.T) {
-	for _, g := range tileGeometries {
-		w, h := g[0], g[1]
-		im := randomFrame(w, h, int64(w*31+h*7))
-		// Sparse blobs too, not just dense noise: threshold high.
-		for _, thr := range []uint8{100, 240} {
-			var want *LabelResult
-			withProcs(t, 1, func() {
-				var s LabelScratch
-				r := s.Label(im, thr)
-				want = &LabelResult{W: r.W, H: r.H, N: r.N, Labels: append([]int32(nil), r.Labels...)}
-			})
-			withProcs(t, 8, func() {
-				var s LabelScratch
-				got := s.Label(im, thr)
-				if got.N != want.N {
-					t.Fatalf("%dx%d thr=%d: N=%d want %d", w, h, thr, got.N, want.N)
-				}
-				for i := range want.Labels {
-					if got.Labels[i] != want.Labels[i] {
-						t.Fatalf("%dx%d thr=%d: label differs at %d: %d vs %d",
-							w, h, thr, i, got.Labels[i], want.Labels[i])
-					}
-				}
-				// Cross-check component count against the flood-fill oracle.
-				if comps := FloodComponents(im, thr, 1); len(comps) != got.N {
-					t.Fatalf("%dx%d thr=%d: N=%d, oracle %d", w, h, thr, got.N, len(comps))
-				}
-			})
-		}
-	}
-}
-
-// Scratch reuse across frames of different geometry must stay correct when
-// the band count changes between calls.
-func TestBandedLabelScratchReuseAcrossGeometries(t *testing.T) {
-	withProcs(t, 8, func() {
-		var s LabelScratch
-		for i, g := range tileGeometries {
-			w, h := g[0], g[1]
-			im := randomFrame(w, h, int64(i))
-			got := s.Label(im, 150)
-			if comps := FloodComponents(im, 150, 1); len(comps) != got.N {
-				t.Fatalf("%dx%d: N=%d, oracle %d", w, h, got.N, len(comps))
-			}
-		}
-	})
-}
