@@ -33,11 +33,13 @@ stress:
 	$(GO) test -count=10 ./internal/serve/ ./internal/distrib/
 
 # Ten seconds of coverage-guided fuzzing per target: the run-based labelling
-# kernel against its flood-fill oracle, and the two byte decoders. New
+# kernel against its flood-fill oracle, every image kernel on a window view
+# against the same kernel on the view's Clone, and the two byte decoders. New
 # inputs land in the Go build cache; a failure writes its reproducer under
 # the package's testdata/fuzz/, to be committed as a regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzComponentsMatchFlood -fuzztime 10s ./internal/vision
+	$(GO) test -run '^$$' -fuzz FuzzViewKernelsMatchCompact -fuzztime 10s ./internal/vision
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/value
 	$(GO) test -run '^$$' -fuzz FuzzBatchDecode -fuzztime 10s ./internal/exec/nettransport
 

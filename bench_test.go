@@ -303,19 +303,6 @@ func BenchmarkThresholdInto512(b *testing.B) {
 	}
 }
 
-func BenchmarkExtractInto512Band(b *testing.B) {
-	scene := video.NewScene(512, 512, 3, 1)
-	frame := scene.Next()
-	band := vision.Rect{X0: 0, Y0: 0, X1: 512, Y1: 64}
-	var win vision.Window
-	vision.ExtractInto(&win, frame, band)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vision.ExtractInto(&win, frame, band)
-	}
-}
-
 func BenchmarkSceneNextInto512(b *testing.B) {
 	scene := video.NewScene(512, 512, 3, 2)
 	buf := vision.NewImage(512, 512)

@@ -159,13 +159,6 @@ func RunBenchReport(w io.Writer, iters int, filter string) (*BenchReport, error)
 			vision.ThresholdInto(dst, frame, video.DetectThreshold)
 		}
 	})
-	record("ExtractInto512Band", func(b *testing.B) {
-		var win vision.Window
-		band := vision.Rect{X0: 0, Y0: 0, X1: 512, Y1: 64}
-		for i := 0; i < b.N; i++ {
-			vision.ExtractInto(&win, frame, band)
-		}
-	})
 	record("DetectMarks512Band", func(b *testing.B) {
 		win := vision.Extract(frame, vision.Rect{X0: 0, Y0: 0, X1: 512, Y1: 64})
 		for i := 0; i < b.N; i++ {

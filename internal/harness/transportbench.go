@@ -170,17 +170,16 @@ type Payload struct {
 // BenchWindowPayload returns a payload shipping the same 512×64 image band
 // the ring(8) tracking schedule sends per df window, so the round-trip
 // figures reflect real frame traffic rather than scalar echo. Received
-// copies are recycled into the frame arena; the generator's own window is
-// recognised by pointer (the mem backend delivers it by reference, still
-// owned by the generator) and left alone.
+// copies are recycled into the frame arena; the generator's own window (the
+// mem backend delivers it by reference) is a view of the frame, which
+// PutImage leaves alone.
 func BenchWindowPayload() Payload {
 	frame := video.NewScene(512, 512, 3, 1).Next()
-	var win vision.Window
-	vision.ExtractInto(&win, frame, vision.Rect{X0: 0, Y0: 0, X1: 512, Y1: 64})
+	win := vision.Extract(frame, vision.Rect{X0: 0, Y0: 0, X1: 512, Y1: 64})
 	return Payload{
 		Gen: func(int) interface{} { return win },
 		Recycle: func(v interface{}) {
-			if w, ok := v.(vision.Window); ok && w.Img != nil && w.Img != win.Img {
+			if w, ok := v.(vision.Window); ok {
 				vision.PutImage(w.Img)
 			}
 		},

@@ -47,7 +47,8 @@ func (a *App) Loop(s *State, im *vision.Image) (*State, Result) {
 // Run executes iters iterations of the itermem loop, collecting results.
 // The frame buffer is reused across iterations: IterMem is strictly
 // sequential and nothing downstream of the loop retains the image (windows
-// are copies, marks are values), so one buffer serves the whole stream.
+// are views of it that die inside Loop, before the next grab; marks are
+// values), so one buffer serves the whole stream.
 func (a *App) Run(iters int) *State {
 	s0 := InitState(a.Scene.W, a.Scene.H, len(a.Scene.Vehicles))
 	frame := vision.NewImage(a.Scene.W, a.Scene.H)

@@ -30,7 +30,8 @@ const (
 	// and a per-frame allocation amortisation.
 	CyclesPerPixelDetect = 40
 	// CyclesPerPixelExtract covers copying one pixel into a window of
-	// interest in get_windows (DMA-assisted on the real platform).
+	// interest in get_windows (DMA-assisted on the real platform, where a
+	// window leaves the processor's memory; on this host it is a view).
 	CyclesPerPixelExtract = 1
 	// ReadImgCycles is the frame acquisition overhead (the grabber writes
 	// the frame concurrently; this is the synchronization cost).

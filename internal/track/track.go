@@ -95,7 +95,8 @@ func windowMargin(scale float64) int {
 // returns one window of interest per predicted mark (3, 6 or 9 windows); in
 // reinitialization mode it divides the whole image into np equally-sized
 // sub-windows, "where n is typically taken equal to the total number of
-// processors" (§4).
+// processors" (§4). The windows are views of im (vision.Window): im must not
+// be rewritten while they are in use.
 func GetWindows(np int, s *State, im *vision.Image) []vision.Window {
 	var rects []vision.Rect
 	if s.Tracking {

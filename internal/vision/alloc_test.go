@@ -59,13 +59,24 @@ func TestComponentsFreshScratchAllocBudget(t *testing.T) {
 	}
 }
 
-func TestExtractIntoZeroAlloc(t *testing.T) {
-	im := allocTestFrame(128, 128)
+// A window is a descriptor: extracting a 512×64 band (32 KB of pixels)
+// allocates the view's header and nothing else.
+func TestExtractAllocatesNoPixels(t *testing.T) {
+	im := allocTestFrame(512, 512)
+	r := Rect{X0: 0, Y0: 64, X1: 512, Y1: 128}
 	var w Window
-	r := Rect{X0: 10, Y0: 10, X1: 100, Y1: 90}
-	ExtractInto(&w, im, r)
-	if got := testing.AllocsPerRun(100, func() { ExtractInto(&w, im, r) }); got > 0 {
-		t.Fatalf("ExtractInto allocates %.1f allocs/op, want 0", got)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w = Extract(im, r)
+		}
+	})
+	if res.AllocsPerOp() > 1 || res.AllocedBytesPerOp() >= 128 {
+		t.Fatalf("Extract allocates %d allocs, %d B per window, want <= 1 and < 128 B",
+			res.AllocsPerOp(), res.AllocedBytesPerOp())
+	}
+	if w.Img.W != 512 || w.Img.H != 64 || &w.Img.Row(0)[0] != &im.Row(64)[0] {
+		t.Fatalf("band is not a view of the frame")
 	}
 }
 
@@ -90,32 +101,19 @@ func TestIntoVariantsMatchOneShot(t *testing.T) {
 	if got.W != want.W || got.H != want.H {
 		t.Fatalf("geometry: %dx%d vs %dx%d", got.W, got.H, want.W, want.H)
 	}
-	for i := range want.Pix {
-		if got.Pix[i] != want.Pix[i] {
-			t.Fatalf("ThresholdInto differs at %d", i)
-		}
-	}
+	expectRowsEqual(t, "ThresholdInto", got, want)
 
 	wd := Dilate3(im)
 	gd := Dilate3Into(NewImage(0, 0), im)
-	for i := range wd.Pix {
-		if gd.Pix[i] != wd.Pix[i] {
-			t.Fatalf("Dilate3Into differs at %d", i)
-		}
-	}
+	expectRowsEqual(t, "Dilate3Into", gd, wd)
 
-	r := Rect{X0: 5, Y0: 7, X1: 60, Y1: 50}
-	ww := Extract(im, r)
-	var gw Window
-	ExtractInto(&gw, im, r)
-	if gw.Origin != ww.Origin {
-		t.Fatalf("origins differ: %v vs %v", gw.Origin, ww.Origin)
-	}
-	for i := range ww.Img.Pix {
-		if gw.Img.Pix[i] != ww.Img.Pix[i] {
-			t.Fatalf("ExtractInto differs at %d", i)
-		}
-	}
+	// A view is a source like any other, and never a destination buffer:
+	// thresholding into a window must leave the frame it borrows alone.
+	win := Extract(im, Rect{X0: 5, Y0: 7, X1: 60, Y1: 50})
+	frame := im.Clone()
+	expectRowsEqual(t, "Threshold(view)", Threshold(win.Img, 200), Threshold(win.Img.Clone(), 200))
+	ThresholdInto(win.Img, win.Img.Clone(), 200)
+	expectRowsEqual(t, "frame after ThresholdInto(view, ...)", im, frame)
 }
 
 // Labelling with scratch reuse must match the one-shot path and the

@@ -54,9 +54,10 @@ func getImageDirty(w, h int) *Image {
 }
 
 // PutImage returns im's buffer to the arena. The caller must not use im (or
-// any slice of its pixels) afterwards. PutImage(nil) is a no-op.
+// any slice of its pixels) afterwards. PutImage of nil or of a view (whose
+// pixels belong to a frame that may be live) is a no-op.
 func PutImage(im *Image) {
-	if im == nil {
+	if im == nil || im.stride != 0 {
 		return
 	}
 	imagePool.Put(im)

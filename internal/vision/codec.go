@@ -24,7 +24,7 @@ func init() {
 		Match:      func(v value.Value) bool { _, ok := v.(*Image); return ok },
 		Encode:     encodeImage,
 		Decode:     decodeImage,
-		Size:       func(v value.Value) int { return 8 + len(v.(*Image).Pix) },
+		Size:       func(v value.Value) int { return 8 + v.(*Image).Bytes() },
 		EncodeTail: encodeImageTail,
 		DecodeFrom: decodeImageFrom,
 	})
@@ -38,7 +38,7 @@ func init() {
 			if win.Img == nil {
 				return 17
 			}
-			return 17 + 8 + len(win.Img.Pix)
+			return 17 + 8 + win.Img.Bytes()
 		},
 		EncodeTail: encodeWindowTail,
 		DecodeFrom: decodeWindowFrom,
@@ -46,20 +46,27 @@ func init() {
 }
 
 func encodeImage(buf []byte, v value.Value) ([]byte, error) {
-	im := v.(*Image)
-	buf = value.AppendU32(buf, uint32(im.W))
-	buf = value.AppendU32(buf, uint32(im.H))
-	return append(buf, im.Pix...), nil
+	head, tail, err := encodeImageTail(buf, v)
+	return append(head, tail...), err
 }
 
 // encodeImageTail is the zero-copy encode: the fixed header goes into buf,
 // the pixel slab is returned by reference so the transport can hand it to a
-// vectored write without copying ~W×H bytes per frame.
+// vectored write without copying ~W×H bytes per frame. The slab of a compact
+// view is the frame's own memory. A strided view has no slab: its rows are
+// gathered into buf (presized by the transport from Size), the one copy a
+// window pays on its way to the wire.
 func encodeImageTail(buf []byte, v value.Value) ([]byte, []byte, error) {
 	im := v.(*Image)
 	buf = value.AppendU32(buf, uint32(im.W))
 	buf = value.AppendU32(buf, uint32(im.H))
-	return buf, im.Pix, nil
+	if len(im.Pix) == im.Bytes() {
+		return buf, im.Pix, nil
+	}
+	for y := 0; y < im.H; y++ {
+		buf = append(buf, im.Row(y)...)
+	}
+	return buf, nil, nil
 }
 
 func decodeImage(payload []byte) (value.Value, error) {
@@ -117,17 +124,8 @@ func decodeImageFrom(r io.Reader, n int) (value.Value, error) {
 }
 
 func encodeWindow(buf []byte, v value.Value) ([]byte, error) {
-	win := v.(Window)
-	for _, c := range [4]int{win.Origin.X0, win.Origin.Y0, win.Origin.X1, win.Origin.Y1} {
-		if c < math.MinInt32 || c > math.MaxInt32 {
-			return nil, fmt.Errorf("window origin coordinate %d out of range", c)
-		}
-		buf = value.AppendU32(buf, uint32(int32(c)))
-	}
-	if win.Img == nil {
-		return append(buf, 0), nil
-	}
-	return encodeImage(append(buf, 1), win.Img)
+	head, tail, err := encodeWindowTail(buf, v)
+	return append(head, tail...), err
 }
 
 // encodeWindowTail mirrors encodeWindow but returns the pixel slab by

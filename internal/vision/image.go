@@ -10,11 +10,20 @@ import (
 	"strings"
 )
 
-// Image is a single-channel 8-bit grayscale image. Pix is stored row-major
-// with stride == W, so Pix[y*W+x] addresses pixel (x, y).
+// Image is a single-channel 8-bit grayscale image. An image made by
+// NewImage, a kernel or the decoder is compact: Pix is stored row-major with
+// W bytes per row, so Pix[y*W+x] addresses pixel (x, y). A view made by
+// Extract borrows another image's pixels and may keep that image's row
+// pitch: code handed an *Image it did not make reads it through Row (or At),
+// never through Pix[y*W+x].
 type Image struct {
 	W, H int
 	Pix  []uint8
+
+	// stride is zero for an image that owns a compact Pix. Extract sets it,
+	// to the bytes between row starts, on a view: Pix then belongs to the
+	// image viewed, whatever the view's width.
+	stride int
 }
 
 // NewImage returns a zeroed (black) W×H image.
@@ -31,7 +40,7 @@ func (im *Image) At(x, y int) uint8 {
 	if x < 0 || y < 0 || x >= im.W || y >= im.H {
 		return 0
 	}
-	return im.Pix[y*im.W+x]
+	return im.Pix[y*im.pitch()+x]
 }
 
 // Set writes the pixel at (x, y); out-of-bounds writes are ignored.
@@ -39,43 +48,63 @@ func (im *Image) Set(x, y int, v uint8) {
 	if x < 0 || y < 0 || x >= im.W || y >= im.H {
 		return
 	}
-	im.Pix[y*im.W+x] = v
+	im.Pix[y*im.pitch()+x] = v
 }
 
-// reset reshapes im to w×h, reusing the pixel buffer when it is large
-// enough; pixel contents are unspecified afterwards. It is the in-place
-// kernels' way of adopting a caller-provided destination without
-// allocating.
+func (im *Image) pitch() int {
+	if im.stride != 0 {
+		return im.stride
+	}
+	return im.W
+}
+
+// Row returns the W pixels of row y. It is the one way to address the
+// pixels of an image that may be a view.
+func (im *Image) Row(y int) []uint8 {
+	o := y * im.pitch()
+	return im.Pix[o : o+im.W : o+im.W]
+}
+
+// reset reshapes im to a compact w×h, reusing the pixel buffer when im owns
+// one large enough; pixel contents are unspecified afterwards. It is the
+// in-place kernels' way of adopting a caller-provided destination without
+// allocating. A view never lends its borrowed pixels to a kernel's output.
 func (im *Image) reset(w, h int) {
 	if w < 0 || h < 0 {
 		panic(fmt.Sprintf("vision: invalid image size %dx%d", w, h))
 	}
 	need := w * h
-	if cap(im.Pix) < need {
+	if im.stride != 0 || cap(im.Pix) < need {
 		im.Pix = make([]uint8, need)
 	} else {
 		im.Pix = im.Pix[:need]
 	}
-	im.W, im.H = w, h
+	im.W, im.H, im.stride = w, h, 0
 }
 
-// Clone returns a deep copy of the image.
+// Clone returns a deep copy of the image: compact, and owning its pixels.
+// It is the one way to keep a window's pixels beyond its frame's lifetime.
 func (im *Image) Clone() *Image {
 	out := NewImage(im.W, im.H)
-	copy(out.Pix, im.Pix)
+	for y := 0; y < im.H; y++ {
+		copy(out.Row(y), im.Row(y))
+	}
 	return out
 }
 
 // Fill sets every pixel to v.
 func (im *Image) Fill(v uint8) {
-	for i := range im.Pix {
-		im.Pix[i] = v
+	for y := 0; y < im.H; y++ {
+		row := im.Row(y)
+		for i := range row {
+			row[i] = v
+		}
 	}
 }
 
-// Bytes returns the in-memory size of the pixel payload, used by the
-// communication cost model of the timing simulator.
-func (im *Image) Bytes() int { return len(im.Pix) }
+// Bytes returns the size of the pixel payload, used by the communication
+// cost model of the timing simulator.
+func (im *Image) Bytes() int { return im.W * im.H }
 
 // Rect is an axis-aligned rectangle [X0,X1)×[Y0,Y1).
 type Rect struct {
@@ -155,52 +184,32 @@ func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)", r.X0, r.X1, r.Y0, r.Y1)
 }
 
-// Window is a rectangular region of interest carrying its own copy of the
-// pixels, so it can be shipped to a worker processor on its own. Origin
-// records where the window sits in the full frame.
+// Window is a rectangular region of interest: Origin records where it sits
+// in the full frame and Img holds its pixels in window-local coordinates. A
+// window made by Extract is a descriptor, not a copy — Img is a view that
+// borrows the frame's pixels. The frame must not be written while a window
+// on it is reachable, a retained window keeps the whole frame alive, and
+// nobody writes through Img; Clone it to own the pixels. Pixels are copied
+// only when a window crosses a transport, and the window decoded on the far
+// side is compact and owns its buffer.
 type Window struct {
 	Origin Rect
 	Img    *Image
 }
 
-// Extract copies the sub-image of im delimited by r (clipped to the frame)
-// into a fresh Window.
+// Extract returns the window of im delimited by r (clipped to the frame) in
+// O(1): a view of im's pixels with im's row pitch, compact when r spans im's
+// full width. im may itself be a view.
 func Extract(im *Image, r Rect) Window {
-	var w Window
-	ExtractInto(&w, im, r)
-	return w
-}
-
-// ExtractInto copies the sub-image of im delimited by r (clipped to the
-// frame) into dst, reusing dst's pixel buffer when large enough. With a
-// reused Window this is allocation-free — the hot-path variant for
-// per-frame window extraction. Tall windows are copied as row bands across
-// the shared skeleton pool (tile.go); bands copy disjoint destination rows,
-// so the result is identical at any parallelism.
-func ExtractInto(dst *Window, im *Image, r Rect) {
 	r = r.Intersect(Rect{0, 0, im.W, im.H})
-	if dst.Img == nil {
-		dst.Img = &Image{}
+	v := &Image{W: r.W(), H: r.H()}
+	if !r.Empty() {
+		p := im.pitch()
+		lo := r.Y0*p + r.X0
+		hi := lo + (v.H-1)*p + v.W
+		v.Pix, v.stride = im.Pix[lo:hi:hi], p
 	}
-	dst.Img.reset(r.W(), r.H())
-	w := dst.Img
-	if w.W == im.W && r.X0 == 0 {
-		// Full-width window: source rows are contiguous, one flat copy.
-		copy(w.Pix, im.Pix[r.Y0*im.W:r.Y1*im.W])
-	} else if cuts := bandCuts(w.W, w.H); cuts != nil {
-		runBands(cuts, func(b, y0, y1 int) { extractRows(w, im, r, y0, y1) })
-	} else {
-		extractRows(w, im, r, 0, w.H)
-	}
-	dst.Origin = r
-}
-
-// extractRows copies window rows [y0,y1) (window coordinates) out of im.
-func extractRows(w, im *Image, r Rect, y0, y1 int) {
-	for y := y0; y < y1; y++ {
-		src := im.Pix[(r.Y0+y)*im.W+r.X0 : (r.Y0+y)*im.W+r.X1]
-		copy(w.Pix[y*w.W:(y+1)*w.W], src)
-	}
+	return Window{Origin: r, Img: v}
 }
 
 // Bytes returns the transfer size of the window: pixels plus a small
@@ -243,10 +252,8 @@ func (im *Image) ASCII(cols, rows int) string {
 			y0, y1 := r*im.H/rows, (r+1)*im.H/rows
 			var m uint8
 			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					if p := im.Pix[y*im.W+x]; p > m {
-						m = p
-					}
+				for _, p := range im.Row(y)[x0:x1] {
+					m = max(m, p)
 				}
 			}
 			b.WriteByte(ramp[int(m)*(len(ramp)-1)/255])

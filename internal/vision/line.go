@@ -44,11 +44,14 @@ func FitLine(xs, ys []float64) Line {
 // application: one sample point per scanned row.
 func RowMaxima(im *Image, r Rect, t uint8) (xs, ys []float64) {
 	r = r.Intersect(Rect{0, 0, im.W, im.H})
+	if r.Empty() { // its columns may lie outside the rows
+		return nil, nil
+	}
 	for y := r.Y0; y < r.Y1; y++ {
 		best, bestX := uint8(0), -1
-		for x := r.X0; x < r.X1; x++ {
-			if p := im.Pix[y*im.W+x]; p > best {
-				best, bestX = p, x
+		for x, p := range im.Row(y)[r.X0:r.X1] {
+			if p > best {
+				best, bestX = p, r.X0+x
 			}
 		}
 		if bestX >= 0 && best >= t {

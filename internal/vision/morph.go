@@ -47,14 +47,14 @@ func dilateBand(dst, im *Image, y0, y1 int) {
 	defer PutImage(scratch)
 	row := func(y int) []uint8 { return scratch.Pix[(y%3)*w : (y%3)*w+w] }
 	if y0 > 0 {
-		hmax3(row(y0-1), im.Pix[(y0-1)*w:y0*w])
+		hmax3(row(y0-1), im.Row(y0-1))
 	}
-	hmax3(row(y0), im.Pix[y0*w:(y0+1)*w])
+	hmax3(row(y0), im.Row(y0))
 	for y := y0; y < y1; y++ {
 		if y+1 < h {
-			hmax3(row(y+1), im.Pix[(y+1)*w:(y+2)*w])
+			hmax3(row(y+1), im.Row(y+1))
 		}
-		out := dst.Pix[y*w : y*w+w]
+		out := dst.Row(y)
 		mid := row(y)
 		copy(out, mid)
 		if y > 0 {
@@ -152,11 +152,11 @@ func erodeBand(dst, im *Image, y0, y1 int) {
 	scratch := getImageDirty(w, 3)
 	defer PutImage(scratch)
 	row := func(y int) []uint8 { return scratch.Pix[(y%3)*w : (y%3)*w+w] }
-	hmin3(row(y0-1), im.Pix[(y0-1)*w:y0*w])
-	hmin3(row(y0), im.Pix[y0*w:(y0+1)*w])
+	hmin3(row(y0-1), im.Row(y0-1))
+	hmin3(row(y0), im.Row(y0))
 	for y := y0; y < y1; y++ {
-		hmin3(row(y+1), im.Pix[(y+1)*w:(y+2)*w])
-		out := dst.Pix[y*w : y*w+w]
+		hmin3(row(y+1), im.Row(y+1))
+		out := dst.Row(y)
 		up, mid, down := row(y-1), row(y), row(y+1)
 		out[0], out[w-1] = 0, 0
 		for x := 1; x < w-1; x++ {
@@ -242,9 +242,9 @@ func NewIntegral(im *Image) *Integral {
 	stride := w + 1
 	for y := 1; y <= h; y++ {
 		var rowSum int64
-		for x := 1; x <= w; x++ {
-			rowSum += int64(im.Pix[(y-1)*w+(x-1)])
-			it.sums[y*stride+x] = it.sums[(y-1)*stride+x] + rowSum
+		for x, p := range im.Row(y - 1) {
+			rowSum += int64(p)
+			it.sums[y*stride+x+1] = it.sums[(y-1)*stride+x+1] + rowSum
 		}
 	}
 	return it

@@ -38,14 +38,16 @@ func (g swarGE) mask(v uint64) uint64 {
 // step with the labelling kernel's byte mask.
 func CountAbove(im *Image, t uint8) int {
 	ge := newSwarGE(t)
-	pix := im.Pix
 	n := 0
-	for ; len(pix) >= 8; pix = pix[8:] {
-		n += bits.OnesCount64(ge.mask(binary.LittleEndian.Uint64(pix)))
-	}
-	for _, p := range pix {
-		if p >= t {
-			n++
+	for y := 0; y < im.H; y++ {
+		pix := im.Row(y)
+		for ; len(pix) >= 8; pix = pix[8:] {
+			n += bits.OnesCount64(ge.mask(binary.LittleEndian.Uint64(pix)))
+		}
+		for _, p := range pix {
+			if p >= t {
+				n++
+			}
 		}
 	}
 	return n
@@ -54,8 +56,10 @@ func CountAbove(im *Image, t uint8) int {
 // Histogram returns the 256-bin gray-level histogram of the image.
 func Histogram(im *Image) [256]int {
 	var h [256]int
-	for _, p := range im.Pix {
-		h[p]++
+	for y := 0; y < im.H; y++ {
+		for _, p := range im.Row(y) {
+			h[p]++
+		}
 	}
 	return h
 }
@@ -176,7 +180,7 @@ func (s *LabelScratch) scan(im *Image, t uint8, keep bool) {
 	ge := newSwarGE(t)
 	p0, p1 := 0, 0 // previous row's runs are runs[p0:p1]
 	for y := 0; y < h; y++ {
-		row := im.Pix[y*w : (y+1)*w]
+		row := im.Row(y)
 		j := p0
 		for x := 0; x < w; {
 			if x+8 <= w {
@@ -351,7 +355,7 @@ func FloodComponents(im *Image, t uint8, minArea int) []Component {
 	for y0 := 0; y0 < h; y0++ {
 		for x0 := 0; x0 < w; x0++ {
 			i0 := y0*w + x0
-			if seen[i0] || im.Pix[i0] < t {
+			if seen[i0] || im.Row(y0)[x0] < t {
 				continue
 			}
 			label++
@@ -366,7 +370,7 @@ func FloodComponents(im *Image, t uint8, minArea int) []Component {
 				c.Area++
 				sx += int64(x)
 				sy += int64(y)
-				c.SumVal += int64(im.Pix[i])
+				c.SumVal += int64(im.Row(y)[x])
 				c.BBox = c.BBox.Union(Rect{x, y, x + 1, y + 1})
 				for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
 					nx, ny := x+d[0], y+d[1]
@@ -374,7 +378,7 @@ func FloodComponents(im *Image, t uint8, minArea int) []Component {
 						continue
 					}
 					j := ny*w + nx
-					if !seen[j] && im.Pix[j] >= t {
+					if !seen[j] && im.Row(ny)[nx] >= t {
 						seen[j] = true
 						queue = append(queue, j)
 					}
@@ -406,9 +410,13 @@ func DrawRect(im *Image, r Rect, v uint8) {
 // FillRect paints the interior of r with gray value v.
 func FillRect(im *Image, r Rect, v uint8) {
 	r = r.Intersect(Rect{0, 0, im.W, im.H})
+	if r.Empty() { // its columns may lie outside the rows
+		return
+	}
 	for y := r.Y0; y < r.Y1; y++ {
-		for x := r.X0; x < r.X1; x++ {
-			im.Pix[y*im.W+x] = v
+		row := im.Row(y)[r.X0:r.X1]
+		for i := range row {
+			row[i] = v
 		}
 	}
 }

@@ -14,8 +14,10 @@ func EncodePGM(w io.Writer, im *Image) error {
 	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n255\n", im.W, im.H); err != nil {
 		return err
 	}
-	if _, err := bw.Write(im.Pix); err != nil {
-		return err
+	for y := 0; y < im.H; y++ {
+		if _, err := bw.Write(im.Row(y)); err != nil {
+			return err
+		}
 	}
 	return bw.Flush()
 }

@@ -24,14 +24,14 @@ func ThresholdInto(dst *Image, im *Image, t uint8) *Image {
 }
 
 func thresholdRows(dst, im *Image, t uint8, y0, y1 int) {
-	w := im.W
-	src := im.Pix[y0*w : y1*w]
-	out := dst.Pix[y0*w : y1*w]
-	for i, p := range src {
-		var v uint8
-		if p >= t {
-			v = 255
+	for y := y0; y < y1; y++ {
+		out := dst.Row(y)
+		for i, p := range im.Row(y) {
+			var v uint8
+			if p >= t {
+				v = 255
+			}
+			out[i] = v
 		}
-		out[i] = v
 	}
 }

@@ -8,13 +8,14 @@ import (
 )
 
 // Row-band cache tiling for the per-frame kernels (DESIGN.md §14). The
-// in-place kernels (ThresholdInto, Dilate3Into, Erode3Into, ExtractInto)
-// process frames in horizontal bands sized so a band's working set — its
-// source and destination rows — stays resident in L2 while the band is
-// processed, and dispatch the bands across the shared skeleton pool. Band outputs are disjoint row ranges, so the kernels are
-// bit-deterministic regardless of worker scheduling; on a single-worker
-// host (or a frame too small to split) the band loop runs inline on the
-// caller and costs nothing over the untiled loop.
+// in-place kernels (ThresholdInto, Dilate3Into, Erode3Into) process frames
+// in horizontal bands sized so a band's working set — its source and
+// destination rows — stays resident in L2 while the band is processed, and
+// dispatch the bands across the shared skeleton pool. Band outputs are
+// disjoint row ranges, so the kernels are bit-deterministic regardless of
+// worker scheduling; on a single-worker host (or a frame too small to split)
+// the band loop runs inline on the caller and costs nothing over the untiled
+// loop.
 
 const (
 	// tileTargetBytes bounds a band's working set (one source plus one

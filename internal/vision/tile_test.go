@@ -134,15 +134,21 @@ func TestBandedKernelsMatchNaive(t *testing.T) {
 
 			if w > 2 && h > 2 {
 				r := Rect{X0: 1, Y0: 1, X1: w - 1, Y1: h - 1}
-				var win Window
-				ExtractInto(&win, im, r)
+				// The banded kernels read a strided view row by row.
+				win := Extract(im, r)
 				for y := 0; y < r.H(); y++ {
-					for x := 0; x < r.W(); x++ {
-						if win.Img.Pix[y*win.Img.W+x] != im.At(x+1, y+1) {
-							t.Fatalf("ExtractInto %dx%d differs at (%d,%d)", w, h, x, y)
+					for x, p := range win.Img.Row(y) {
+						if p != im.At(x+1, y+1) {
+							t.Fatalf("Extract %dx%d differs at (%d,%d)", w, h, x, y)
 						}
 					}
 				}
+				got = Dilate3Into(NewImage(0, 0), win.Img)
+				expectPixEqual(t, "Dilate3Into(view)", w-2, h-2, got.Pix, naiveDilate3(win.Img).Pix)
+				got = Erode3Into(NewImage(0, 0), win.Img)
+				expectPixEqual(t, "Erode3Into(view)", w-2, h-2, got.Pix, naiveErode3(win.Img).Pix)
+				got = ThresholdInto(NewImage(0, 0), win.Img, 128)
+				expectPixEqual(t, "ThresholdInto(view)", w-2, h-2, got.Pix, naiveThreshold(win.Img.Clone(), 128).Pix)
 			}
 		}
 	})
