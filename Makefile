@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 build test vet race stress fuzz-smoke bench bench-smoke clean
+.PHONY: all tier1 build test vet race stress fuzz-smoke bench bench-smoke bench-pairs clean
 
 all: tier1
 
@@ -56,6 +56,19 @@ bench:
 # committed full snapshot the envelope guard checks.
 bench-smoke:
 	$(GO) run ./cmd/skipper-bench -json bench-smoke.json -filter Transport,Itermem,Trace -iters 5
+
+# Paired runs of the repository's benchmark (bench/, BENCHMARK.json) on two
+# versions: each of A and B is a git ref or a checkout directory (`.` = the
+# working tree), built by its own bench/run.sh and run N times alternating
+# which side goes first. Prints medians, IQRs, wins and failed/attempted per
+# end-to-end metric — what a perf claim has to show (README § Performance).
+#   make bench-pairs A=HEAD B=. W=label512_mem N=10
+A ?= HEAD
+B ?= .
+W ?= label512_mem
+N ?= 10
+bench-pairs:
+	scripts/bench-pairs.sh $(A) $(B) $(W) $(N)
 
 clean:
 	$(GO) clean ./...

@@ -134,6 +134,19 @@ func Grid(w, h int) *Arch {
 	return a
 }
 
+// Custom returns an n-processor architecture with exactly the given links
+// (each bidirectional). Unlike the named topologies it may be disconnected:
+// Connected reports it, syndex.Map refuses it, and Route/Hops answer nil/-1
+// for a pair no path joins.
+func Custom(name string, n int, links []LinkID) *Arch {
+	a := newArch(name, n)
+	for _, l := range links {
+		a.addLink(l.From, l.To)
+	}
+	a.buildRoutes()
+	return a
+}
+
 // buildRoutes computes all-pairs next-hop tables with BFS from every source.
 func (a *Arch) buildRoutes() {
 	a.next = make([][]ProcID, a.N)
@@ -189,9 +202,9 @@ func (a *Arch) Connected() bool {
 	return true
 }
 
-// NextHop returns the neighbor src forwards to on a shortest path to dst,
+// nextHop returns the neighbor src forwards to on a shortest path to dst,
 // or -1 when src == dst or dst is unreachable.
-func (a *Arch) NextHop(src, dst ProcID) ProcID {
+func (a *Arch) nextHop(src, dst ProcID) ProcID {
 	if src == dst {
 		return -1
 	}
@@ -203,7 +216,7 @@ func (a *Arch) NextHop(src, dst ProcID) ProcID {
 func (a *Arch) Route(src, dst ProcID) []ProcID {
 	path := []ProcID{src}
 	for src != dst {
-		n := a.NextHop(src, dst)
+		n := a.nextHop(src, dst)
 		if n == -1 {
 			return nil
 		}
@@ -216,11 +229,13 @@ func (a *Arch) Route(src, dst ProcID) []ProcID {
 // Hops returns the number of link traversals between src and dst
 // (0 for src == dst, -1 if unreachable).
 func (a *Arch) Hops(src, dst ProcID) int {
-	r := a.Route(src, dst)
-	if r == nil {
-		return -1
+	n := 0
+	for ; src != dst; n++ {
+		if src = a.nextHop(src, dst); src == -1 {
+			return -1
+		}
 	}
-	return len(r) - 1
+	return n
 }
 
 // Neighbors returns the processors adjacent to p.

@@ -58,7 +58,7 @@ func TestStarRouting(t *testing.T) {
 	if a.Hops(1, 2) != 2 {
 		t.Fatalf("leaf-to-leaf = %d hops", a.Hops(1, 2))
 	}
-	if a.NextHop(3, 5) != 0 {
+	if a.nextHop(3, 5) != 0 {
 		t.Fatal("leaf should route via hub")
 	}
 }
@@ -248,5 +248,22 @@ func TestTorusDegenerate(t *testing.T) {
 	b := Torus(2, 1)
 	if len(b.Neighbors(0)) != 1 {
 		t.Fatalf("torus(2x1) neighbors = %v", b.Neighbors(0))
+	}
+}
+
+func TestCustomMayBeDisconnected(t *testing.T) {
+	// Two islands: 0-1 and 2-3.
+	a := Custom("islands", 4, []LinkID{{From: 0, To: 1}, {From: 2, To: 3}})
+	if a.Connected() {
+		t.Fatal("two islands reported connected")
+	}
+	if a.Hops(0, 1) != 1 || a.Hops(3, 2) != 1 || a.Hops(2, 2) != 0 {
+		t.Fatalf("hops inside an island: %d %d %d", a.Hops(0, 1), a.Hops(3, 2), a.Hops(2, 2))
+	}
+	if a.Hops(0, 2) != -1 || a.Route(1, 3) != nil {
+		t.Fatalf("unreachable pair: hops %d, route %v", a.Hops(0, 2), a.Route(1, 3))
+	}
+	if b := Custom("line", 3, []LinkID{{From: 0, To: 1}, {From: 1, To: 2}}); !b.Connected() || b.Hops(0, 2) != 2 {
+		t.Fatalf("line: connected %v, hops %d", b.Connected(), b.Hops(0, 2))
 	}
 }

@@ -45,6 +45,21 @@ func allProcs(a *arch.Arch) []arch.ProcID {
 	return ps
 }
 
+// killSecondReply scripts a certain mid-farm death: victims[0] dies
+// delivering its second reply, and every other worker-only processor's
+// replies are slow. Demand-driven dispatch alone does not promise any worker
+// a second task — a victim slow to wake can be handed one, never perform its
+// second send, and survive the run — so the others are held back: the
+// victim's first reply is the first to arrive while tasks are still queued,
+// it is dispatched another, and the kill strands that one.
+func killSecondReply(victims []arch.ProcID) map[arch.ProcID]faulttransport.Fault {
+	faults := map[arch.ProcID]faulttransport.Fault{victims[0]: {KillAfterSends: 1}}
+	for _, p := range victims[1:] {
+		faults[p] = faulttransport.Fault{SlowEveryNth: 1, SlowFor: 25 * time.Millisecond}
+	}
+	return faults
+}
+
 // TestFarmSurvivesWorkerKill is the core fault-tolerance regression: one
 // farm worker's process dies mid-run (scripted kill after its first reply)
 // and the run must still complete, bit-identical to a healthy run, with
@@ -59,13 +74,7 @@ func TestFarmSurvivesWorkerKill(t *testing.T) {
 		t.Fatal("schedule has no worker-only processor to kill")
 	}
 	// The victim answers one task, then dies delivering its second reply.
-	// With 10 tasks over 4 workers every worker is dispatched at least two
-	// tasks, so the kill always fires and always strands a task.
-	ft := faulttransport.New(memtransport.New(a), faulttransport.Config{
-		Faults: map[arch.ProcID]faulttransport.Fault{
-			victims[0]: {KillAfterSends: 1},
-		},
-	})
+	ft := faulttransport.New(memtransport.New(a), faulttransport.Config{Faults: killSecondReply(victims)})
 	defer ft.Close()
 	m := NewMachineOn(s, baseRegistry(), ft, allProcs(a))
 	m.FT = FaultTolerance{MaxRetries: 2}
@@ -521,12 +530,7 @@ func TestFillRotatesAcrossWorkers(t *testing.T) {
 func TestWorkerKillWithoutFTFails(t *testing.T) {
 	a := arch.Ring(8)
 	s := compile(t, farmSrc, baseRegistry(), a, syndex.Structured)
-	victims := workerOnlyProcs(s)
-	ft := faulttransport.New(memtransport.New(a), faulttransport.Config{
-		Faults: map[arch.ProcID]faulttransport.Fault{
-			victims[0]: {KillAfterSends: 1},
-		},
-	})
+	ft := faulttransport.New(memtransport.New(a), faulttransport.Config{Faults: killSecondReply(workerOnlyProcs(s))})
 	defer ft.Close()
 	m := NewMachineOn(s, baseRegistry(), ft, allProcs(a))
 	if _, err := m.RunWithTimeout(1, 1500*time.Millisecond); err == nil {

@@ -55,21 +55,21 @@ func (m *Machine) lowerWorker(pl *procPlan, w *graph.Node, spawn uint32) error {
 	return nil
 }
 
-// runWorker is the worker process: it answers tasks until it has seen one
-// sentinel per iteration, or its mailbox is closed (abort) or killed (its
-// processor was declared dead).
-func (m *Machine) runWorker(p arch.ProcID, w *workerPlan, iters int) {
+// runWorker is the worker process: it answers tasks until the master's one
+// sentinel, sent after the run's last frame, or until its mailbox is closed
+// (abort) or killed (its processor was declared dead).
+func (m *Machine) runWorker(p arch.ProcID, w *workerPlan) {
 	trace := m.Trace // nil-safe: an untraced run records nothing
 	trace.Record(int32(p), obsv.EvOpStart, w.spawn, -1, 0)
 	trace.Record(int32(p), obsv.EvOpEnd, w.spawn, -1, 0)
-	for served := 0; served < iters; {
+	for {
 		tv, ok := w.tasks.Recv()
 		if !ok {
 			return
 		}
 		switch tk := tv.(type) {
 		case transport.Sentinel:
-			served++
+			return
 		case transport.Task:
 			trace.Record(int32(p), obsv.EvOpStart, w.label, -1, int64(tk.Idx))
 			y := w.comp.Fn([]value.Value{tk.V})
@@ -107,6 +107,7 @@ type farm struct {
 	// they are the master never reads the clock.
 	deadline, specAfter time.Duration
 
+	framesLeft int         // invocations until the run's last frame releases the workers
 	active     atomic.Bool // a master invocation is in progress (read by handlePeerDown)
 	gen        int64       // this invocation's generation tag
 	tasks      []farmTask
@@ -121,7 +122,7 @@ type farm struct {
 	fillNext   int         // where the next dispatch scan starts
 }
 
-func (m *Machine) lowerFarm(p arch.ProcID, n *graph.Node) (*farm, error) {
+func (m *Machine) lowerFarm(p arch.ProcID, n *graph.Node, iters int) (*farm, error) {
 	accFn, ok := m.reg.Lookup(n.AccFn)
 	if !ok {
 		return nil, fmt.Errorf("exec: accumulate function %q not registered", n.AccFn)
@@ -131,6 +132,7 @@ func (m *Machine) lowerFarm(p arch.ProcID, n *graph.Node) (*farm, error) {
 		workerProc: make([]arch.ProcID, n.Workers),
 		replyKey:   transport.ReplyKey(n.ID),
 		replies:    m.t.Receiver(p, transport.ReplyKey(n.ID)),
+		framesLeft: iters,
 		alive:      make([]bool, n.Workers),
 		inflight:   make([]int, n.Workers),
 		dispatched: make([]time.Time, n.Workers),
@@ -336,7 +338,8 @@ func (f *farm) watch() (stop func()) {
 // runMaster executes the farm protocol for one frame: demand-driven dispatch
 // of the input list xs to the worker pool, accumulation of results from acc
 // (arrival order, or input order in deterministic df mode), task feedback
-// for tf, and sentinel-based termination of the iteration. With fault
+// for tf, and — after the run's last frame only — the sentinels that
+// release the workers. With fault
 // tolerance armed (m.ft != nil) it also reacts to the ProcsDown and
 // DeadlineTick control values interleaved into its reply stream:
 // in-flight tasks of dead workers are re-enqueued onto the surviving pool,
@@ -461,11 +464,15 @@ func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 	// (sentinels, deterministic fold) so no tick lands under the shared
 	// reply key for the next iteration's master to consume.
 	stopTicks()
-	for w, p := range f.workerProc {
-		// Sentinels go to every worker, dead ones included: the transport
-		// drops frames to the dead, and a falsely-suspected survivor's task
-		// stream was already killed with its mailbox.
-		m.t.Send(f.p, p, transport.TaskKey(n.ID, w), transport.Sentinel{})
+	if f.framesLeft--; f.framesLeft == 0 {
+		// The run's last frame releases the workers: one sentinel each, dead
+		// ones included — the transport drops frames to the dead, and a
+		// falsely-suspected survivor's task stream was already killed with
+		// its mailbox. A run that aborts earlier releases them by closing
+		// their mailboxes instead.
+		for w, p := range f.workerProc {
+			m.t.Send(f.p, p, transport.TaskKey(n.ID, w), transport.Sentinel{})
+		}
 	}
 	if deterministic {
 		for i := range f.tasks {

@@ -27,16 +27,16 @@ type RunResult struct {
 	// also been called.
 	Outputs []value.Value
 	// Messages is the number of payloads this machine's processors
-	// injected into the network (tasks, replies, sentinels and static
-	// communications).
+	// injected into the network: static communications, a task and a reply
+	// per farm task, and one sentinel per farm worker per run.
 	Messages int64
-	// Hops counts link traversals performed on those messages' behalf by
-	// intermediate forwarders: store-and-forward router forwards over the
-	// architecture graph on the mem backend (a message between adjacent
-	// processors costs one hop, non-adjacent ones more), frames relayed by
-	// the hub on the net backend. It is zero on the net backend once the
-	// peer mesh is up — nothing is relayed any more — and nonzero on the
-	// mem backend whenever any message crossed processors.
+	// Hops counts the link traversals those messages cost. On the mem
+	// backend it is accounted, not performed: each message is charged the
+	// links its route crosses on the architecture graph (one between
+	// adjacent processors, more otherwise, none to itself) and delivered
+	// directly. On the net backend it counts frames relayed by the hub: zero
+	// once the peer mesh is up — nothing is relayed any more — where the mem
+	// figure is nonzero whenever any message crossed processors.
 	Hops int64
 	// Direct counts frames this machine's processors shipped point-to-point
 	// over the net backend's peer mesh, bypassing the hub. It is the
@@ -237,7 +237,7 @@ func (m *Machine) RunWithTimeout(iters int, d time.Duration) (*RunResult, error)
 		for _, w := range pl.workers {
 			go func() {
 				defer wg.Done()
-				m.runWorker(pl.p, w, iters)
+				m.runWorker(pl.p, w)
 			}()
 		}
 		go func() {

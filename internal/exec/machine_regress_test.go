@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"skipper/internal/arch"
+	"skipper/internal/exec/faulttransport"
 	"skipper/internal/exec/memtransport"
 	"skipper/internal/exec/transport"
 	"skipper/internal/graph"
@@ -140,10 +142,11 @@ func TestSharedTransportFarmFrames(t *testing.T) {
 
 // TestRunGoroutinesBoundedAndReclaimed pins the executive's process model: a
 // run holds one goroutine per hosted processor, pipeline stage and farm
-// worker (plus the in-process transport's routers) however many frames it
-// is asked for, and gives them all back when it returns. Spawning every
-// iteration's farm workers up front parked 7 500 goroutines at frame
-// 10 of this 2 000-frame run.
+// worker — and nothing else: the in-process transport runs on its callers —
+// however many frames it is asked for, and gives them all back when it
+// returns. The ceiling is exact, so eight forwarding goroutines coming back
+// to the transport fail it, as spawning every iteration's farm workers up
+// front did (7 500 goroutines parked at frame 10 of this 2 000-frame run).
 func TestRunGoroutinesBoundedAndReclaimed(t *testing.T) {
 	for _, pipeline := range []bool{false, true} {
 		a := arch.Ring(8)
@@ -162,14 +165,15 @@ func TestRunGoroutinesBoundedAndReclaimed(t *testing.T) {
 		s := compile(t, pipeSrc, r, a, syndex.Structured)
 		m := NewMachine(s, r)
 		m.DeterministicFarm, m.Pipeline = true, pipeline
-		stages, workers := 1, 0
+		procs := 0 // one goroutine per processor and further pipeline stage, one per worker
 		for p, prog := range s.Programs {
+			procs++
 			if pipeline {
-				stages = max(stages, len(m.pipelineCuts(arch.ProcID(p)))+1)
+				procs += len(m.pipelineCuts(arch.ProcID(p)))
 			}
 			for _, op := range prog {
 				if op.Kind == syndex.OpWorker {
-					workers++
+					procs++
 				}
 			}
 		}
@@ -177,18 +181,91 @@ func TestRunGoroutinesBoundedAndReclaimed(t *testing.T) {
 		if _, err := m.RunWithTimeout(2000, 60*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if limit := int64(8*(stages+workers) + 32); midRun.Load() == 0 || midRun.Load() >= limit {
-			t.Errorf("pipeline=%v: %d goroutines at frame 10, want below %d (0 = never sampled)",
+		if limit := int64(baseline + procs); midRun.Load() == 0 || midRun.Load() > limit {
+			t.Errorf("pipeline=%v: %d goroutines at frame 10, want at most %d (0 = never sampled)",
 				pipeline, midRun.Load(), limit)
 		}
-		// Goroutines unwind after the WaitGroup they signalled; give the
-		// stragglers a moment before calling it a leak.
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if now := runtime.NumGoroutine(); now > baseline {
+		if now := settledGoroutines(baseline); now > baseline {
 			t.Errorf("pipeline=%v: %d goroutines after the run, %d before it", pipeline, now, baseline)
+		}
+	}
+}
+
+// settledGoroutines reports the goroutine count once it is back at baseline,
+// or after two seconds: goroutines unwind after the WaitGroup they
+// signalled, so the stragglers get a moment before it is called a leak.
+func settledGoroutines(baseline int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestFarmMessagesPerRun pins the farm protocol's message count: every
+// message carries a payload except the one sentinel that releases each worker
+// after the run's last frame. A df of k tasks over w workers for n frames is
+// k tasks + k replies per frame and w sentinels per run (farmSrc maps every
+// other node beside the master, so nothing else crosses a processor).
+func TestFarmMessagesPerRun(t *testing.T) {
+	const k, w = 10, 4 // farmSrc: df 4 ... (source 10)
+	a := arch.Ring(8)
+	s := compile(t, farmSrc, baseRegistry(), a, syndex.Structured)
+	for _, n := range []int{1, 7} {
+		want := int64(2*k*n + w)
+		res, err := NewMachine(s, baseRegistry()).Run(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Messages != want {
+			t.Errorf("mem, %d frames: %d messages, want 2*%d*%d + %d = %d", n, res.Messages, k, n, w, want)
+		}
+		ft := faulttransport.New(memtransport.New(a), faulttransport.Config{})
+		res, err = NewMachineOn(s, baseRegistry(), ft, allProcs(a)).Run(n)
+		ft.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Messages != want {
+			t.Errorf("faulttransport, %d frames: %d messages, want %d", n, res.Messages, want)
+		}
+		for i, out := range res.Outputs {
+			if out != farmWant {
+				t.Errorf("%d frames: output %d = %v, want %d", n, i, out, farmWant)
+			}
+		}
+	}
+}
+
+// TestAbortedRunReleasesWorkers: a run that dies on frame 1 of 100 never
+// reaches the frame whose master sends the sentinels, so its workers must
+// come home through their closed mailboxes instead.
+func TestAbortedRunReleasesWorkers(t *testing.T) {
+	for _, pipeline := range []bool{false, true} {
+		var frames int64
+		var m *Machine
+		r := pipeRegistry(&frames, nil)
+		grab, _ := r.Lookup("grab")
+		count := grab.Fn
+		grab.Fn = func(args []value.Value) value.Value {
+			v := count(args)
+			if v.(int) == 2 { // frame 1 (grab counts from 1)
+				m.Cancel()
+			}
+			return v
+		}
+		s := compile(t, pipeSrc, r, arch.Ring(8), syndex.Structured)
+		m = NewMachine(s, r)
+		m.DeterministicFarm, m.Pipeline = true, pipeline
+		baseline := runtime.NumGoroutine()
+		if _, err := m.RunWithTimeout(100, 60*time.Second); !errors.Is(err, ErrCancelled) {
+			t.Fatalf("pipeline=%v: run returned %v, want ErrCancelled", pipeline, err)
+		}
+		if frames >= 100 {
+			t.Fatalf("pipeline=%v: the run was not cut short (%d frames grabbed)", pipeline, frames)
+		}
+		if now := settledGoroutines(baseline); now > baseline {
+			t.Errorf("pipeline=%v: %d goroutines after the aborted run, %d before it", pipeline, now, baseline)
 		}
 	}
 }

@@ -1,12 +1,12 @@
 // Package memtransport is the in-process communication backend of the
-// executive: goroutine "processors" connected through sharded mailboxes,
-// with one store-and-forward router goroutine per processor emulating the
-// architecture graph's links (packets between non-adjacent processors are
-// relayed hop by hop, exactly as the paper's executive does on a ring or
-// torus). This is the seed Machine's original substrate, factored out
-// behind the transport.Transport seam. Payloads are passed by reference —
-// zero copies, and the mailbox's head-index FIFOs keep steady-state
-// traffic allocation-free.
+// executive: goroutine "processors" connected through sharded mailboxes.
+// Send delivers straight into the destination processor's mailbox — one
+// wake per message, no goroutine of the transport's own — and accounts the
+// link traversals the architecture graph would have charged the message
+// (Stats.Hops) from a table built once in New; the paper's store-and-forward
+// routing processes are modelled by internal/sim, not performed here.
+// Payloads are passed by reference — zero copies, and the mailbox's
+// head-index FIFOs keep steady-state traffic allocation-free.
 package memtransport
 
 import (
@@ -20,84 +20,20 @@ import (
 	"skipper/internal/value"
 )
 
-// packet travels between processors through the routers. bytes carries the
-// payload size computed once at Send, so delivery accounting doesn't walk
-// the value a second time.
-type packet struct {
-	dst     arch.ProcID
-	key     transport.Key
-	payload value.Value
-	bytes   int
-}
-
-// queue is an unbounded MPSC queue with abort support; routers never block
-// on delivery, which (together with the topologically ordered static
-// schedule) rules out store-and-forward deadlock. Consumption advances a
-// head index over the backing array instead of reslicing items[1:], which
-// would keep every consumed packet reachable and force the append path to
-// reallocate; once the queue drains, the array is reset and reused.
-type queue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []packet
-	head   int
-	closed bool
-}
-
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *queue) put(p packet) {
-	q.mu.Lock()
-	q.items = append(q.items, p)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-func (q *queue) get() (packet, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.items) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head == len(q.items) {
-		return packet{}, false
-	}
-	p := q.items[q.head]
-	q.items[q.head] = packet{} // release payload for GC
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return p, true
-}
-
-func (q *queue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
 // Transport is the in-process backend. All processors of the architecture
 // are local to it.
 type Transport struct {
-	a      *arch.Arch
-	queues []*queue
-	boxes  []*transport.Mailbox
+	boxes []*transport.Mailbox
+
+	// hops[src][dst] is the number of links a message from src to dst
+	// crosses on the architecture graph, -1 if dst is unreachable. Built
+	// once in New: arch.Hops allocates a route per call.
+	hops [][]int
 
 	// dead[p] marks processor p as failed (MarkPeerDown): sends to or from
-	// it are dropped and its mailbox is killed. The routers stay alive — in
-	// this in-process emulation a "dead" processor loses its endpoints, not
-	// its relaying role on the architecture graph (real process death is the
+	// it are dropped and its mailbox is killed (real process death is the
 	// net backend's concern; here death is injected by a fault wrapper).
 	dead []atomic.Bool
-
-	routerWG sync.WaitGroup
 
 	errMu sync.Mutex
 	err   error
@@ -105,7 +41,7 @@ type Transport struct {
 	closeOnce sync.Once
 
 	messages  atomic.Int64
-	hops      atomic.Int64
+	hopCount  atomic.Int64
 	bytesSent atomic.Int64
 	bytesRecv atomic.Int64
 
@@ -117,52 +53,22 @@ type Transport struct {
 
 var _ transport.Transport = (*Transport)(nil)
 
-// New builds a transport over the architecture graph and starts its
-// routers. Callers must Close it to reclaim the router goroutines.
+// New builds a transport over the architecture graph. It starts no
+// goroutine; Close only unblocks receivers.
 func New(a *arch.Arch) *Transport {
 	t := &Transport{
-		a:      a,
-		queues: make([]*queue, a.N),
-		boxes:  make([]*transport.Mailbox, a.N),
-		dead:   make([]atomic.Bool, a.N),
+		boxes: make([]*transport.Mailbox, a.N),
+		hops:  make([][]int, a.N),
+		dead:  make([]atomic.Bool, a.N),
 	}
-	for i := 0; i < a.N; i++ {
-		t.queues[i] = newQueue()
+	for i := range t.boxes {
 		t.boxes[i] = transport.NewMailbox()
-	}
-	for i := 0; i < a.N; i++ {
-		t.routerWG.Add(1)
-		go t.route(arch.ProcID(i))
+		t.hops[i] = make([]int, a.N)
+		for j := range t.hops[i] {
+			t.hops[i][j] = a.Hops(arch.ProcID(i), arch.ProcID(j))
+		}
 	}
 	return t
-}
-
-// route is processor p's store-and-forward loop: local packets go straight
-// to p's mailbox, remote ones are forwarded to the next hop on the
-// architecture graph.
-func (t *Transport) route(p arch.ProcID) {
-	defer t.routerWG.Done()
-	for {
-		pkt, ok := t.queues[p].get()
-		if !ok {
-			return
-		}
-		if pkt.dst == p {
-			t.bytesRecv.Add(int64(pkt.bytes))
-			if t.rec != nil {
-				t.rec.Record(int32(p), obsv.EvRecv, t.kl.Of(pkt.key), -1, int64(pkt.bytes))
-			}
-			t.boxes[p].Deliver(pkt.key, pkt.payload)
-			continue
-		}
-		next := t.a.NextHop(p, pkt.dst)
-		if next < 0 {
-			t.failf("memtransport: no route from %d to %d", p, pkt.dst)
-			return
-		}
-		t.hops.Add(1)
-		t.queues[next].put(pkt)
-	}
 }
 
 func (t *Transport) failf(format string, args ...any) {
@@ -201,7 +107,7 @@ func (t *Transport) QueueDepth() int {
 // receivers unblock with ok=false, nothing further is delivered) and
 // packets to or from it are dropped at Send. Idempotent.
 func (t *Transport) MarkPeerDown(p arch.ProcID) {
-	if int(p) < 0 || int(p) >= t.a.N {
+	if int(p) < 0 || int(p) >= len(t.boxes) {
 		return
 	}
 	t.dead[p].Store(true)
@@ -210,20 +116,33 @@ func (t *Transport) MarkPeerDown(p arch.ProcID) {
 
 var _ transport.PeerDowner = (*Transport)(nil)
 
-// Send injects a packet at processor src; the routers take it from there.
-// Packets to or from a dead processor are dropped silently, uncounted —
-// exactly what a wire to a dead machine does.
+// Send delivers payload into processor dst's mailbox on the calling
+// goroutine and charges the message the links its route crosses. Packets
+// to or from a dead processor are dropped silently, uncounted — exactly
+// what a wire to a dead machine does; a pair the architecture graph does
+// not connect fails the transport.
 func (t *Transport) Send(src, dst arch.ProcID, key transport.Key, payload value.Value) {
 	if t.dead[src].Load() || t.dead[dst].Load() {
 		return
 	}
-	t.messages.Add(1)
-	n := value.SizeOf(payload)
-	t.bytesSent.Add(int64(n))
-	if t.rec != nil {
-		t.rec.Record(int32(src), obsv.EvSend, t.kl.Of(key), int32(dst), int64(n))
+	h := t.hops[src][dst]
+	if h < 0 {
+		t.failf("memtransport: no route from %d to %d", src, dst)
+		return
 	}
-	t.queues[src].put(packet{dst: dst, key: key, payload: payload, bytes: n})
+	t.messages.Add(1)
+	if h > 0 {
+		t.hopCount.Add(int64(h))
+	}
+	n := int64(value.SizeOf(payload))
+	t.bytesSent.Add(n)
+	t.bytesRecv.Add(n)
+	if t.rec != nil {
+		label := t.kl.Of(key)
+		t.rec.Record(int32(src), obsv.EvSend, label, int32(dst), n)
+		t.rec.Record(int32(dst), obsv.EvRecv, label, -1, n)
+	}
+	t.boxes[dst].Deliver(key, payload)
 }
 
 // Recv blocks on processor p's mailbox slot for key.
@@ -241,19 +160,15 @@ func (t *Transport) Receiver(p arch.ProcID, key transport.Key) transport.Receive
 // Abort unblocks every pending and future Recv; idempotent.
 func (t *Transport) Abort() {
 	t.closeOnce.Do(func() {
-		for _, q := range t.queues {
-			q.close()
-		}
 		for _, b := range t.boxes {
 			b.Close()
 		}
 	})
 }
 
-// Close aborts the transport and waits for the routers to exit.
+// Close aborts the transport; there is nothing to wait for.
 func (t *Transport) Close() error {
 	t.Abort()
-	t.routerWG.Wait()
 	return nil
 }
 
@@ -264,12 +179,12 @@ func (t *Transport) Err() error {
 	return t.err
 }
 
-// Stats reports injected messages, router link traversals and payload
-// volume; safe to call concurrently with traffic.
+// Stats reports delivered messages, the link traversals accounted to them
+// and payload volume; safe to call concurrently with traffic.
 func (t *Transport) Stats() transport.Stats {
 	return transport.Stats{
 		Messages:  t.messages.Load(),
-		Hops:      t.hops.Load(),
+		Hops:      t.hopCount.Load(),
 		BytesSent: t.bytesSent.Load(),
 		BytesRecv: t.bytesRecv.Load(),
 	}

@@ -58,7 +58,8 @@ func BatchStats() (flushes, subFrames int64) {
 const (
 	// magic opens every handshake: "SKiP".
 	magic = 0x534b6950
-	// wireVersion is bumped on any incompatible frame-format change.
+	// wireVersion is bumped on any incompatible change to the frame format
+	// or to a protocol the frames carry.
 	// Version 2: peer-to-peer data plane (hello carries a data-listener
 	// address, peers/detach control frames).
 	// Version 3: the hello reply's accept branch carries the hub's wall
@@ -71,7 +72,10 @@ const (
 	// optional shm ring-segment request, the hello reply acknowledges it,
 	// and an upgraded connection moves its frame stream into the mmap'd
 	// slab ring while the socket degrades to a doorbell (DESIGN.md §14).
-	wireVersion = 6
+	// Version 7: same frames, new farm protocol — a master sends its
+	// workers one Sentinel per run, not one per frame. A version-6 worker
+	// would wait for sentinels that never come, so the handshake refuses it.
+	wireVersion = 7
 	// abortDst is a control frame that propagates Abort across processes.
 	abortDst = 0xffffffff
 	// peersDst is a hub→node control frame carrying the address map of

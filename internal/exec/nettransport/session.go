@@ -44,13 +44,18 @@ type Session struct {
 	localSet map[arch.ProcID]bool
 	boxes    map[arch.ProcID]*transport.Mailbox
 
-	mu       sync.Mutex
-	remote   map[arch.ProcID]*wconn // attached remote processors
-	dataAddr map[arch.ProcID]string // their peer data listeners
-	pending  map[arch.ProcID][]outFrame
-	conns    []*wconn
-	states   []*connState // per-connection liveness bookkeeping
-	dead     map[arch.ProcID]bool
+	mu     sync.Mutex
+	remote map[arch.ProcID]*wconn // attached remote processors
+	// attaching holds processors whose hello was accepted but whose
+	// connection is not registered in remote yet: the claim is taken from
+	// the moment it is validated, so a second claimant arriving between the
+	// first's ack and its registration is still refused.
+	attaching map[arch.ProcID]bool
+	dataAddr  map[arch.ProcID]string // their peer data listeners
+	pending   map[arch.ProcID][]outFrame
+	conns     []*wconn
+	states    []*connState // per-connection liveness bookkeeping
+	dead      map[arch.ProcID]bool
 	// departed marks processors whose connection detached cleanly (worker
 	// churn). Frames addressed to a departed processor are dropped — they
 	// belong to the session epoch that ended with the detach — and a
@@ -111,19 +116,20 @@ type connState struct {
 
 func newSession(f *FleetHub, a *arch.Arch, fingerprint uint64, local []arch.ProcID) *Session {
 	s := &Session{
-		f:        f,
-		a:        a,
-		fp:       fingerprint,
-		hb:       f.hb,
-		localSet: map[arch.ProcID]bool{},
-		boxes:    map[arch.ProcID]*transport.Mailbox{},
-		remote:   map[arch.ProcID]*wconn{},
-		dataAddr: map[arch.ProcID]string{},
-		pending:  map[arch.ProcID][]outFrame{},
-		dead:     map[arch.ProcID]bool{},
-		departed: map[arch.ProcID]bool{},
-		ready:    make(chan struct{}),
-		failed:   make(chan struct{}),
+		f:         f,
+		a:         a,
+		fp:        fingerprint,
+		hb:        f.hb,
+		localSet:  map[arch.ProcID]bool{},
+		boxes:     map[arch.ProcID]*transport.Mailbox{},
+		remote:    map[arch.ProcID]*wconn{},
+		dataAddr:  map[arch.ProcID]string{},
+		pending:   map[arch.ProcID][]outFrame{},
+		dead:      map[arch.ProcID]bool{},
+		departed:  map[arch.ProcID]bool{},
+		attaching: map[arch.ProcID]bool{},
+		ready:     make(chan struct{}),
+		failed:    make(chan struct{}),
 	}
 	for _, p := range local {
 		s.localSet[p] = true
@@ -235,6 +241,7 @@ func (s *Session) serveConn(c net.Conn, br *bufio.Reader, hel hello) {
 		return
 	}
 	for _, p := range hel.procs {
+		delete(s.attaching, p)
 		s.remote[p] = w
 		s.dataAddr[p] = hel.dataAddr
 		for _, f := range s.pending[p] {
@@ -329,7 +336,7 @@ func (s *Session) validateHello(hel hello) string {
 		if s.localSet[p] {
 			return fmt.Sprintf("processor %d is hosted by the coordinator", p)
 		}
-		if _, taken := s.remote[p]; taken {
+		if _, taken := s.remote[p]; taken || s.attaching[p] {
 			return fmt.Sprintf("processor %d already attached", p)
 		}
 	}
@@ -339,6 +346,7 @@ func (s *Session) validateHello(hel hello) string {
 	// until its registration lands.
 	for _, p := range hel.procs {
 		delete(s.departed, p)
+		s.attaching[p] = true
 	}
 	return ""
 }

@@ -2,10 +2,11 @@
 // primitives ("thread creation, communication and synchronisation and
 // sequentialisation of user supplied computation functions and of
 // inter-processor communications", paper §3) and a goroutine-based backend
-// in which each processor of the architecture graph is a goroutine, each
-// physical link a channel, and store-and-forward routing is performed by
-// per-processor router processes (the M->W / W->M auxiliary processes of
-// paper Fig. 1).
+// in which each processor of the architecture graph is a goroutine and a
+// message is delivered straight into its destination's mailbox; the
+// store-and-forward routing of the paper's executive (the M->W / W->M
+// auxiliary processes of Fig. 1) is accounted as hops here and modelled,
+// with its cost, by internal/sim.
 package exec
 
 import (

@@ -137,7 +137,7 @@ func (m *Machine) lower(p arch.ProcID, iters int) (*procPlan, error) {
 			err = m.lowerWorker(pl, n, o.label)
 		case syndex.OpMaster:
 			if o.in, err = inputs(n, false, 2); err == nil {
-				o.farm, err = m.lowerFarm(p, n)
+				o.farm, err = m.lowerFarm(p, n, iters)
 			}
 			produce(o, n)
 		default:

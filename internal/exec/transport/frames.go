@@ -13,7 +13,8 @@ import (
 // backend they are flattened by the codec extensions registered below, so a
 // master and its workers can sit in different OS processes.
 
-// Sentinel terminates a farm worker's task loop for one iteration.
+// Sentinel terminates a farm worker's task loop for the run: its master
+// sends it once, after the last frame.
 type Sentinel struct{}
 
 // Task couples a packet of work with its index in the master's task table:

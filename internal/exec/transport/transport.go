@@ -6,9 +6,9 @@
 // the Transport interface, and interchangeable backends supply the
 // primitives:
 //
-//   - memtransport: goroutine processors, sharded in-process mailboxes and
-//     store-and-forward router loops over the architecture graph (the
-//     seed's original substrate, factored out);
+//   - memtransport: goroutine processors and sharded in-process mailboxes;
+//     Send delivers on the sender's goroutine and accounts the links the
+//     architecture graph would have charged;
 //   - nettransport: one OS process per processor, length-prefixed binary
 //     frames over TCP with a hub routing process.
 //
@@ -66,8 +66,9 @@ func (k Key) String() string {
 type Stats struct {
 	// Messages is the number of payloads injected via Send.
 	Messages int64
-	// Hops is the number of link traversals (mem backend: router forwards
-	// over the architecture graph; net backend: frames relayed by the hub).
+	// Hops is the number of link traversals: on the mem backend the links
+	// each message's route crosses on the architecture graph, accounted at
+	// Send (nothing forwards); on the net backend frames relayed by the hub.
 	Hops int64
 	// Direct is the number of frames shipped point-to-point over the net
 	// backend's peer mesh, bypassing the hub entirely. Always zero for the
@@ -105,8 +106,8 @@ type Transport interface {
 	// Abort unblocks every pending and future Recv with ok=false. It is
 	// idempotent and safe to call concurrently with traffic.
 	Abort()
-	// Close releases the transport's resources (connections, router
-	// goroutines). The transport must not be used afterwards.
+	// Close releases the transport's resources (connections, reader and
+	// writer goroutines). The transport must not be used afterwards.
 	Close() error
 	// Err returns the first internal transport failure (routing error,
 	// connection loss, codec mismatch), or nil.

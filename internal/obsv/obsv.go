@@ -128,7 +128,7 @@ type Event struct {
 
 // procRing is one processor's event ring. The write index is reserved with
 // a single atomic add, so several goroutines running on behalf of the same
-// processor (its op loop, its farm workers, a router delivering into its
+// processor (its op loop, its farm workers, a sender delivering into its
 // mailbox) can record concurrently without excluding each other; when the
 // ring wraps the oldest events are overwritten and counted as dropped.
 type procRing struct {

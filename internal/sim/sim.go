@@ -530,6 +530,9 @@ func (sm *simulator) simMaster(n *graph.Node, p arch.ProcID) error {
 		}
 	}
 	// Sentinels (small messages) terminate the iteration's worker threads.
+	// Per iteration on purpose: this models the paper's Transvision
+	// executive, whose workers are respawned every frame; internal/exec
+	// releases its per-run workers once, after the last frame.
 	for w := 0; w < n.Workers; w++ {
 		mClock = sm.spendAt(p, mClock, SendOverheadCycles/4)
 		sm.transfer(p, workers[w].proc, 4, mClock)
