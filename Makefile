@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 build test vet race stress fuzz-smoke bench bench-smoke bench-pairs clean
+.PHONY: all tier1 build test vet race stress fuzz-smoke bench bench-smoke bench-pairs bench-kernels clean
 
 all: tier1
 
@@ -69,6 +69,14 @@ W ?= label512_mem
 N ?= 10
 bench-pairs:
 	scripts/bench-pairs.sh $(A) $(B) $(W) $(N)
+
+# The vision kernels alone, ten samples each in benchstat's input format:
+# the labelling scan on a 512x64 band from both ends (scene, dense noise and
+# checkerboard, backgrounds on which the 64-pixel OR test always fails),
+# CountAbove and ThresholdInto. Compare two trees with
+#   make bench-kernels >new.txt; (cd ../parent && make bench-kernels) >old.txt; benchstat old.txt new.txt
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'ComponentsBand|CountAbove|ThresholdInto' -count 10 ./internal/vision
 
 clean:
 	$(GO) clean ./...

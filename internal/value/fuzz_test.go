@@ -11,6 +11,7 @@ package value_test
 //     must re-encode and re-decode to an equal value.
 
 import (
+	"math"
 	"testing"
 
 	"skipper/internal/value"
@@ -77,6 +78,11 @@ func buildValue(recipe []byte, pos *int, depth int) value.Value {
 // holds an image pointer, so == compares identities).
 func codecEqual(a, b value.Value) bool {
 	switch av := a.(type) {
+	case float64:
+		// The wire carries the IEEE-754 bits, and a hostile frame may hold a
+		// NaN, which == never finds equal to itself.
+		bv, ok := b.(float64)
+		return ok && math.Float64bits(av) == math.Float64bits(bv)
 	case *vision.Image:
 		bv, ok := b.(*vision.Image)
 		if !ok || av.W != bv.W || av.H != bv.H {

@@ -10,10 +10,15 @@ import (
 
 // One 512×64 band is what the scm labelling application hands a worker and
 // what the tracking application's reinitialisation phase hands each df
-// worker. Three inputs bracket the run kernel: the scene the workloads
-// label (>95 % background, a few long runs), 45 % salt noise and a
-// checkerboard (one run per foreground pixel — the worst case, where a run
-// must not cost more than a pixel did).
+// worker. The inputs bracket the run kernel from both ends. The scene the
+// workloads label (>95 % background, a few long runs) is where the 64-byte
+// background skip pays. 45 % salt noise and a checkerboard (one run per
+// foreground pixel — the worst case, where a run must not cost more than a
+// pixel did) never stand on background long enough to enter it. On orcross
+// (words of 0x55 and words of 0xAA alternating: no pixel >= t, yet the OR of
+// two neighbouring words is 0xff in every byte) and graded (random bytes in
+// [0,t) under a few marks) the skip is entered at every row and its OR test
+// fails on every block: they pin what a lying prefilter costs.
 
 func sceneBands() []*vision.Image {
 	sc := video.NewScene(512, 512, 3, 5)
@@ -48,6 +53,26 @@ func checkerBand() *vision.Image {
 	return im
 }
 
+func orCrossBand() *vision.Image {
+	im := vision.NewImage(512, 64)
+	for i := range im.Pix {
+		im.Pix[i] = 0x55 << (i >> 3 & 1)
+	}
+	return im
+}
+
+func gradedBand() *vision.Image {
+	im := vision.NewImage(512, 64)
+	rng := rand.New(rand.NewSource(2))
+	for i := range im.Pix {
+		im.Pix[i] = uint8(rng.Intn(video.DetectThreshold))
+	}
+	for _, x := range []int{40, 250, 460} {
+		vision.FillDisc(im, x, 32, 9, video.MarkGray)
+	}
+	return im
+}
+
 var benchComps []vision.Component
 
 func BenchmarkComponentsBand512x64(b *testing.B) {
@@ -58,6 +83,8 @@ func BenchmarkComponentsBand512x64(b *testing.B) {
 		{"scene", sceneBands()},
 		{"noise45", []*vision.Image{noiseBand(0.45)}},
 		{"checker", []*vision.Image{checkerBand()}},
+		{"orcross", []*vision.Image{orCrossBand()}},
+		{"graded", []*vision.Image{gradedBand()}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var s vision.LabelScratch
@@ -65,6 +92,49 @@ func BenchmarkComponentsBand512x64(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchComps = s.Components(c.bands[i%len(c.bands)], video.DetectThreshold, 2)
+			}
+		})
+	}
+}
+
+var benchCount int
+
+// CountAbove is the quadtree application's region test (count_region and
+// split_region call it on every region): a 256² scene window, the size of
+// that workload's root region, and the dense worst case.
+func BenchmarkCountAbove(b *testing.B) {
+	scene := video.NewScene(512, 512, 3, 5).Next()
+	for _, c := range []struct {
+		name string
+		im   *vision.Image
+	}{
+		{"scene256", vision.Extract(scene, vision.Rect{X0: 128, Y0: 128, X1: 384, Y1: 384}).Img},
+		{"noise45", noiseBand(0.45)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(c.im.W * c.im.H))
+			for i := 0; i < b.N; i++ {
+				benchCount = vision.CountAbove(c.im, video.DetectThreshold)
+			}
+		})
+	}
+}
+
+// ThresholdInto writes a pixel for every pixel it reads, so its cost must
+// not depend on the input: the same band sizes, sparse and dense.
+func BenchmarkThresholdInto(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		im   *vision.Image
+	}{
+		{"scene", sceneBands()[3]},
+		{"noise45", noiseBand(0.45)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			dst := vision.NewImage(c.im.W, c.im.H)
+			b.SetBytes(int64(c.im.W * c.im.H))
+			for i := 0; i < b.N; i++ {
+				vision.ThresholdInto(dst, c.im, video.DetectThreshold)
 			}
 		})
 	}

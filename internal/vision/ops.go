@@ -15,7 +15,8 @@ const (
 // b and t into their low seven bits and their top bit: (b&0x7f)+(0x80-t&0x7f)
 // carries into the byte's top bit exactly when the low bits compare >=, and
 // never out of the byte; the top bits then decide — below 128 either one
-// suffices, from 128 up both are needed.
+// suffices, from 128 up both are needed. Eight pixels per mask is the exact
+// step; background is passed 64 pixels per mask (none64, skipBelow).
 type swarGE struct {
 	add, either uint64
 }
@@ -34,13 +35,68 @@ func (g swarGE) mask(v uint64) uint64 {
 	return (v&lo | (v|lo)&g.either) & swarHi
 }
 
-// CountAbove returns the number of pixels with value >= t, eight pixels per
-// step with the labelling kernel's byte mask.
+// none64 reports that none of the 64 pixels b[:64] reaches t, with one mask:
+// it ORs the eight words and tests the OR. Byte-wise a|b >= max(a,b), so a
+// zero mask on the OR proves it of all 64 pixels. The converse fails
+// (0x55|0xaa is 0xff under t=200): false only says the block may hold such a
+// pixel, and the caller then takes the block a word at a time — an OR that
+// lies costs time and never a wrong answer. On road texture it does not lie:
+// the OR of bytes below 128 stays below 128. This is the one background test
+// under the loops that look for pixels >= t; it fits the compiler's inlining
+// budget, and has to, or each block pays a call.
+func (g swarGE) none64(b []uint8) bool {
+	return g.mask(binary.LittleEndian.Uint64(b)|binary.LittleEndian.Uint64(b[8:])|
+		binary.LittleEndian.Uint64(b[16:])|binary.LittleEndian.Uint64(b[24:])|
+		binary.LittleEndian.Uint64(b[32:])|binary.LittleEndian.Uint64(b[40:])|
+		binary.LittleEndian.Uint64(b[48:])|binary.LittleEndian.Uint64(b[56:])) == 0
+}
+
+// skipBelow returns the first position x' = x + 8k at which the word
+// row[x':x'+8] holds a pixel >= t, or the first with fewer than eight pixels
+// left. It steps 64 pixels while none64 holds and walks a block none64 fails
+// on a word at a time, so the result is exact whether or not the OR lied. A
+// caller enters it standing on background (after a zero word): dense input
+// never pays for a 64-pixel test.
+func (g swarGE) skipBelow(row []uint8, x int) int {
+	for ; x+64 <= len(row); x += 64 {
+		b := row[x : x+64 : x+64]
+		if g.none64(b) {
+			continue
+		}
+		for k := 0; k < 64; k += 8 {
+			if g.mask(binary.LittleEndian.Uint64(b[k:])) != 0 {
+				return x + k
+			}
+		}
+	}
+	for ; x+8 <= len(row) && g.mask(binary.LittleEndian.Uint64(row[x:])) == 0; x += 8 {
+	}
+	return x
+}
+
+// CountAbove returns the number of pixels with value >= t. A 64-pixel block
+// that none64 clears counts zero (see there for why that is sound); any
+// other is eight byte masks, one bit a pixel, shifted into one word and
+// counted once. Fewer than 64 pixels are counted eight per mask, then singly.
 func CountAbove(im *Image, t uint8) int {
 	ge := newSwarGE(t)
 	n := 0
 	for y := 0; y < im.H; y++ {
 		pix := im.Row(y)
+		for ; len(pix) >= 64; pix = pix[64:] {
+			b := pix[:64:64]
+			if ge.none64(b) {
+				continue
+			}
+			n += bits.OnesCount64(ge.mask(binary.LittleEndian.Uint64(b))>>7 |
+				ge.mask(binary.LittleEndian.Uint64(b[8:]))>>6 |
+				ge.mask(binary.LittleEndian.Uint64(b[16:]))>>5 |
+				ge.mask(binary.LittleEndian.Uint64(b[24:]))>>4 |
+				ge.mask(binary.LittleEndian.Uint64(b[32:]))>>3 |
+				ge.mask(binary.LittleEndian.Uint64(b[40:]))>>2 |
+				ge.mask(binary.LittleEndian.Uint64(b[48:]))>>1 |
+				ge.mask(binary.LittleEndian.Uint64(b[56:])))
+		}
 		for ; len(pix) >= 8; pix = pix[8:] {
 			n += bits.OnesCount64(ge.mask(binary.LittleEndian.Uint64(pix)))
 		}
@@ -157,14 +213,18 @@ type LabelScratch struct {
 }
 
 // scan is the labelling kernel: one pass over im that never looks at a
-// background pixel individually. Per row it skips background eight pixels at
-// a time, cuts the foreground into runs, gives each run the label of the
-// previous row's runs it overlaps (4-connectivity is interval overlap; both
-// rows are sorted, so a two-pointer walk finds the overlaps; several
-// overlapped labels are united) or a fresh one, and adds the run's area,
-// coordinate sums, gray sum and frame to that label in closed form. With
-// keep the runs of every row stay in s.runs for Label to paint; without it
-// only the previous and current rows are held.
+// background pixel individually. Per row it tests eight pixels per mask; on
+// a word of background it lets skipBelow pass the rest of the stretch, 64
+// pixels per mask where the OR of a block proves it background and a word at
+// a time where it does not, so a row of road costs what reading it costs and
+// a dense row never sees the wide test. It cuts the foreground into runs,
+// gives each run the label of the previous row's runs it overlaps
+// (4-connectivity is interval overlap; both rows are sorted, so a
+// two-pointer walk finds the overlaps; several overlapped labels are united)
+// or a fresh one, and adds the run's area, coordinate sums, gray sum and
+// frame to that label in closed form. With keep the runs of every row stay
+// in s.runs for Label to paint; without it only the previous and current
+// rows are held.
 func (s *LabelScratch) scan(im *Image, t uint8, keep bool) {
 	w, h := im.W, im.H
 	if cap(s.runs) < w+2 { // two rows of at most (w+1)/2 runs
@@ -182,11 +242,11 @@ func (s *LabelScratch) scan(im *Image, t uint8, keep bool) {
 	for y := 0; y < h; y++ {
 		row := im.Row(y)
 		j := p0
-		for x := 0; x < w; {
-			if x+8 <= w {
+		for x := 0; x < len(row); {
+			if x+8 <= len(row) {
 				m := ge.mask(binary.LittleEndian.Uint64(row[x:]))
 				if m == 0 {
-					x += 8
+					x = ge.skipBelow(row, x+8)
 					continue
 				}
 				x += bits.TrailingZeros64(m) >> 3
@@ -195,7 +255,7 @@ func (s *LabelScratch) scan(im *Image, t uint8, keep bool) {
 				continue
 			}
 			x0, sum := int32(x), int64(0)
-			for x < w && row[x] >= t {
+			for x < len(row) && row[x] >= t {
 				sum += int64(row[x])
 				x++
 			}

@@ -1,5 +1,7 @@
 package vision
 
+import "encoding/binary"
+
 // Threshold returns a binary image: 255 where the source pixel is >= t,
 // 0 elsewhere. "Marks are detected as connected groups of pixels with values
 // above a given threshold" (paper §4).
@@ -23,10 +25,18 @@ func ThresholdInto(dst *Image, im *Image, t uint8) *Image {
 	return dst
 }
 
+// thresholdRows writes eight output pixels per step: the byte mask has 0x80
+// where the pixel is >= t, and (m>>7)*0xff spreads each 0x01 over its byte.
 func thresholdRows(dst, im *Image, t uint8, y0, y1 int) {
+	ge := newSwarGE(t)
 	for y := y0; y < y1; y++ {
-		out := dst.Row(y)
-		for i, p := range im.Row(y) {
+		in := im.Row(y)
+		out := dst.Row(y)[:len(in)]
+		for ; len(in) >= 8; in, out = in[8:], out[8:] {
+			m := ge.mask(binary.LittleEndian.Uint64(in))
+			binary.LittleEndian.PutUint64(out, m>>7*0xff)
+		}
+		for i, p := range in {
 			var v uint8
 			if p >= t {
 				v = 255
