@@ -43,19 +43,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/value
 	$(GO) test -run '^$$' -fuzz FuzzBatchDecode -fuzztime 10s ./internal/exec/nettransport
 
-# Regenerate the machine-readable perf snapshot consumed by the tier-1
-# envelope guard (bench_guard_test.go). See README § Performance.
-# BENCH_<pr>.json — bump the number when a PR changes the perf story.
+# The repository's benchmark (bench/, BENCHMARK.json): all seven workloads,
+# untraced then traced, every frame and job checked against the sequential
+# emulator. The one way to get a number; a claim needs `make bench-pairs`.
 bench:
-	$(GO) run ./cmd/skipper-bench -json BENCH_9.json
+	$(GO) run ./bench
 
-# Quick data-plane snapshot — what CI's bench-smoke job runs and uploads:
-# the farm round trip on every transport (mem/tcp/unix/shm), the pipelined
-# itermem and pipeline-depth pairs and the tracing-overhead pair, skipping
-# the rest of the suite. Written to a scratch name so it never clobbers the
-# committed full snapshot the envelope guard checks.
+# What CI's bench-smoke job runs and uploads: the same benchmark at one
+# second per window, built the way the driver builds it. Exits non-zero on a
+# wrong answer on any transport.
 bench-smoke:
-	$(GO) run ./cmd/skipper-bench -json bench-smoke.json -filter Transport,Itermem,Trace -iters 5
+	bash bench/run.sh --seconds 1 --json bench-smoke.json
 
 # Paired runs of the repository's benchmark (bench/, BENCHMARK.json) on two
 # versions: each of A and B is a git ref or a checkout directory (`.` = the

@@ -2,7 +2,9 @@ package skipper
 
 // One testing.B benchmark per experiment of the paper's evaluation (see
 // DESIGN.md §4 and EXPERIMENTS.md), plus microbenchmarks for the core
-// stages (compiler, skeleton library, vision kernels, executive).
+// stages (compiler, skeleton library, executive). Kernel and transport
+// benchmarks live beside their code: internal/vision, internal/video,
+// internal/harness (farm round trip), internal/exec (straggler farm).
 //
 // Run with: go test -bench=. -benchmem
 
@@ -15,7 +17,6 @@ import (
 	"skipper/internal/skel"
 	"skipper/internal/track"
 	"skipper/internal/video"
-	"skipper/internal/vision"
 )
 
 // --- E1: tracking/reinit latency table -------------------------------------
@@ -232,88 +233,6 @@ func BenchmarkSkelSCMPar(b *testing.B) {
 	}
 }
 
-// Vision kernels.
-func BenchmarkVisionLabel512(b *testing.B) {
-	scene := video.NewScene(512, 512, 3, 1)
-	frame := scene.Next()
-	b.SetBytes(int64(frame.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vision.Components(frame, video.DetectThreshold, 2)
-	}
-}
-
-func BenchmarkVisionThreshold512(b *testing.B) {
-	scene := video.NewScene(512, 512, 3, 1)
-	frame := scene.Next()
-	b.SetBytes(int64(frame.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vision.Threshold(frame, video.DetectThreshold)
-	}
-}
-
-func BenchmarkVideoFrame512(b *testing.B) {
-	scene := video.NewScene(512, 512, 3, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scene.Next()
-	}
-}
-
-// --- hot-path allocation benchmarks -------------------------------------------
-//
-// These pin the perf contract of the pooled/in-place kernel variants: with
-// reused scratch the per-frame cost is pure compute, 0 allocs/op at steady
-// state. Compare Label512 vs Label512_OneShot to see the win.
-
-func BenchmarkLabel512(b *testing.B) {
-	scene := video.NewScene(512, 512, 3, 1)
-	frame := scene.Next()
-	var s vision.LabelScratch
-	s.Label(frame, video.DetectThreshold)
-	b.SetBytes(int64(frame.Bytes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Label(frame, video.DetectThreshold)
-	}
-}
-
-func BenchmarkLabel512_OneShot(b *testing.B) {
-	scene := video.NewScene(512, 512, 3, 1)
-	frame := scene.Next()
-	b.SetBytes(int64(frame.Bytes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vision.Label(frame, video.DetectThreshold)
-	}
-}
-
-func BenchmarkThresholdInto512(b *testing.B) {
-	scene := video.NewScene(512, 512, 3, 1)
-	frame := scene.Next()
-	dst := vision.NewImage(frame.W, frame.H)
-	b.SetBytes(int64(frame.Bytes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vision.ThresholdInto(dst, frame, video.DetectThreshold)
-	}
-}
-
-func BenchmarkSceneNextInto512(b *testing.B) {
-	scene := video.NewScene(512, 512, 3, 2)
-	buf := vision.NewImage(512, 512)
-	b.SetBytes(int64(buf.Bytes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scene.NextInto(buf)
-	}
-}
-
 // Pool-backed df vs the per-call shared-pool wrapper on the same workload:
 // the pool variant reuses persistent workers instead of spawning per call.
 func BenchmarkSkelDFPool(b *testing.B) {
@@ -343,38 +262,6 @@ func BenchmarkE11_Topologies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := harness.E11(io.Discard, 8); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// --- Transport: in-process vs TCP farm round trip ----------------------------
-
-// BenchmarkTransportFarmRoundTrip measures one df-farm task/reply round
-// trip (the per-window message pattern of OpMaster/OpWorker) over each
-// executive transport backend: "mem" is the in-process mailbox substrate,
-// "tcp" a hub/client pair on a real localhost socket. The scalar payload
-// is the round-trip floor; the window payload ships the 512×64 image band
-// the tracking schedule sends per df window, so the mem-vs-tcp delta is
-// the per-window cost of going multi-process.
-func BenchmarkTransportFarmRoundTrip(b *testing.B) {
-	payloads := []struct {
-		name string
-		mk   func() harness.Payload
-	}{
-		{"Scalar", harness.BenchScalarPayload},
-		{"Window512x64", harness.BenchWindowPayload},
-	}
-	for _, tr := range harness.Transports {
-		for _, pl := range payloads {
-			b.Run(tr+"/"+pl.name, func(b *testing.B) {
-				pair, err := harness.NewTransportPair(tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer pair.Close()
-				b.ReportAllocs()
-				harness.BenchFarmRoundTrip(b, pair, pl.mk())
-			})
 		}
 	}
 }

@@ -1,30 +1,11 @@
 // Command skipper-bench regenerates the paper's evaluation: every
-// experiment indexed in DESIGN.md §4 (E1–E9) prints the corresponding
+// experiment indexed in DESIGN.md §4 (E1–E11) prints the corresponding
 // table, with the paper's reported value alongside the measured one where
 // the paper gives a number.
-//
-// With -json it instead measures the machine-readable benchmark suite
-// (ns/op, B/op, allocs/op for E1/E5/E7 and the hot-path micro-benchmarks,
-// plus the E1 simulated-time latency table) and writes it to the given
-// file — by convention BENCH_<pr>.json at the repository root, which the
-// tier-1 envelope guard test (bench_guard_test.go) then checks against the
-// paper's published latency envelope.
 //
 // Usage:
 //
 //	skipper-bench [-exp all|e1|e2|...|e11] [-iters 30]
-//	skipper-bench -json BENCH_1.json [-iters 30]
-//	skipper-bench -json bench-smoke.json -filter Transport [-iters 5]
-//	skipper-bench -json BENCH_7.json -baseline BENCH_6.json
-//
-// -filter restricts a -json run to benchmarks whose name contains the
-// given substring (and skips the E1 latency table) — the quick snapshot
-// CI's bench-smoke job uploads on every push.
-//
-// -baseline compares the fresh measurements against a prior BENCH_N.json
-// snapshot and prints a per-benchmark delta table (ns/op and allocs/op,
-// with the relative change), so a PR's perf claim is read straight off
-// the run instead of eyeballing two JSON files.
 package main
 
 import (
@@ -32,110 +13,69 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"skipper/internal/harness"
 )
 
+// experiments lists E1–E11 in the order -exp all prints them.
+var experiments = []struct {
+	name string
+	run  func(w io.Writer, iters int) error
+}{
+	{"e1", func(w io.Writer, iters int) error { _, err := harness.E1(w, iters); return err }},
+	{"e2", func(w io.Writer, iters int) error {
+		_, err := harness.E2(w, iters, []int{1, 2, 4, 6, 8, 12, 16})
+		return err
+	}},
+	{"e3", func(w io.Writer, iters int) error { _, err := harness.E3(w, iters); return err }},
+	{"e4", func(w io.Writer, iters int) error { _, err := harness.E4(w, iters); return err }},
+	{"e5", func(w io.Writer, _ int) error { _, err := harness.E5(w, 32, 8); return err }},
+	{"e6", func(w io.Writer, iters int) error { _, err := harness.E6(w, iters); return err }},
+	{"e7", func(w io.Writer, _ int) error { _, err := harness.E7(w, []int{1, 2, 4, 8, 16}); return err }},
+	{"e8", func(w io.Writer, _ int) error { _, err := harness.E8(w, []int{1, 2, 4, 8}); return err }},
+	{"e9", func(w io.Writer, _ int) error { _, err := harness.E9(w); return err }},
+	{"e10", func(w io.Writer, iters int) error { _, err := harness.E10(w, iters); return err }},
+	{"e11", func(w io.Writer, iters int) error { _, err := harness.E11(w, iters); return err }},
+}
+
+// selectExperiments parses the -exp value, a comma-separated list of "all"
+// and experiment names; any other name is an error listing the valid ones.
+func selectExperiments(exp string) (map[string]bool, error) {
+	valid := []string{"all"}
+	for _, e := range experiments {
+		valid = append(valid, e.name)
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(exp, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: all or e1..e11 (comma-separated)")
 	iters := flag.Int("iters", 30, "stream iterations per measurement")
-	jsonPath := flag.String("json", "", "measure the benchmark suite and write machine-readable results to this file")
-	filter := flag.String("filter", "", "with -json: only run benchmarks whose name contains this substring (skips the E1 latency table)")
-	baseline := flag.String("baseline", "", "with -json: compare against this prior BENCH_N.json snapshot and print a delta table")
 	flag.Parse()
 
-	if *jsonPath != "" {
-		fmt.Printf("benchmark suite (iters=%d):\n", *iters)
-		rep, err := harness.RunBenchReport(os.Stdout, *iters, *filter)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipper-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := harness.WriteBenchJSON(rep, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "skipper-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if rep.E1 != nil {
-			fmt.Printf("E1 simulated latency: tracking %.1f ms, reinit %.1f ms\n",
-				rep.E1.TrackingMS, rep.E1.ReinitMS)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-		if *baseline != "" {
-			base, err := harness.ReadBenchJSON(*baseline)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "skipper-bench: baseline: %v\n", err)
-				os.Exit(1)
-			}
-			printDeltaTable(os.Stdout, *baseline, base, rep)
-		}
-		return
+	want, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "skipper-bench: -exp: %v\n", err)
+		os.Exit(2)
 	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	all := want["all"]
-	run := func(name string, f func() error) {
-		if !all && !want[name] {
-			return
+	for _, e := range experiments {
+		if !want["all"] && !want[e.name] {
+			continue
 		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "skipper-bench: %s: %v\n", name, err)
+		if err := e.run(os.Stdout, *iters); err != nil {
+			fmt.Fprintf(os.Stderr, "skipper-bench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
-	}
-
-	w := os.Stdout
-	run("e1", func() error { _, err := harness.E1(w, *iters); return err })
-	run("e2", func() error { _, err := harness.E2(w, *iters, []int{1, 2, 4, 6, 8, 12, 16}); return err })
-	run("e3", func() error { _, err := harness.E3(w, *iters); return err })
-	run("e4", func() error { _, err := harness.E4(w, *iters); return err })
-	run("e5", func() error { _, err := harness.E5(w, 32, 8); return err })
-	run("e6", func() error { _, err := harness.E6(w, *iters); return err })
-	run("e7", func() error { _, err := harness.E7(w, []int{1, 2, 4, 8, 16}); return err })
-	run("e8", func() error { _, err := harness.E8(w, []int{1, 2, 4, 8}); return err })
-	run("e9", func() error { _, err := harness.E9(w); return err })
-	run("e10", func() error { _, err := harness.E10(w, *iters); return err })
-	run("e11", func() error { _, err := harness.E11(w, *iters); return err })
-}
-
-// printDeltaTable prints one row per benchmark present in the fresh run,
-// with the baseline figure and the relative change where the baseline
-// carries the same benchmark. New benchmarks (absent from the baseline)
-// print "new"; benchmarks the baseline had but the fresh run lacks are
-// listed at the end so a silently dropped measurement is visible.
-func printDeltaTable(w io.Writer, basePath string, base, cur *harness.BenchReport) {
-	old := map[string]harness.BenchEntry{}
-	for _, e := range base.Results {
-		old[e.Name] = e
-	}
-	fmt.Fprintf(w, "\ndelta vs %s:\n", basePath)
-	fmt.Fprintf(w, "  %-32s %14s %14s %9s %9s\n",
-		"benchmark", "base ns/op", "ns/op", "Δns/op", "Δallocs")
-	seen := map[string]bool{}
-	for _, e := range cur.Results {
-		seen[e.Name] = true
-		b, ok := old[e.Name]
-		if !ok {
-			fmt.Fprintf(w, "  %-32s %14s %14.0f %9s %9s\n", e.Name, "—", e.NsPerOp, "new", "")
-			continue
-		}
-		ns := "~"
-		if b.NsPerOp > 0 {
-			ns = fmt.Sprintf("%+.1f%%", 100*(e.NsPerOp-b.NsPerOp)/b.NsPerOp)
-		}
-		al := ""
-		if d := e.AllocsPerOp - b.AllocsPerOp; d != 0 {
-			al = fmt.Sprintf("%+d", d)
-		}
-		fmt.Fprintf(w, "  %-32s %14.0f %14.0f %9s %9s\n", e.Name, b.NsPerOp, e.NsPerOp, ns, al)
-	}
-	for _, e := range base.Results {
-		if !seen[e.Name] {
-			fmt.Fprintf(w, "  %-32s %14.0f %14s %9s %9s\n", e.Name, e.NsPerOp, "—", "gone", "")
-		}
 	}
 }

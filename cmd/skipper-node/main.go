@@ -21,7 +21,7 @@
 // number of job assignments — hosting whatever processors of whatever
 // deployments the scheduler hands it, several jobs concurrently — until
 // the control plane stops or disappears. Deployment flags are ignored in
-// this mode; each assignment ships its own spec (DESIGN.md §13):
+// this mode; each assignment ships its own spec (DESIGN.md §12):
 //
 //	skipper-node -fleet 127.0.0.1:7070 -name w1
 package main

@@ -26,13 +26,13 @@
 // one skipper-node child process is spawned per remaining processor (the
 // skipper-node binary is looked up next to skipper-run, then on PATH).
 // tcp talks over localhost sockets; unix uses unix-domain sockets for hub
-// and peer mesh — the same-host fast path (DESIGN.md §12); shm upgrades
+// and peer mesh — the same-host fast path (DESIGN.md §9); shm upgrades
 // every peer connection to an mmap'd slab ring and keeps the sockets as
-// doorbells (DESIGN.md §14).
+// doorbells (DESIGN.md §9).
 //
 // -pipeline software-pipelines the itermem loop: frame k+1's grab and
 // preprocessing overlap frame k's farm and merge, with bit-identical
-// outputs (DESIGN.md §12).
+// outputs (DESIGN.md §7).
 //
 // -trace=<dir> records an event trace of the run: each process writes its
 // trace-*.json file into dir, and afterwards the merged trace is exported
@@ -49,7 +49,7 @@
 // re-dispatched on the survivors and the run completes without it.
 // -task-deadline additionally catches workers that hang without dying;
 // -heartbeat arms control-plane liveness probes. -speculate-after arms
-// straggler speculation (DESIGN.md §16): a task unanswered that long is
+// straggler speculation (DESIGN.md §11): a task unanswered that long is
 // duplicated onto an idle worker and the first reply wins, without
 // declaring the slow worker dead. -chaos-kill-proc runs a fault-injection
 // drill: the named node process severs itself mid-run (after

@@ -1,6 +1,6 @@
 // Command skipper-serve runs SKiPPER as a service: a long-lived control
 // plane that schedules many tracking jobs over an elastic fleet of
-// skipper-node workers (DESIGN.md §13).
+// skipper-node workers (DESIGN.md §12).
 //
 //	skipper-serve -http 127.0.0.1:8080 -fleet 127.0.0.1:7070
 //

@@ -50,7 +50,7 @@ type Job struct {
 	Iters    int    `json:"iters"`
 	// Deterministic selects order-insensitive df accumulation buffering.
 	Deterministic bool `json:"deterministic,omitempty"`
-	// Pipeline software-pipelines the itermem loop (DESIGN.md §12): frame
+	// Pipeline software-pipelines the itermem loop (DESIGN.md §7): frame
 	// k+1's grab/preprocessing overlaps frame k's farm and merge on
 	// processors whose program splits cleanly. Outputs stay bit-identical,
 	// so it is executive tuning like Deterministic: not part of the
@@ -58,7 +58,7 @@ type Job struct {
 	// same value so the chronograms line up — which is what makes it job
 	// description rather than per-process config.
 	Pipeline bool `json:"pipeline,omitempty"`
-	// PipelineDepth caps the pipeline's stage count (DESIGN.md §14):
+	// PipelineDepth caps the pipeline's stage count (DESIGN.md §7):
 	// 0 or 1 cuts at every farm boundary, 2 restores the historical
 	// front/back split. Job description for the same reason Pipeline is.
 	PipelineDepth int `json:"pipelineDepth,omitempty"`
@@ -71,7 +71,7 @@ type Job struct {
 	// the schedule fingerprint.
 	Trace bool `json:"trace,omitempty"`
 	// SpeculateAfterMS overrides the fleet's straggler-speculation threshold
-	// (DESIGN.md §16) for this job, in milliseconds: positive duplicates a
+	// (DESIGN.md §11) for this job, in milliseconds: positive duplicates a
 	// task onto an idle worker once it has sat unanswered that long,
 	// negative disables speculation for the job, zero inherits the fleet
 	// default (the -speculate-after flag, or TaskDeadline/2). Executive
@@ -117,7 +117,7 @@ type Spec struct {
 
 	// DataPlane pins the node-side data plane ("tcp", "unix", "shm";
 	// empty = the transport's "auto" inference). "shm" is the same-host
-	// shared-memory slab ring (DESIGN.md §14): frames move through mmap'd
+	// shared-memory slab ring (DESIGN.md §9): frames move through mmap'd
 	// per-connection rings and the sockets degrade to doorbells. Not part
 	// of the schedule fingerprint — it tunes how frames travel, never what
 	// they say.
@@ -125,7 +125,7 @@ type Spec struct {
 }
 
 // Tuning is the executive tuning a whole deployment (or a whole serve fleet)
-// shares: the fault-tolerance policy of DESIGN.md §11 and §16. It is set
+// shares: the fault-tolerance policy of DESIGN.md §11. It is set
 // once — by the shared command-line flags or serve.Config — and travels as
 // one value: embedded in Spec and serve.Config, carried by FleetMsg. None of
 // it enters the schedule fingerprint: it tunes the executive, not the

@@ -96,6 +96,10 @@ type Worker struct {
 	mu     sync.Mutex
 	active map[string]*assignment // job id → the assignment running it
 	killed bool
+	// ended is the sealed trace of the traced assignment that ended last:
+	// a fault that aborts an assignment triggers a flight dump which
+	// usually collects its companions after the assignment has left active.
+	ended *obsv.Trace
 
 	// flight, when armed (EnableFlight), is the worker's always-on flight
 	// recorder: untraced assignments record into its bounded ring, and any
@@ -204,14 +208,19 @@ func (w *Worker) flightTrigger(k obsv.EventKind) {
 	}
 }
 
-// activeTraces snapshots the traced assignments' recorders at dump time so a
-// fault artifact carries their timelines alongside the flight ring. These
-// are best-effort mid-run snapshots: an event being stored concurrently may
-// be missed, which is fine for a post-mortem artifact.
+// activeTraces collects the traced assignments' timelines at dump time so a
+// fault artifact carries them alongside the flight ring: the sealed trace of
+// the one that ended last (the dump trims it away once it is older than its
+// window) and best-effort mid-run snapshots of the running ones — an event
+// being stored concurrently may be missed, which is fine for a post-mortem
+// artifact.
 func (w *Worker) activeTraces() []*obsv.Trace {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var out []*obsv.Trace
+	if w.ended != nil {
+		out = append(out, w.ended)
+	}
 	for _, a := range w.active {
 		if a.rec != nil {
 			out = append(out, a.rec.Snapshot())
@@ -351,11 +360,6 @@ func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
 	w.mu.Lock()
 	w.active[m.JobID] = a
 	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		delete(w.active, m.JobID)
-		w.mu.Unlock()
-	}()
 	_, tr, err := dep.RunNode(m.HubAddr, m.Salt, m.Procs, rec, timeout,
 		func(_ *exec.Machine, cl *nettransport.Client) error {
 			w.mu.Lock()
@@ -367,11 +371,24 @@ func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
 			a.cl = cl // from here on Kill severs the session mid-run
 			return nil
 		})
-	if a.rec == nil || tr == nil {
-		return nil, err // untraced, or the run never reached its transport
+	if a.rec == nil {
+		tr = nil // untraced: the flight ring's snapshot is not the job's to ship
+	} else if tr != nil { // nil when the run never reached its transport
+		tr.Meta["worker"] = w.name
 	}
-	tr.Meta["worker"] = w.name
+	w.retire(m.JobID, tr)
 	return tr, err
+}
+
+// retire drops an ended assignment from the active set. A traced one's
+// sealed timeline (tr; nil for an untraced job) becomes w.ended.
+func (w *Worker) retire(jobID string, tr *obsv.Trace) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	delete(w.active, jobID)
+	if tr != nil {
+		w.ended = tr
+	}
 }
 
 // RunWorker is the whole lifecycle of one fleet worker process: join the

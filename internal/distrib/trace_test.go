@@ -20,7 +20,7 @@ func runTraced(t *testing.T, transport string, iters int, pipeline bool) *obsv.T
 	sp := trackingSpec(iters)
 	sp.TraceDir = t.TempDir()
 	// Full depth: PipelineDepth 0 cuts at every farm boundary, the maximum
-	// stage count the schedule admits (DESIGN.md §14).
+	// stage count the schedule admits (DESIGN.md §7).
 	sp.Pipeline = pipeline
 	switch transport {
 	case "mem":
@@ -222,5 +222,45 @@ func TestSpecMetaRoundTrip(t *testing.T) {
 	}
 	if _, err := SpecFromMeta(map[string]string{"app": "tracking", "spec": "{"}); err == nil {
 		t.Fatal("malformed spec meta accepted")
+	}
+}
+
+// TestWorkerFlightDumpCarriesEndedAssignment pins the worker flight's
+// companion traces against the dump's asynchrony: a fault recorded in a
+// traced assignment's own ring triggers the dump, but the fault also ends
+// the assignment, which has usually left the active set before the dump
+// goroutine collects the companions. The artifact must still carry the
+// assignment's timeline — the flight ring itself is empty — fault included.
+func TestWorkerFlightDumpCarriesEndedAssignment(t *testing.T) {
+	w := &Worker{name: "w1", active: map[string]*assignment{}}
+	w.EnableFlight(t.TempDir())
+	defer w.flight.Close()
+
+	rec := obsv.NewRecorder(2, 0)
+	w.active["j1"] = &assignment{rec: rec}
+	rec.Record(1, obsv.EvOpStart, rec.Intern("detect_mark"), -1, 0)
+	rec.Record(1, obsv.EvPeerDown, 0, 0, 0)
+	w.retire("j1", rec.Snapshot())
+
+	dump, err := w.flight.Dump(obsv.EvPeerDown)
+	if err != nil || len(dump) == 0 {
+		t.Fatalf("dump after the assignment ended wrote %v (err %v)", dump, err)
+	}
+	tr, err := obsv.ReadFile(dump[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sawFault bool
+	for _, ev := range tr.Events {
+		sawFault = sawFault || ev.Kind == obsv.EvPeerDown
+	}
+	if !sawFault {
+		t.Fatalf("flight artifact has %d events and no fault: the ended assignment's timeline was dropped", len(tr.Events))
+	}
+
+	// An untraced assignment ships no trace and must not displace it.
+	w.retire("j2", nil)
+	if got := w.activeTraces(); len(got) != 1 {
+		t.Fatalf("activeTraces() = %d traces after an untraced assignment ended, want the 1 kept", len(got))
 	}
 }

@@ -253,6 +253,63 @@ func TestFarmSpeculationRescuesStraggler(t *testing.T) {
 	}
 }
 
+// BenchmarkStragglerFarm runs the same farm with one worker's every reply
+// scripted 10 ms late, speculation off and on at a 1 ms threshold, fault
+// tolerance armed alike in both arms (MaxRetries 1, no deadline) so the
+// delta is speculation alone. ns/frame is the period at which frames
+// complete, from one call of source to the next: off, each fold gates on the
+// straggler; on, the master duplicates the stalled task onto an idle worker
+// and folds the duplicate's reply, so the period falls to the threshold plus
+// a watchdog tick. ns/op is Run's wall time per frame, and reads 10 ms in
+// both arms: the straggler is handed one task per frame whatever happens to
+// it, and Run returns only when a per-run worker has answered them all.
+func BenchmarkStragglerFarm(b *testing.B) {
+	a := arch.Ring(8)
+	for _, mode := range []struct {
+		name  string
+		after time.Duration
+	}{{"off", -1}, {"on", time.Millisecond}} {
+		b.Run(mode.name, func(b *testing.B) {
+			r := baseRegistry()
+			var first, last time.Time
+			before(b, r, "source", func() {
+				if last = time.Now(); first.IsZero() {
+					first = last
+				}
+			})
+			s := compile(b, farmSrc, r, a, syndex.Structured)
+			ft := faulttransport.New(memtransport.New(a), faulttransport.Config{
+				Faults: map[arch.ProcID]faulttransport.Fault{
+					workerOnlyProcs(s)[0]: {SlowEveryNth: 1, SlowFor: 10 * time.Millisecond},
+				},
+			})
+			defer ft.Close()
+			m := NewMachineOn(s, r, ft, allProcs(a))
+			m.FT = FaultTolerance{MaxRetries: 1, SpeculateAfter: mode.after}
+			b.ResetTimer()
+			res, err := m.Run(b.N)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if b.N > 1 {
+				b.ReportMetric(float64(last.Sub(first))/float64(b.N-1), "ns/frame")
+			}
+			for i, out := range res.Outputs {
+				if out != farmWant {
+					b.Fatalf("iteration %d output = %v, want %d (the healthy fold)", i, out, farmWant)
+				}
+			}
+			switch on := mode.after > 0; {
+			case on && res.Speculations < int64(b.N):
+				b.Fatalf("Speculations = %d over %d iterations, want one per iteration", res.Speculations, b.N)
+			case !on && res.Speculations != 0:
+				b.Fatalf("Speculations = %d with speculation disabled, want 0", res.Speculations)
+			}
+		})
+	}
+}
+
 // heldFrame is a send captured in flight by lateReplyTransport.
 type heldFrame struct {
 	src, dst arch.ProcID

@@ -344,7 +344,7 @@ func (f *farm) watch() (stop func()) {
 // DeadlineTick control values interleaved into its reply stream:
 // in-flight tasks of dead workers are re-enqueued onto the surviving pool,
 // bounded by FaultTolerance.MaxRetries per task, and stragglers are
-// speculatively duplicated (DESIGN.md §11, §16).
+// speculatively duplicated (DESIGN.md §11).
 func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 	n := f.node
 	list, ok := xs.(value.List)

@@ -31,7 +31,7 @@ type FaultTolerance struct {
 	// no transport-level detector can see. Must comfortably exceed the
 	// slowest legitimate task, or healthy workers get declared dead.
 	TaskDeadline time.Duration
-	// SpeculateAfter is the straggler threshold (DESIGN.md §16): when a
+	// SpeculateAfter is the straggler threshold (DESIGN.md §11): when a
 	// dispatched task sits unanswered this long and an idle live worker
 	// exists, the master duplicates the task onto it. The first valid
 	// same-generation reply wins, the loser's reply is discarded by the

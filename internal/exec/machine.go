@@ -118,7 +118,7 @@ type Machine struct {
 	// cluster.
 	FT FaultTolerance
 
-	// Pipeline software-pipelines the itermem outer loop (DESIGN.md §12):
+	// Pipeline software-pipelines the itermem outer loop (DESIGN.md §7):
 	// a processor's program is cut at every farm-master boundary into a
 	// chain of stages — front end (frame grab, preprocessing), one stage
 	// per farm, trailing merge/display — and consecutive frames occupy

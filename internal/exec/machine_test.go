@@ -17,7 +17,7 @@ import (
 )
 
 // compile compiles a source against a registry and maps it on an arch.
-func compile(t *testing.T, src string, reg *value.Registry, a *arch.Arch, strat syndex.Strategy) *syndex.Schedule {
+func compile(t testing.TB, src string, reg *value.Registry, a *arch.Arch, strat syndex.Strategy) *syndex.Schedule {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {

@@ -121,7 +121,7 @@ func Dial(addr string, fingerprint uint64, local []arch.ProcID, d time.Duration,
 		c.Close()
 		return nil, fmt.Errorf("nettransport: peer listener: %w", err)
 	}
-	// The shm control-plane upgrade (DESIGN.md §14): create both ring
+	// The shm control-plane upgrade (DESIGN.md §9): create both ring
 	// segments before saying hello — the hello carries their paths, the
 	// hub's reply says whether it mapped them. Creation failure (no tmpfs,
 	// quota) silently degrades to the plain socket.

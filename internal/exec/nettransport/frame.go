@@ -71,7 +71,7 @@ const (
 	// Version 6: shared-memory upgrade — the hello and peer hello carry an
 	// optional shm ring-segment request, the hello reply acknowledges it,
 	// and an upgraded connection moves its frame stream into the mmap'd
-	// slab ring while the socket degrades to a doorbell (DESIGN.md §14).
+	// slab ring while the socket degrades to a doorbell (DESIGN.md §9).
 	// Version 7: same frames, new farm protocol — a master sends its
 	// workers one Sentinel per run, not one per frame. A version-6 worker
 	// would wait for sentinels that never come, so the handshake refuses it.

@@ -23,7 +23,7 @@ type hello struct {
 	procs       []arch.ProcID
 	dataAddr    string
 	// shmToHub/shmFromHub request the shared-memory upgrade of this control
-	// connection (DESIGN.md §14): the client creates both ring segments
+	// connection (DESIGN.md §9): the client creates both ring segments
 	// before saying hello — shmToHub is the ring it will produce into,
 	// shmFromHub the one it will consume — and the hub's reply says whether
 	// it mapped them. Empty paths mean no upgrade requested.

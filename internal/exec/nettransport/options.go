@@ -43,7 +43,7 @@ func WithMeshWaitTimeout(d time.Duration) Option {
 // connection shows the hub is on this host, tcp otherwise). A node of a
 // multi-host deployment that happens to share the coordinator's machine
 // should pass "tcp": peers on other hosts cannot dial a unix path. "shm"
-// layers the shared-memory slab-ring upgrade (DESIGN.md §14) on unix
+// layers the shared-memory slab-ring upgrade (DESIGN.md §9) on unix
 // sockets: the control connection and every same-host peer connection
 // negotiate a per-connection mmap'd ring and move their frame streams off
 // the kernel, falling back to the plain socket when the remote end is not

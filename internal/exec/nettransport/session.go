@@ -191,7 +191,7 @@ func (s *Session) serveConn(c net.Conn, br *bufio.Reader, hel hello) {
 		c.Close()
 		return
 	}
-	// The shm upgrade (DESIGN.md §14): the client created both rings before
+	// The shm upgrade (DESIGN.md §9): the client created both rings before
 	// its hello; map them before the ack so the reply's accept byte is
 	// truthful, and fall back to the plain socket if either mapping fails.
 	// The client sends nothing between hello and reply, so starting the

@@ -14,10 +14,10 @@ import (
 	"unsafe"
 )
 
-// Shared-memory slab ring: the third same-host data plane (DESIGN.md §14).
-// BENCH_5 established that the unix-domain transport's remaining cost is the
-// kernel itself — the raw socketpair floor bench pins ~8µs per 32KB
-// ping-pong on copies and wakeups no userspace framing can avoid. The shm
+// Shared-memory slab ring: the third same-host data plane (DESIGN.md §9).
+// The unix-domain transport's remaining cost is the kernel itself — the raw
+// socketpair floor (floor_bench_test.go) is ~8µs per 32KB ping-pong, on
+// copies and wakeups no userspace framing can avoid. The shm
 // plane removes the kernel from the frame path entirely: each upgraded
 // connection maps a tmpfs file holding a fixed-slot slab ring
 // (single-producer/single-consumer, atomic head/tail slot counters), the

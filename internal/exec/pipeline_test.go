@@ -3,6 +3,7 @@ package exec
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"skipper/internal/arch"
 	"skipper/internal/exec/faulttransport"
@@ -352,5 +353,65 @@ func TestPipelinedFarmSurvivesWorkerKill(t *testing.T) {
 	}
 	if res.Failures < 1 {
 		t.Fatalf("Failures = %d, want >= 1", res.Failures)
+	}
+}
+
+// before runs f ahead of every call of the registered function name.
+func before(t testing.TB, r *value.Registry, name string, f func()) {
+	t.Helper()
+	fn, ok := r.Lookup(name)
+	if !ok {
+		t.Fatalf("registry has no %q", name)
+	}
+	inner := fn.Fn
+	fn.Fn = func(a []value.Value) value.Value {
+		f()
+		return inner(a)
+	}
+}
+
+// TestPipelineSpeedup holds the two gains pipelining exists for, live, on a
+// ring(2) whose grab and farm workers block: the pipelined executive against
+// the sequential one (frame k's farm runs inside frame k+1's grab wait: the
+// period falls from grab + farm towards the longer of the two), and a cut at
+// every farm boundary against the two-stage split on latePipeSrc, whose
+// three chained farms take no state, so consecutive frames occupy
+// consecutive farms (deepPipeSrc feeds the state to its first farm and
+// cannot overlap them). Each must shorten the frame period by at least
+// 1.3x; they measure 1.8x and 2.8x, under -race too.
+func TestPipelineSpeedup(t *testing.T) {
+	const frames = 40
+	for _, c := range []struct {
+		name, src  string
+		base, fast func(m *Machine)
+	}{
+		{"pipelined vs sequential", pipeSrc,
+			func(m *Machine) {},
+			func(m *Machine) { m.Pipeline = true }},
+		{"full depth vs depth 2", latePipeSrc,
+			func(m *Machine) { m.Pipeline, m.PipelineDepth = true, 2 },
+			func(m *Machine) { m.Pipeline = true }},
+	} {
+		period := func(configure func(m *Machine)) time.Duration {
+			var n int64
+			r := pipeRegistry(&n, nil)
+			// Waits, not spins: a camera exposure, an offload latency. Overlapping
+			// them is a gain even on one CPU.
+			before(t, r, "grab", func() { time.Sleep(2 * time.Millisecond) })
+			before(t, r, "work", func() { time.Sleep(time.Millisecond) })
+			m := NewMachine(compile(t, c.src, r, arch.Ring(2), syndex.Structured), r)
+			m.DeterministicFarm = true
+			configure(m)
+			t0 := time.Now()
+			if _, err := m.Run(frames); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return time.Since(t0) / frames
+		}
+		base, fast := period(c.base), period(c.fast)
+		t.Logf("%s: frame period %v -> %v (%.2fx)", c.name, base, fast, float64(base)/float64(fast))
+		if float64(fast) > float64(base)/1.3 {
+			t.Errorf("%s: frame period %v -> %v, want >= 1.3x shorter", c.name, base, fast)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func raceDetector() bool {
 // recycling contract: on a real socket transport every task and reply
 // window is decoded into a fresh arena image, and both the worker (task
 // side) and the master (merge side) must hand their decoded copy back via
-// Payload.Recycle — otherwise each round trip leaks a 32KB pixel buffer to
+// payload.recycle — otherwise each round trip leaks a 32KB pixel buffer to
 // the GC. The arena's hit/miss counters make the contract observable: with
 // recycling in place, a warmed-up run of N trips performs 2N decodes that
 // are (almost) all pool hits.
@@ -31,26 +31,18 @@ func TestReplyWindowsRecycleThroughArenaOverTCP(t *testing.T) {
 	if raceDetector() {
 		t.Skip("pool hit ratios are not meaningful under the race detector")
 	}
-	pair, err := NewTransportPair("tcp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pair.Close()
-
-	payload := BenchWindowPayload()
-	if payload.Recycle == nil {
-		t.Fatal("BenchWindowPayload must recycle decoded windows into the arena")
-	}
+	pair := newTransportPair(t, "tcp")
+	pl := windowPayload()
 
 	// Warm-up: the first decodes on each side may miss (fresh buffers);
 	// their recycles seed the pool for the measured window.
-	if err := FarmRoundTrips(pair, payload, 8); err != nil {
+	if err := farmRoundTrips(pair, pl, 8); err != nil {
 		t.Fatal(err)
 	}
 
 	h0, m0 := vision.ArenaStats()
 	const trips = 96
-	if err := FarmRoundTrips(pair, payload, trips); err != nil {
+	if err := farmRoundTrips(pair, pl, trips); err != nil {
 		t.Fatal(err)
 	}
 	h1, m1 := vision.ArenaStats()

@@ -15,7 +15,7 @@ import (
 // the same schedule split across a hub and one node per remaining
 // processor over localhost sockets, "unix" is the same multi-process
 // split over unix-domain sockets, and "shm" layers the shared-memory
-// slab-ring upgrade on the unix plane (DESIGN.md §14) — frames travel
+// slab-ring upgrade on the unix plane (DESIGN.md §9) — frames travel
 // through mmap'd per-connection rings, sockets carry only doorbells.
 var Transports = []string{"mem", "tcp", "unix", "shm"}
 

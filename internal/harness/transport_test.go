@@ -46,7 +46,7 @@ func TestE4IdenticalOverAllTransports(t *testing.T) {
 }
 
 // TestPipelinedIdenticalOverAllTransports: the software-pipelined itermem
-// executive (DESIGN.md §12) must reproduce the sequential executive's
+// executive (DESIGN.md §7) must reproduce the sequential executive's
 // tracking results bit for bit on every transport — in-process goroutines,
 // localhost TCP node processes, and unix-domain-socket node processes.
 func TestPipelinedIdenticalOverAllTransports(t *testing.T) {

@@ -75,7 +75,7 @@ const (
 	// yields the per-stage frame latency.
 	EvStageHand
 	// EvSpeculate marks a farm master duplicating a slow task onto an idle
-	// worker (DESIGN.md §16): the original worker is not suspected dead, the
+	// worker (DESIGN.md §11): the original worker is not suspected dead, the
 	// first valid same-generation reply will win. Proc is the master's
 	// processor, Peer the processor the duplicate was placed on, Arg the
 	// task index. Appended after the fault range EvAbort..EvRequeue —

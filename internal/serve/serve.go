@@ -76,7 +76,7 @@ type Config struct {
 	// InProcess runs jobs on the in-process executive instead of the fleet:
 	// no workers, no network, every processor hosted by the server. The
 	// scheduler (queue, limits, cancellation, statuses) is exercised
-	// unchanged — the mode skipper-bench measures scheduler overhead with.
+	// unchanged.
 	InProcess bool
 	// FlightDir arms the control plane's always-on flight recorder: hub-side
 	// executive and transport events land in a bounded ring at all times, and

@@ -146,3 +146,22 @@ func TestDropoutHidesMarks(t *testing.T) {
 		t.Fatalf("no dropout should show 3 marks, found %d", len(comps))
 	}
 }
+
+// Frame synthesis, allocating a frame per call vs drawing into a reused one.
+func BenchmarkSceneNext512(b *testing.B) {
+	scene := NewScene(512, 512, 3, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		scene.Next()
+	}
+}
+
+func BenchmarkSceneNextInto512(b *testing.B) {
+	scene := NewScene(512, 512, 3, 2)
+	buf := vision.NewImage(512, 512)
+	b.SetBytes(int64(buf.Bytes()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		scene.NextInto(buf)
+	}
+}

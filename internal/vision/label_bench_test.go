@@ -139,3 +139,35 @@ func BenchmarkThresholdInto(b *testing.B) {
 		})
 	}
 }
+
+// The whole 512² frame: Components is what a tracking reinitialisation runs,
+// Label (which also writes the label plane) with a reused scratch allocates
+// nothing at steady state, and the one-shot form shows what the scratch saves.
+func BenchmarkComponents512(b *testing.B) {
+	frame := video.NewScene(512, 512, 3, 1).Next()
+	b.SetBytes(int64(frame.Bytes()))
+	for i := 0; i < b.N; i++ {
+		benchComps = vision.Components(frame, video.DetectThreshold, 2)
+	}
+}
+
+func BenchmarkLabel512(b *testing.B) {
+	frame := video.NewScene(512, 512, 3, 1).Next()
+	var s vision.LabelScratch
+	s.Label(frame, video.DetectThreshold)
+	b.SetBytes(int64(frame.Bytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Label(frame, video.DetectThreshold)
+	}
+}
+
+func BenchmarkLabel512OneShot(b *testing.B) {
+	frame := video.NewScene(512, 512, 3, 1).Next()
+	b.SetBytes(int64(frame.Bytes()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vision.Label(frame, video.DetectThreshold)
+	}
+}

@@ -7,7 +7,7 @@ import (
 	"skipper/internal/skel"
 )
 
-// Row-band cache tiling for the per-frame kernels (DESIGN.md §14). The
+// Row-band cache tiling for the per-frame kernels (DESIGN.md §7). The
 // in-place kernels (ThresholdInto, Dilate3Into, Erode3Into) process frames
 // in horizontal bands sized so a band's working set — its source and
 // destination rows — stays resident in L2 while the band is processed, and
