@@ -26,22 +26,26 @@ vet:
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^skipper/bench$$')
 
-# Repeat the two suites whose tests drive real fleets, sockets and timers,
-# without -race (which slows the executive enough to hide timing-dependent
-# flakes): a test that passes 1 run in 15 fails here.
+# Repeat the suites whose tests drive real fleets, sockets and timers —
+# serve, distrib and the net transport underneath them — without -race
+# (which slows the executive enough to hide timing-dependent flakes): a
+# test that passes 1 run in 15 fails here.
 stress:
-	$(GO) test -count=10 ./internal/serve/ ./internal/distrib/
+	$(GO) test -count=10 ./internal/serve/ ./internal/distrib/ ./internal/exec/nettransport/
 
 # Ten seconds of coverage-guided fuzzing per target: the run-based labelling
 # kernel against its flood-fill oracle, every image kernel on a window view
-# against the same kernel on the view's Clone, and the two byte decoders. New
-# inputs land in the Go build cache; a failure writes its reproducer under
-# the package's testdata/fuzz/, to be committed as a regression seed.
+# against the same kernel on the view's Clone, the value codec, and the net
+# transport's read side — its one frame-read loop (batches included) and the
+# handshake parsers. New inputs land in the Go build cache; a failure writes
+# its reproducer under the package's testdata/fuzz/, to be committed as a
+# regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzComponentsMatchFlood -fuzztime 10s ./internal/vision
 	$(GO) test -run '^$$' -fuzz FuzzViewKernelsMatchCompact -fuzztime 10s ./internal/vision
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/value
-	$(GO) test -run '^$$' -fuzz FuzzBatchDecode -fuzztime 10s ./internal/exec/nettransport
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime 10s ./internal/exec/nettransport
+	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 10s ./internal/exec/nettransport
 
 # The repository's benchmark (bench/, BENCHMARK.json): all seven workloads,
 # untraced then traced, every frame and job checked against the sequential

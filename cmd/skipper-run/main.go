@@ -279,7 +279,9 @@ func exportTrace(dir string) {
 // node process is spawned with -die-after-sends so it severs itself
 // mid-run, and the run must degrade (or, with -max-retries, finish) without
 // it. c.slowProc scripts the straggler drill instead: the node stays alive
-// but delays its sends, the scenario -speculate-after exists for.
+// but delays its sends, the scenario -speculate-after exists for. Children
+// are waited on as they run: any other child exiting non-zero fails the run
+// at once with its error.
 func runMulti(sp distrib.Spec, nodeArgs []string, transport string, c chaos) (*track.Recorder, *goexec.RunResult, error) {
 	nodeBin, err := findNodeBinary()
 	if err != nil {
@@ -295,8 +297,9 @@ func runMulti(sp distrib.Spec, nodeArgs []string, transport string, c chaos) (*t
 			return nil, nil, fmt.Errorf("%s %d outside node range 1..%d", name, p, sp.Procs-1)
 		}
 	}
-	var children []*exec.Cmd
-	spawn := func(addr string) error {
+	spawned := 0
+	exits := make(chan error, sp.Procs)
+	spawn := func(addr string, fail func(error)) error {
 		for p := 1; p < sp.Procs; p++ {
 			args := append([]string{"-hub", addr, "-proc", strconv.Itoa(p)}, nodeArgs...)
 			if p == c.killProc {
@@ -312,18 +315,24 @@ func runMulti(sp distrib.Spec, nodeArgs []string, transport string, c chaos) (*t
 			if err := cmd.Start(); err != nil {
 				return err
 			}
-			children = append(children, cmd)
+			spawned++
+			go func(p int) {
+				werr := cmd.Wait()
+				if werr != nil && p != c.killProc { // the scripted victim is supposed to die
+					werr = fmt.Errorf("node process %v: %w", cmd.Args[3:5], werr)
+					fail(werr)
+				} else {
+					werr = nil
+				}
+				exits <- werr
+			}(p)
 		}
 		return nil
 	}
 	rec, res, err := distrib.RunCoordinator(sp, listen, spawn, 5*time.Minute)
-	for i, ch := range children {
-		werr := ch.Wait()
-		if werr != nil && i+1 == c.killProc {
-			continue // the scripted victim is supposed to die
-		}
-		if werr != nil && err == nil {
-			err = fmt.Errorf("node process %v: %w", ch.Args[3:5], werr)
+	for ; spawned > 0; spawned-- {
+		if werr := <-exits; werr != nil && err == nil {
+			err = werr // a child that failed after the run was over
 		}
 	}
 	return rec, res, err

@@ -435,10 +435,13 @@ func RunNode(sp Spec, proc int, hubAddr string, d time.Duration) error {
 // RunCoordinator hosts processor 0 and the hub. listen is the hub bind
 // address ("127.0.0.1:0" picks a free port); spawn is called once with the
 // bound address and must arrange for processors 1..N-1 to attach (OS
-// processes, goroutines — the coordinator does not care). It returns the
+// processes, goroutines — the coordinator does not care). A node that fails
+// before the run is over — a child that exits non-zero after a handshake
+// rejection or a bad flag — is reported through fail, which ends the run at
+// once with that error instead of leaving it to the watchdog. It returns the
 // coordinator's recorder (which holds the per-iteration tracking results,
 // since processor 0 hosts the input/output nodes) and the run result.
-func RunCoordinator(sp Spec, listen string, spawn func(addr string) error, d time.Duration) (*track.Recorder, *exec.RunResult, error) {
+func RunCoordinator(sp Spec, listen string, spawn func(addr string, fail func(error)) error, d time.Duration) (*track.Recorder, *exec.RunResult, error) {
 	dep, err := sp.Deploy()
 	if err != nil {
 		return nil, nil, err
@@ -451,14 +454,14 @@ func RunCoordinator(sp Spec, listen string, spawn func(addr string) error, d tim
 	defer hub.Close()
 	var ob observer
 	defer ob.close()
-	res, tr, err := dep.RunHost(hub.Session, rec, d, func(m *exec.Machine) error {
+	res, tr, err := dep.RunHost(hub, rec, d, func(m *exec.Machine) error {
 		// The debug server comes up before the nodes are spawned, so health
 		// and metrics are scrapeable while the cluster is attaching.
-		if err := ob.start(sp, hub, m, hub.Session); err != nil {
+		if err := ob.start(sp, hub, m, hub); err != nil {
 			return err
 		}
 		if spawn != nil {
-			if err := spawn(hub.Addr()); err != nil {
+			if err := spawn(hub.Addr(), hub.Fail); err != nil {
 				return fmt.Errorf("distrib: spawning nodes: %w", err)
 			}
 		}

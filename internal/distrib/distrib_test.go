@@ -7,10 +7,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"skipper/internal/arch"
 	goexec "skipper/internal/exec"
+	"skipper/internal/exec/nettransport"
 	"skipper/internal/obsv"
 	"skipper/internal/syndex"
 	"skipper/internal/track"
@@ -55,7 +58,7 @@ func TestDistributedGoroutineNodesMatchInProcess(t *testing.T) {
 	}
 
 	errCh := make(chan error, sp.Procs-1)
-	spawn := func(addr string) error {
+	spawn := func(addr string, _ func(error)) error {
 		for p := 1; p < sp.Procs; p++ {
 			go func(p int) {
 				errCh <- RunNode(sp, p, addr, time.Minute)
@@ -104,7 +107,7 @@ func TestDistributedOSProcessesMatchInProcess(t *testing.T) {
 	// per-process trace files must merge into one deployment trace.
 	sp.TraceDir = t.TempDir()
 	var children []*exec.Cmd
-	spawn := func(addr string) error {
+	spawn := func(addr string, _ func(error)) error {
 		for p := 1; p < sp.Procs; p++ {
 			cmd := exec.Command(nodeBin,
 				"-hub", addr,
@@ -145,7 +148,7 @@ func TestDistributedOSProcessesMatchInProcess(t *testing.T) {
 		t.Fatal("coordinator injected no messages — did the run really distribute?")
 	}
 	if res.Hops != 0 {
-		t.Fatalf("hub relayed %d frames — node↔node traffic must travel the peer mesh", res.Hops)
+		t.Fatalf("%d hops counted — the hub relays nothing, node↔node traffic travels the peer mesh", res.Hops)
 	}
 	tr, err := obsv.LoadDir(sp.TraceDir)
 	if err != nil {
@@ -226,7 +229,7 @@ func runChaosWorkerKill(t *testing.T, transport string) {
 		sp.DataPlane = transport
 	}
 	errCh := make(chan error, sp.Procs-1)
-	spawn := func(addr string) error {
+	spawn := func(addr string, _ func(error)) error {
 		for p := 1; p < sp.Procs; p++ {
 			nsp := sp
 			nsp.TraceDir = "" // the fault events live on the coordinator's lanes
@@ -281,6 +284,31 @@ func runChaosWorkerKill(t *testing.T, transport string) {
 	}
 	if !sawDown || !sawRedispatch {
 		t.Fatalf("trace lacks fault events: peer-down(victim)=%v redispatch=%v", sawDown, sawRedispatch)
+	}
+}
+
+// TestCoordinatorFailsFastOnRejectedNode: a node that cannot join — here it
+// dials with a mismatched fingerprint and the hub's handshake turns it
+// away — reports its failure through the spawn hook, and the coordinator's
+// run must end at once with that error instead of waiting out the mesh-wait
+// bound or the run's watchdog.
+func TestCoordinatorFailsFastOnRejectedNode(t *testing.T) {
+	sp := trackingSpec(4)
+	spawn := func(addr string, fail func(error)) error {
+		go func() {
+			if _, err := nettransport.Dial(addr, 0xbad, []arch.ProcID{1}, 5*time.Second); err != nil {
+				fail(err)
+			}
+		}()
+		return nil
+	}
+	start := time.Now()
+	_, _, err := RunCoordinator(sp, "127.0.0.1:0", spawn, time.Minute)
+	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("coordinator error = %v, want the node's handshake rejection", err)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("coordinator took %v to fail on a rejected node, want < 5s", el)
 	}
 }
 

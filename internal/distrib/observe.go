@@ -54,7 +54,7 @@ func (ob *observer) start(sp Spec, t transport.Transport, m *exec.Machine, sess 
 			"Payloads injected via transport Send.",
 			stats(func(s transport.Stats) int64 { return s.Messages }))
 		mx.CounterFunc("skipper_transport_hops_total",
-			"Link traversals: architecture-graph links accounted per message (mem), hub relays (net).",
+			"Link traversals: architecture-graph links accounted per message (mem); always zero on net, whose hub relays nothing.",
 			stats(func(s transport.Stats) int64 { return s.Hops }))
 		mx.CounterFunc("skipper_transport_direct_total",
 			"Frames shipped point-to-point over the peer mesh, bypassing the hub.",

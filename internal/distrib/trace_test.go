@@ -40,7 +40,7 @@ func runTraced(t *testing.T, transport string, iters int, pipeline bool) *obsv.T
 			sp.DataPlane = transport
 		}
 		errCh := make(chan error, sp.Procs-1)
-		spawn := func(addr string) error {
+		spawn := func(addr string, _ func(error)) error {
 			for p := 1; p < sp.Procs; p++ {
 				go func(p int) {
 					errCh <- RunNode(sp, p, addr, time.Minute)

@@ -116,11 +116,17 @@ type farm struct {
 	remaining  int // tasks not yet folded
 	alive      []bool
 	aliveCount int
-	inflight   []int       // task index each worker holds, -1 idle
+	inflight   []int       // task index each worker holds, or noTask / owedTask
 	dispatched []time.Time // when inflight[w] was handed out
 	suspected  []bool      // deadline verdicts issued, for false-suspicion accounting
 	fillNext   int         // where the next dispatch scan starts
 }
+
+// Values of farm.inflight other than a task index.
+const (
+	noTask   = -1 // the worker is idle
+	owedTask = -2 // the worker still owes the reply to an earlier frame's task
+)
 
 func (m *Machine) lowerFarm(p arch.ProcID, n *graph.Node, iters int) (*farm, error) {
 	accFn, ok := m.reg.Lookup(n.AccFn)
@@ -142,6 +148,9 @@ func (m *Machine) lowerFarm(p arch.ProcID, n *graph.Node, iters int) (*farm, err
 		if w := m.sched.Graph.Node(e.To); w.Kind == graph.KindWorker {
 			f.workerProc[w.Index] = m.sched.Assign[w.ID]
 		}
+	}
+	for w := range f.inflight {
+		f.inflight[w] = noTask
 	}
 	if m.ft != nil {
 		f.deadline, f.specAfter = m.FT.TaskDeadline, m.FT.speculateAfter()
@@ -177,13 +186,13 @@ func (f *farm) duplicated(w, idx int) bool {
 // rotating scan start.
 func (f *farm) idleWorker() int {
 	for w, p := range f.workerProc {
-		if p == f.p && f.alive[w] && f.inflight[w] < 0 {
+		if p == f.p && f.alive[w] && f.inflight[w] == noTask {
 			return w
 		}
 	}
 	for k := range f.alive {
 		w := (f.fillNext + k) % len(f.alive)
-		if f.alive[w] && f.inflight[w] < 0 {
+		if f.alive[w] && f.inflight[w] == noTask {
 			return w
 		}
 	}
@@ -212,7 +221,7 @@ func (f *farm) fill() {
 // permitting) and records the re-dispatch.
 func (f *farm) requeue(w int) error {
 	m, idx := f.m, f.inflight[w]
-	f.inflight[w] = -1
+	f.inflight[w] = noTask
 	if idx < 0 || f.tasks[idx].done {
 		return nil
 	}
@@ -268,11 +277,13 @@ func (f *farm) checkAlive() error {
 // duplicated onto an idle worker — at most one active copy beyond the
 // original, placed with the same rotating scan fill uses. Unlike a dispatch
 // that charges no retry (the original worker is slow, not suspected), and
-// the generation/done checks discard whichever reply loses the race.
+// the generation/done checks discard whichever reply loses the race. A
+// worker that owes an earlier frame's reply is held to the deadline too;
+// its task is no longer this frame's to duplicate.
 func (f *farm) tick() {
 	m, now := f.m, time.Now()
 	for w, idx := range f.inflight {
-		if !f.alive[w] || idx < 0 {
+		if !f.alive[w] || idx == noTask {
 			continue
 		}
 		waited := now.Sub(f.dispatched[w])
@@ -283,7 +294,7 @@ func (f *farm) tick() {
 			}
 			m.handlePeerDown([]arch.ProcID{f.workerProc[w]})
 		}
-		if f.specAfter <= 0 || waited < f.specAfter || f.tasks[idx].done ||
+		if idx == owedTask || f.specAfter <= 0 || waited < f.specAfter || f.tasks[idx].done ||
 			f.tasks[idx].specW >= 0 || f.duplicated(w, idx) {
 			continue
 		}
@@ -374,7 +385,13 @@ func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 		if f.alive[w] {
 			f.aliveCount++
 		}
-		f.inflight[w], f.suspected[w] = -1, false
+		if f.inflight[w] != noTask {
+			// A straggler whose duplicate won an earlier frame has not answered
+			// yet: it stays busy until that reply arrives, or each frame would
+			// hand it one more task and Run would wait out the whole backlog.
+			f.inflight[w] = owedTask
+		}
+		f.suspected[w] = false
 	}
 	if err := f.checkAlive(); err != nil {
 		return nil, err // degenerate: started with zero live workers
@@ -400,11 +417,17 @@ func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 
 		case transport.Reply:
 			if rep.Gen != f.gen {
-				continue // a previous invocation's straggler
+				// A previous invocation's straggler: discarded, but it is the
+				// reply its worker owed, so the worker is free again.
+				if rep.Widx >= 0 && rep.Widx < n.Workers && f.inflight[rep.Widx] == owedTask {
+					f.inflight[rep.Widx] = noTask
+					f.fill()
+				}
+				continue
 			}
 			if rep.Widx >= 0 && rep.Widx < n.Workers {
 				if f.inflight[rep.Widx] == rep.Task {
-					f.inflight[rep.Widx] = -1
+					f.inflight[rep.Widx] = noTask
 				}
 				if f.suspected[rep.Widx] {
 					// The deadline verdict was wrong: the worker was slow,

@@ -37,7 +37,8 @@ type FaultTolerance struct {
 	// same-generation reply wins, the loser's reply is discarded by the
 	// done check, and the slow worker keeps its good standing — no
 	// MarkPeerDown, no retry-budget charge — unless the hard TaskDeadline
-	// later fires. Zero defaults to TaskDeadline/2 when a deadline is set
+	// later fires. It gets no new task, this frame or a later one, until
+	// its late reply arrives. Zero defaults to TaskDeadline/2 when a deadline is set
 	// (speculation rides the same watchdog); a negative value disables
 	// speculation explicitly.
 	SpeculateAfter time.Duration

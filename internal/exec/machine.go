@@ -34,16 +34,14 @@ type RunResult struct {
 	// backend it is accounted, not performed: each message is charged the
 	// links its route crosses on the architecture graph (one between
 	// adjacent processors, more otherwise, none to itself) and delivered
-	// directly. On the net backend it counts frames relayed by the hub: zero
-	// once the peer mesh is up — nothing is relayed any more — where the mem
-	// figure is nonzero whenever any message crossed processors.
+	// directly. On the net backend it is always zero: the hub relays
+	// nothing, and every cross-process frame travels one hop — over the
+	// peer mesh or a control connection.
 	Hops int64
 	// Direct counts frames this machine's processors shipped point-to-point
-	// over the net backend's peer mesh, bypassing the hub. It is the
-	// complement of Hops: a cross-process frame on the net backend is
-	// either relayed (Hops, at the hub) or direct (Direct, at the sender).
-	// Always zero on the mem backend (every in-process delivery is already
-	// direct) and on the hub itself, whose control connections are one hop.
+	// over the net backend's peer mesh between node processes. Always zero
+	// on the mem backend (every in-process delivery is already direct) and
+	// on the hub itself, whose control connections are one hop too.
 	Direct int64
 	// Trace is the run's event-trace snapshot when the machine was given a
 	// recorder (Machine.Trace), nil otherwise. It covers the processors

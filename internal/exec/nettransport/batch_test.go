@@ -18,6 +18,17 @@ import (
 	"skipper/internal/value"
 )
 
+// readFrame reads one whole frame off br: the routing header, then the
+// payload into an arena buffer the caller putBufs.
+func readFrame(br *bufio.Reader) (fb *frameBuf, dst uint32, key transport.Key, payload []byte, err error) {
+	n, dst, key, err := readFrameHeader(br)
+	if err != nil {
+		return nil, dst, key, nil, err
+	}
+	fb, payload, err = readPayload(br, n-frameHeader)
+	return fb, dst, key, payload, err
+}
+
 // mkFrame encodes a frame for the batch tests and captures its tail so the
 // head buffer holds the complete wire image, the way writeLoop parks frames.
 func mkFrame(t *testing.T, dst arch.ProcID, key transport.Key, v value.Value) outFrame {
@@ -331,29 +342,31 @@ func TestBatchesInterleavedWithControlFrames(t *testing.T) {
 	}
 }
 
-// FuzzBatchDecode fuzzes the batch walker with arbitrary payloads: it must
-// either report a framing error or walk sub-frames whose lengths exactly
-// tile the payload — and never panic, over-read, or loop.
-func FuzzBatchDecode(f *testing.F) {
-	// Seed with a well-formed two-frame batch and a few corruptions of it.
+// batchSeeds is the batch-payload corpus the fuzzers start from: a
+// well-formed two-frame batch and a few corruptions of it.
+func batchSeeds(tb testing.TB) [][]byte {
 	var seed []byte
 	for _, v := range []value.Value{1, "two"} {
 		fr, err := encodeMessage(3, transport.EdgeKey(graph.EdgeID(1)), v)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		fr.capture()
 		seed = append(seed, fr.head.b...)
 		putBuf(fr.head)
 	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3])
-	f.Add(seed[:3])
-	f.Add([]byte{})
 	trunc := bytes.Clone(seed)
 	binary.BigEndian.PutUint32(trunc, uint32(len(trunc)*2))
-	f.Add(trunc)
+	return [][]byte{seed, seed[:len(seed)-3], seed[:3], {}, trunc}
+}
 
+// FuzzBatchDecode fuzzes the batch walker with arbitrary payloads: it must
+// either report a framing error or walk sub-frames whose lengths exactly
+// tile the payload — and never panic, over-read, or loop.
+func FuzzBatchDecode(f *testing.F) {
+	for _, seed := range batchSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		total := 0
 		err := forEachBatched(payload, func(_ uint32, _ transport.Key, body []byte) error {
@@ -362,6 +375,51 @@ func FuzzBatchDecode(f *testing.F) {
 		})
 		if err == nil && total != len(payload) {
 			t.Fatalf("walk consumed %d of %d payload bytes without error", total, len(payload))
+		}
+	})
+}
+
+// FuzzReadFrames feeds arbitrary bytes to the backend's one read loop, as a
+// connection hosting no processor would see them, with a recording
+// dispatch: every frame — control, data, batched — reaches it. The loop must
+// end in an error (io.EOF when the input ends between frames), never a
+// panic, never dispatch a batch (batches do not nest) and never hand out a
+// frame longer than maxFrame; control payloads go through their parsers.
+func FuzzReadFrames(f *testing.F) {
+	for _, seed := range batchSeeds(f) {
+		f.Add(seed) // a run of bare frames
+		batch := controlFrame(batchDst, seed)
+		f.Add(bytes.Clone(batch.head.b))
+		putBuf(batch.head)
+	}
+	for _, cf := range []outFrame{
+		controlFrame(peersDst, encodePeers(map[arch.ProcID]string{1: "127.0.0.1:9", 2: "unix:/tmp/p"})),
+		controlFrame(peerDownDst, encodeProcs([]arch.ProcID{2, 3})),
+		controlFrame(abortDst, nil),
+	} {
+		f.Add(bytes.Clone(cf.head.b))
+		putBuf(cf.head)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e endpoint
+		e.init(nil, time.Second, func() {})
+		err := e.readFrames(bufio.NewReader(bytes.NewReader(data)), nil, func(dst uint32, _ transport.Key, payload []byte) error {
+			if dst == batchDst {
+				t.Fatal("a batch nested in a batch was dispatched")
+			}
+			if frameHeader+len(payload) > maxFrame {
+				t.Fatalf("dispatched a %d-byte payload, past maxFrame", len(payload))
+			}
+			switch dst {
+			case peersDst:
+				parsePeers(payload)
+			case peerDownDst:
+				parseProcs(payload)
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatal("read loop ended without an error")
 		}
 	})
 }

@@ -2,7 +2,6 @@ package nettransport
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,7 +11,6 @@ import (
 
 	"skipper/internal/arch"
 	"skipper/internal/exec/transport"
-	"skipper/internal/obsv"
 	"skipper/internal/value"
 )
 
@@ -23,25 +21,18 @@ import (
 // mesh once the hub has distributed the address map. Traffic between two
 // processors hosted by the same client never touches the wire.
 type Client struct {
+	endpoint
 	fp       uint64
-	localSet map[arch.ProcID]bool
-	boxes    map[arch.ProcID]*transport.Mailbox
 	w        *wconn        // control connection to the hub
 	ln       net.Listener  // peer data listener
-	meshWait time.Duration // bound on waiting for the hub's peers map
 	hb       time.Duration // heartbeat interval; 0 = none
 	shmPlane bool          // request the shm ring upgrade on peer dials
 
-	// peers is the cluster address map (processor → peer data listener),
-	// set exactly once when the hub's peers frame arrives. Until then
-	// remote Sends wait on meshCond: routing the first frames through the
-	// hub and later ones through the mesh would break FIFO per sender.
-	peers     atomic.Pointer[map[arch.ProcID]string]
-	meshMu    sync.Mutex
-	meshCond  *sync.Cond
-	meshDown  bool                     // aborted before/while waiting for the map
-	meshLate  bool                     // meshWait elapsed without a peers frame
-	addrProcs map[string][]arch.ProcID // reverse of peers: data address → processors
+	// peers is the cluster address map, replaced whenever the hub broadcasts
+	// one; the first arrival closes ready. Until then remote Sends wait:
+	// routing the first frames through the hub and later ones through the
+	// mesh would break FIFO per sender.
+	peers atomic.Pointer[peerMap]
 
 	pcMu   sync.Mutex
 	pconns map[string]*wconn // dialed peer connections by address
@@ -49,41 +40,21 @@ type Client struct {
 	inMu    sync.Mutex
 	inbound []net.Conn // accepted peer connections
 
-	// pdFn, when registered via OnPeerDown, switches peer-death handling
-	// from abort-the-cluster to contain-and-notify.
-	pdMu sync.Mutex
-	pdFn transport.PeerDown
-
-	deadMu  sync.Mutex
-	dead    map[arch.ProcID]bool
-	anyDead atomic.Bool // fast path: skip the dead-map lookup while nobody died
-
 	hbStop     chan struct{}
 	hbStopOnce sync.Once
 
-	errMu sync.Mutex
-	err   error
-
-	closing   atomic.Bool
-	aborted   atomic.Bool
-	abortOnce sync.Once
-	readerWG  sync.WaitGroup
-
-	messages  atomic.Int64
-	direct    atomic.Int64
-	bytesSent atomic.Int64
-	bytesRecv atomic.Int64
+	readerWG sync.WaitGroup
 
 	// clockOff is the NTP-style offset estimated from the hub handshake:
 	// add it to this process's wall clock to get the hub's wall clock.
 	clockOff int64
+}
 
-	// rec, when set via SetTrace before the run's traffic starts, receives
-	// send/recv/abort events; mailbox events are wired through the boxes.
-	// Atomic because the control-plane read loop is alive from Dial on,
-	// before the machine gets the chance to arm tracing.
-	rec atomic.Pointer[obsv.Recorder]
-	kl  transport.KeyLabels
+// peerMap is one peers frame: processor → peer data listener, and its
+// reverse, the processors each listener serves.
+type peerMap struct {
+	addr  map[arch.ProcID]string
+	procs map[string][]arch.ProcID
 }
 
 var (
@@ -191,17 +162,13 @@ func Dial(addr string, fingerprint uint64, local []arch.ProcID, d time.Duration,
 func newClient(fingerprint uint64, local []arch.ProcID, c wire, br *bufio.Reader, ln net.Listener, clockOff int64, o options) *Client {
 	cl := &Client{
 		fp:       fingerprint,
-		localSet: map[arch.ProcID]bool{},
-		boxes:    map[arch.ProcID]*transport.Mailbox{},
 		ln:       ln,
-		meshWait: o.meshWait,
 		hb:       o.heartbeat,
 		shmPlane: o.dataPlane == "shm",
 		pconns:   map[string]*wconn{},
-		dead:     map[arch.ProcID]bool{},
 		clockOff: clockOff,
 	}
-	cl.meshCond = sync.NewCond(&cl.meshMu)
+	cl.init(local, o.meshWait, cl.Abort)
 	if o.trace != nil {
 		// Armed before the loops below start: the first inbound frame can
 		// beat any post-Dial SetTrace call.
@@ -217,10 +184,6 @@ func newClient(fingerprint uint64, local []arch.ProcID, c wire, br *bufio.Reader
 			cl.failf("nettransport: hub connection: %v", err)
 		}
 	}, &cl.rec)
-	for _, p := range local {
-		cl.localSet[p] = true
-		cl.boxes[p] = transport.NewMailbox()
-	}
 	cl.readerWG.Add(2)
 	go cl.readLoop(br)
 	go cl.acceptLoop()
@@ -256,217 +219,70 @@ func (cl *Client) stopHeartbeat() {
 	}
 }
 
-// errStopRead tells a read loop to exit: the frame it just dispatched was
-// an abort, or dispatching it failed the client. Sentinel, not an error to
-// report — whoever returns it has already recorded the cause.
-var errStopRead = errors.New("nettransport: stop reading")
-
-// readLoop handles control-plane frames from the hub: the peers map,
-// cluster aborts and payloads for processors hosted here. EOF means the
-// coordinator tore the deployment down: incoming traffic is over, so the
-// mailboxes close (draining anything already delivered first).
+// readLoop reads the control connection from the hub: the peers map,
+// peer-down notices, cluster aborts and payloads for processors hosted here.
+// EOF means the coordinator tore the deployment down: incoming traffic is
+// over, so the mailboxes close (draining anything already delivered first).
 func (cl *Client) readLoop(br *bufio.Reader) {
 	defer cl.readerWG.Done()
-	for {
-		n, dst, key, err := readFrameHeader(br)
-		if err != nil {
-			if err != io.EOF && !cl.closing.Load() && !cl.aborted.Load() {
-				cl.failf("nettransport: reading from hub: %v", err)
-				return
-			}
-			cl.Abort()
-			return
-		}
-		// Data frames for a locally hosted processor stream-decode straight
-		// off the connection (the payload never lands in a frame buffer);
-		// control frames and batches are slurped and dispatched in memory.
-		if cl.localSet[arch.ProcID(dst)] {
-			if err := cl.deliverStream(br, arch.ProcID(dst), key, n-frameHeader); err != nil {
-				if !cl.closing.Load() && !cl.aborted.Load() {
-					cl.failf("nettransport: reading from hub: %v", err)
-				} else {
-					cl.Abort()
-				}
-				return
-			}
-			continue
-		}
-		fb, payload, err := readFrameRest(br, n, dst, key)
-		if err != nil {
-			if !cl.closing.Load() && !cl.aborted.Load() {
-				cl.failf("nettransport: reading from hub: %v", err)
-			} else {
-				cl.Abort()
-			}
-			return
-		}
-		if dst == batchDst {
-			err = forEachBatched(payload, cl.hubFrame)
-		} else {
-			err = cl.hubFrame(dst, key, payload)
-		}
-		putBuf(fb)
-		if err == errStopRead {
-			return
-		}
-		if err != nil {
-			cl.failf("%v", err)
-			return
-		}
+	err := cl.readFrames(br, nil, cl.hubFrame)
+	switch {
+	case err == errStopRead:
+	case err == io.EOF || cl.closing.Load() || cl.aborted.Load():
+		cl.Abort()
+	default:
+		cl.failf("nettransport: reading from hub: %v", err)
 	}
 }
 
-// hubFrame dispatches one control-connection frame — read directly off the
-// wire or unpacked from a batch. errStopRead means the read loop must exit
-// (abort received, or dispatch failed the client).
-func (cl *Client) hubFrame(dst uint32, key transport.Key, payload []byte) error {
+// hubFrame dispatches one control-connection frame that is not data for a
+// processor hosted here.
+func (cl *Client) hubFrame(dst uint32, _ transport.Key, payload []byte) error {
 	switch dst {
 	case abortDst:
 		cl.Abort()
 		return errStopRead
 	case peersDst:
-		m, perr := parsePeers(payload)
-		if perr != nil {
-			cl.failf("nettransport: %v", perr)
+		m, err := parsePeers(payload)
+		if err != nil {
+			cl.failf("%v", err)
 			return errStopRead
 		}
-		ap := make(map[string][]arch.ProcID, len(m))
+		pm := &peerMap{addr: m, procs: make(map[string][]arch.ProcID, len(m))}
 		for p, a := range m {
-			ap[a] = append(ap[a], p)
+			pm.procs[a] = append(pm.procs[a], p)
 		}
-		cl.meshMu.Lock()
-		cl.peers.Store(&m)
-		cl.addrProcs = ap
-		cl.meshMu.Unlock()
-		cl.meshCond.Broadcast()
+		if cl.peers.Swap(pm) == nil {
+			close(cl.ready) // only this loop stores peers: closed once
+		}
 		return nil
 	case peerDownDst:
-		procs, perr := parseProcs(payload)
-		if perr != nil {
-			cl.failf("nettransport: %v", perr)
+		procs, err := parseProcs(payload)
+		if err != nil {
+			cl.failf("%v", err)
 			return errStopRead
 		}
-		cl.markPeersDown(procs, true)
+		cl.peersDown(procs, true)
 		return nil
 	}
-	if !cl.deliver(arch.ProcID(dst), key, payload) {
-		return errStopRead
-	}
-	return nil
+	return cl.notHosted(dst)
 }
 
-// deliver decodes a frame payload into a local processor's mailbox.
-func (cl *Client) deliver(p arch.ProcID, key transport.Key, payload []byte) bool {
-	box, ok := cl.boxes[p]
-	if !ok {
-		cl.failf("nettransport: received frame for processor %d, not hosted here", p)
-		return false
-	}
-	v, err := value.Decode(payload)
-	if err != nil {
-		cl.failf("nettransport: decoding frame for processor %d key %v: %v", p, key, err)
-		return false
-	}
-	cl.bytesRecv.Add(int64(len(payload)))
-	if rec := cl.rec.Load(); rec != nil {
-		rec.Record(int32(p), obsv.EvRecv, cl.kl.Of(key), -1, int64(len(payload)))
-	}
-	box.Deliver(key, v)
-	return true
-}
-
-// deliverStream decodes a frame payload straight off the connection into a
-// local processor's mailbox: large trailing slabs (pixel planes) land in
-// their final arena buffer without an intermediate frame buffer or its
-// per-hop copy. Any error — I/O or format — leaves br mid-frame, so the
-// caller must stop reading the connection.
-func (cl *Client) deliverStream(br *bufio.Reader, p arch.ProcID, key transport.Key, n int) error {
-	box, ok := cl.boxes[p]
-	if !ok {
-		return fmt.Errorf("received frame for processor %d, not hosted here", p)
-	}
-	v, err := value.DecodeStream(br, n)
-	if err != nil {
-		return fmt.Errorf("decoding frame for processor %d key %v: %v", p, key, err)
-	}
-	cl.bytesRecv.Add(int64(n))
-	if rec := cl.rec.Load(); rec != nil {
-		rec.Record(int32(p), obsv.EvRecv, cl.kl.Of(key), -1, int64(n))
-	}
-	box.Deliver(key, v)
-	return nil
-}
-
-// OnPeerDown registers the executive's failure handler, switching peer
-// death from abort-the-cluster to contain-and-notify. Register before the
-// run's traffic starts.
-func (cl *Client) OnPeerDown(fn transport.PeerDown) {
-	cl.pdMu.Lock()
-	cl.pdFn = fn
-	cl.pdMu.Unlock()
+// notHosted fails the client on a data frame for a processor it does not
+// host: a sender whose routing disagrees with this process's claim.
+func (cl *Client) notHosted(dst uint32) error {
+	cl.failf("nettransport: received frame for processor %d, not hosted here", dst)
+	return errStopRead
 }
 
 // MarkPeerDown declares p dead without invoking the handler: the executive
 // calls this when it concludes a processor is gone so routing to and from
 // it stops. Local only — the hub's control plane is the authority that
 // propagates deaths cluster-wide (it detects them on the control
-// connection, or the coordinator-side executive marks them on the Hub,
+// connection, or the coordinator-side executive marks them on its Session,
 // which broadcasts).
 func (cl *Client) MarkPeerDown(p arch.ProcID) {
-	cl.markPeersDown([]arch.ProcID{p}, false)
-}
-
-// markPeersDown records procs as dead and, when notify is set, tells the
-// registered handler about the ones not already known dead. A dead
-// processor hosted *here* (the hub declared this process's own processor
-// dead — a deadline overrun the coordinator decided not to wait out) gets
-// its mailbox killed so its blocked op loops unwind immediately.
-func (cl *Client) markPeersDown(procs []arch.ProcID, notify bool) {
-	cl.deadMu.Lock()
-	var fresh []arch.ProcID
-	for _, p := range procs {
-		if cl.dead[p] {
-			continue
-		}
-		cl.dead[p] = true
-		fresh = append(fresh, p)
-	}
-	cl.deadMu.Unlock()
-	if len(fresh) == 0 {
-		return
-	}
-	cl.anyDead.Store(true)
-	for _, p := range fresh {
-		if box, ok := cl.boxes[p]; ok {
-			box.Kill()
-		}
-	}
-	if !notify {
-		return
-	}
-	cl.pdMu.Lock()
-	fn := cl.pdFn
-	cl.pdMu.Unlock()
-	if fn != nil {
-		fn(fresh)
-	}
-}
-
-// hasPeerDownHandler reports whether a failure handler is registered.
-func (cl *Client) hasPeerDownHandler() bool {
-	cl.pdMu.Lock()
-	defer cl.pdMu.Unlock()
-	return cl.pdFn != nil
-}
-
-// isDead reports whether p has been declared dead.
-func (cl *Client) isDead(p arch.ProcID) bool {
-	if !cl.anyDead.Load() {
-		return false
-	}
-	cl.deadMu.Lock()
-	defer cl.deadMu.Unlock()
-	return cl.dead[p]
+	cl.peersDown([]arch.ProcID{p}, false)
 }
 
 // containsPeerFailure handles a peer-mesh dial or write error to addr:
@@ -476,175 +292,55 @@ func (cl *Client) isDead(p arch.ProcID) bool {
 // Send from aborting the cluster in the race window). Reports whether the
 // failure was contained.
 func (cl *Client) containsPeerFailure(addr string) bool {
-	cl.pdMu.Lock()
-	fn := cl.pdFn
-	cl.pdMu.Unlock()
-	if fn == nil {
+	pm := cl.peers.Load()
+	if cl.handler() == nil || pm == nil || len(pm.procs[addr]) == 0 {
 		return false
 	}
-	cl.meshMu.Lock()
-	procs := cl.addrProcs[addr]
-	cl.meshMu.Unlock()
-	if len(procs) == 0 {
-		return false
-	}
-	cl.markPeersDown(procs, true)
+	cl.peersDown(pm.procs[addr], true)
 	return true
-}
-
-func (cl *Client) failf(format string, args ...any) {
-	cl.errMu.Lock()
-	if cl.err == nil {
-		cl.err = fmt.Errorf(format, args...)
-	}
-	cl.errMu.Unlock()
-	if rec := cl.rec.Load(); rec != nil {
-		rec.Record(-1, obsv.EvAbort, 0, -1, 0)
-	}
-	cl.Abort()
-}
-
-// SetTrace arms event recording on r: send/recv with byte sizes here,
-// enqueue/park/wake through the mailboxes. Call before traffic starts.
-func (cl *Client) SetTrace(r *obsv.Recorder) {
-	cl.kl.Reset(r)
-	cl.rec.Store(r)
-	for p, b := range cl.boxes {
-		b.SetTrace(r, int32(p), &cl.kl)
-	}
 }
 
 // ClockOffsetNS reports the handshake-estimated offset onto the hub's wall
 // clock (0 if this process never estimated one).
 func (cl *Client) ClockOffsetNS() int64 { return cl.clockOff }
 
-// QueueDepth reports the total delivered-but-unconsumed values across the
-// client-local mailboxes (a point-in-time gauge for metrics).
-func (cl *Client) QueueDepth() int {
-	n := 0
-	for _, b := range cl.boxes {
-		n += b.Depth()
-	}
-	return n
-}
-
-// peersMap returns the cluster address map, waiting for the hub to
-// broadcast it if necessary. The wait is bounded by the client's mesh-wait
-// timeout (WithMeshWaitTimeout): the map only arrives once the whole
-// cluster has attached, so an unbounded wait would turn one missing node
-// process into a silent cluster-wide hang. nil means the transport aborted
-// (or timed out and aborted) first.
-func (cl *Client) peersMap() map[arch.ProcID]string {
-	if m := cl.peers.Load(); m != nil {
-		return *m
-	}
-	timer := time.AfterFunc(cl.meshWait, func() {
-		cl.meshMu.Lock()
-		cl.meshLate = true
-		cl.meshMu.Unlock()
-		cl.meshCond.Broadcast()
-	})
-	defer timer.Stop()
-	cl.meshMu.Lock()
-	for cl.peers.Load() == nil && !cl.meshDown && !cl.meshLate {
-		cl.meshCond.Wait()
-	}
-	down := cl.meshDown
-	cl.meshMu.Unlock()
-	if m := cl.peers.Load(); m != nil {
-		return *m
-	}
-	if !down {
-		cl.failf("nettransport: no peers map from the hub within %v (did every node process start?)", cl.meshWait)
-	}
-	return nil
-}
-
 // Send injects a message from a client-local processor. Destinations on
 // this client skip the codec; other node processes are reached directly
 // over the peer mesh; hub-hosted processors ride the control connection.
+// Remote sends wait for the hub's peers map (see awaitRoutes).
 func (cl *Client) Send(src, dst arch.ProcID, key transport.Key, payload value.Value) {
-	if cl.anyDead.Load() && (cl.isDead(src) || cl.isDead(dst)) {
-		return // uncounted, like loss in flight
-	}
-	cl.messages.Add(1)
-	if cl.localSet[dst] {
-		n := int64(value.SizeOf(payload))
-		cl.bytesSent.Add(n)
-		cl.bytesRecv.Add(n)
-		if rec := cl.rec.Load(); rec != nil {
-			id := cl.kl.Of(key)
-			rec.Record(int32(src), obsv.EvSend, id, int32(dst), n)
-			rec.Record(int32(dst), obsv.EvRecv, id, -1, n)
-		}
-		cl.boxes[dst].Deliver(key, payload)
+	if cl.sendLocal(src, dst, key, payload) ||
+		!cl.awaitRoutes("nettransport: no peers map from the hub within %v (did every node process start?)") {
 		return
 	}
-	peers := cl.peersMap()
-	if peers == nil {
-		return // aborted while waiting for the address map; mailboxes are closed
-	}
-	f, err := encodeMessage(dst, key, payload)
-	if err != nil {
-		cl.failf("nettransport: encoding %v for processor %d: %v", key, dst, err)
+	f, ok := cl.encode(src, dst, key, payload)
+	if !ok {
 		return
-	}
-	wireBytes := int64(len(f.head.b) - 4 - frameHeader + len(f.tail))
-	cl.bytesSent.Add(wireBytes)
-	if rec := cl.rec.Load(); rec != nil {
-		rec.Record(int32(src), obsv.EvSend, cl.kl.Of(key), int32(dst), wireBytes)
 	}
 	w := cl.w
-	peerAddr := ""
-	if addr, ok := peers[dst]; ok {
+	addr, mesh := cl.peers.Load().addr[dst]
+	if mesh {
+		var err error
 		if w, err = cl.peerConn(addr); err != nil {
 			putBuf(f.head)
-			if cl.containsPeerFailure(addr) {
-				return // dst's process is dead; the frame is loss in flight
+			if !cl.containsPeerFailure(addr) { // else dst's process is dead: loss in flight
+				cl.failf("nettransport: dialing peer %s for processor %d: %v", addr, dst, err)
 			}
-			cl.failf("nettransport: dialing peer %s for processor %d: %v", addr, dst, err)
 			return
 		}
-		peerAddr = addr
 		cl.direct.Add(1)
 	}
-	if err := w.send(f); err != nil && !cl.closing.Load() && !cl.aborted.Load() {
-		if peerAddr != "" && cl.containsPeerFailure(peerAddr) {
-			return
-		}
+	if err := w.send(f); err != nil && !cl.closing.Load() && !cl.aborted.Load() &&
+		!(mesh && cl.containsPeerFailure(addr)) {
 		cl.failf("nettransport: sending to processor %d: %v", dst, err)
 	}
-}
-
-// Recv blocks on a client-local processor's mailbox.
-func (cl *Client) Recv(p arch.ProcID, key transport.Key) (value.Value, bool) {
-	return cl.boxes[p].Recv(key)
-}
-
-// Receiver returns the mailbox slot for (p, key).
-func (cl *Client) Receiver(p arch.ProcID, key transport.Key) transport.Receiver {
-	return cl.boxes[p].Slot(key)
 }
 
 // Abort notifies the hub (which re-broadcasts to every other node), wakes
 // any Send waiting for the peers map and unblocks all local mailboxes.
 func (cl *Client) Abort() {
 	cl.stopHeartbeat()
-	cl.abortOnce.Do(func() {
-		// aborted must be set before the abort-frame send: if that inline
-		// write fails (the hub is often already gone here), the wconn's
-		// onErr fires on this goroutine and would otherwise failf -> Abort
-		// -> abortOnce.Do, self-deadlocking inside the Once.
-		cl.aborted.Store(true)
-		cl.meshMu.Lock()
-		cl.meshDown = true
-		cl.meshMu.Unlock()
-		cl.meshCond.Broadcast()
-		cl.w.send(controlFrame(abortDst, nil)) // best effort
-		for _, b := range cl.boxes {
-			b.Close()
-		}
-	})
+	cl.halt(func() { cl.w.send(controlFrame(abortDst, nil)) }, false)
 }
 
 // Sever tears the client down the way a crash would: no detach frame, no
@@ -656,34 +352,13 @@ func (cl *Client) Abort() {
 func (cl *Client) Sever() {
 	cl.closing.Store(true)
 	cl.stopHeartbeat()
-	cl.abortOnce.Do(func() {
-		cl.aborted.Store(true)
-		cl.meshMu.Lock()
-		cl.meshDown = true
-		cl.meshMu.Unlock()
-		cl.meshCond.Broadcast()
-		for _, b := range cl.boxes {
-			b.Kill()
-		}
-	})
+	cl.halt(nil, true)
 	cl.w.c.Close()
 	cl.ln.Close()
-	cl.pcMu.Lock()
-	pcs := make([]*wconn, 0, len(cl.pconns))
-	for _, w := range cl.pconns {
-		pcs = append(pcs, w)
-	}
-	cl.pcMu.Unlock()
-	for _, w := range pcs {
+	for _, w := range cl.peerConns() {
 		w.c.Close()
 	}
-	cl.inMu.Lock()
-	in := append([]net.Conn(nil), cl.inbound...)
-	cl.inMu.Unlock()
-	for _, c := range in {
-		c.Close()
-	}
-	cl.readerWG.Wait()
+	cl.closeInbound()
 }
 
 // Close detaches from the cluster: peer connections flush and close, a
@@ -693,18 +368,31 @@ func (cl *Client) Sever() {
 func (cl *Client) Close() error {
 	cl.closing.Store(true)
 	cl.stopHeartbeat()
-	cl.pcMu.Lock()
-	pcs := make([]*wconn, 0, len(cl.pconns))
-	for _, w := range cl.pconns {
-		pcs = append(pcs, w)
-	}
-	cl.pcMu.Unlock()
-	for _, w := range pcs {
+	for _, w := range cl.peerConns() {
 		w.flushClose()
 	}
 	cl.w.send(controlFrame(detachDst, nil))
 	cl.w.flushClose()
 	cl.ln.Close()
+	cl.closeInbound()
+	cl.halt(nil, false)
+	return nil
+}
+
+// peerConns snapshots the dialed peer connections.
+func (cl *Client) peerConns() []*wconn {
+	cl.pcMu.Lock()
+	defer cl.pcMu.Unlock()
+	pcs := make([]*wconn, 0, len(cl.pconns))
+	for _, w := range cl.pconns {
+		pcs = append(pcs, w)
+	}
+	return pcs
+}
+
+// closeInbound closes the accepted peer connections and waits for every
+// reader goroutine to exit.
+func (cl *Client) closeInbound() {
 	cl.inMu.Lock()
 	in := append([]net.Conn(nil), cl.inbound...)
 	cl.inMu.Unlock()
@@ -712,34 +400,4 @@ func (cl *Client) Close() error {
 		c.Close()
 	}
 	cl.readerWG.Wait()
-	cl.abortOnce.Do(func() {
-		cl.aborted.Store(true)
-		cl.meshMu.Lock()
-		cl.meshDown = true
-		cl.meshMu.Unlock()
-		cl.meshCond.Broadcast()
-		for _, b := range cl.boxes {
-			b.Close()
-		}
-	})
-	return nil
-}
-
-// Err reports the first client-side failure, or nil.
-func (cl *Client) Err() error {
-	cl.errMu.Lock()
-	defer cl.errMu.Unlock()
-	return cl.err
-}
-
-// Stats reports messages injected by client-local processors, how many
-// frames went point to point over the peer mesh, and payload volume; safe
-// to call concurrently with traffic. Relay hops are counted at the hub.
-func (cl *Client) Stats() transport.Stats {
-	return transport.Stats{
-		Messages:  cl.messages.Load(),
-		Direct:    cl.direct.Load(),
-		BytesSent: cl.bytesSent.Load(),
-		BytesRecv: cl.bytesRecv.Load(),
-	}
 }

@@ -25,11 +25,12 @@ import (
 // sharing a worker can never cross: they ride different sessions here and
 // differently-fingerprinted peer connections on the data plane.
 type FleetHub struct {
-	ln net.Listener
-	hb time.Duration // heartbeat interval; 0 = no liveness monitor
+	ln       net.Listener
+	hb       time.Duration // heartbeat interval; 0 = no liveness monitor
+	meshWait time.Duration // bound on a session Send waiting for attachment
 	// trace (WithTrace) pre-arms every session opened on this hub — set for
-	// single-session Hub deployments so the recorder is live before any
-	// node attaches; schedulers multiplexing sessions arm each one instead.
+	// NewHub's single session so the recorder is live before any node
+	// attaches; schedulers multiplexing sessions arm each one instead.
 	trace *obsv.Recorder
 
 	mu       sync.Mutex
@@ -56,6 +57,7 @@ func NewFleetHub(addr string, opts ...Option) (*FleetHub, error) {
 	f := &FleetHub{
 		ln:       ln,
 		hb:       o.heartbeat,
+		meshWait: o.meshWait,
 		trace:    o.trace,
 		sessions: map[uint64]*Session{},
 	}
@@ -106,7 +108,7 @@ func (f *FleetHub) session(fingerprint uint64) *Session {
 }
 
 // dropSession retires a session from the registry (called by
-// Session.Close/sever), freeing its fingerprint for reuse.
+// Session.Close/Sever), freeing its fingerprint for reuse.
 func (f *FleetHub) dropSession(s *Session) {
 	f.mu.Lock()
 	if f.sessions[s.fp] == s {
@@ -239,7 +241,7 @@ func (f *FleetHub) Sever() {
 	f.stopMonitor()
 	f.ln.Close()
 	for _, s := range f.snapshotSessions() {
-		s.sever()
+		s.Sever()
 	}
 	f.wg.Wait()
 }

@@ -34,8 +34,8 @@ func waitCluster(t *testing.T, s *nettransport.Session, cond func(nettransport.C
 
 // TestWorkerChurnFreshSession drills the elastic-fleet contract on one
 // session: a worker that detaches cleanly and re-attaches under the same
-// processor ID must get a fresh epoch — no resurrected pending frames, no
-// stale peers-map entry — and the deployment must become ready again.
+// processor ID must get a fresh epoch — no resurrected frames, no stale
+// peers-map entry — and the deployment must become ready again.
 func TestWorkerChurnFreshSession(t *testing.T) {
 	a := arch.Ring(3)
 	hub, err := nettransport.NewHub("127.0.0.1:0", a, 0xc0ffee, []arch.ProcID{0})
@@ -53,7 +53,7 @@ func TestWorkerChurnFreshSession(t *testing.T) {
 	}
 	// Attached is empty before the hub has registered the connection too
 	// (Dial returns on the hello reply), so wait for the detach itself.
-	ci := waitCluster(t, hub.Session, func(ci nettransport.ClusterInfo) bool {
+	ci := waitCluster(t, hub, func(ci nettransport.ClusterInfo) bool {
 		return len(ci.Attached) == 0 && len(ci.Departed) == 1
 	})
 	if len(ci.Departed) != 1 || ci.Departed[0] != 1 {
@@ -61,8 +61,8 @@ func TestWorkerChurnFreshSession(t *testing.T) {
 	}
 
 	// A frame addressed to the departed processor belongs to the epoch that
-	// ended with the detach: it must be dropped, not buffered for the next
-	// attach under the same ID.
+	// ended with the detach: it must be dropped at once, not held for the
+	// next attach under the same ID.
 	k := transport.EdgeKey(graph.EdgeID(4))
 	hub.Send(0, 1, k, "stale")
 
@@ -85,7 +85,7 @@ func TestWorkerChurnFreshSession(t *testing.T) {
 	}
 
 	// First frame out of the mailbox must be the fresh one; a resurrected
-	// "stale" would have been flushed at attach time, ahead of it.
+	// "stale" would have gone out at attach time, ahead of it.
 	hub.Send(0, 1, k, "fresh")
 	if v, ok := c1b.Recv(1, k); !ok || v.(string) != "fresh" {
 		t.Fatalf("recv after re-attach = %v %v, want \"fresh\"", v, ok)
@@ -119,7 +119,7 @@ func TestEarlyDetachStillCompletes(t *testing.T) {
 	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitCluster(t, hub.Session, func(ci nettransport.ClusterInfo) bool {
+	waitCluster(t, hub, func(ci nettransport.ClusterInfo) bool {
 		return len(ci.Departed) == 1
 	})
 

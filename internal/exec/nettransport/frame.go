@@ -3,19 +3,23 @@
 // processors and exchanges length-prefixed binary frames over TCP. The
 // topology splits into two planes (DESIGN.md §9):
 //
-//   - control plane: the coordinator process runs a Hub that listens,
-//     validates handshakes (schedule fingerprint, processor claims),
-//     buffers frames for processors that have not attached yet, brokers
-//     the peer address map and broadcasts cluster-wide aborts;
+//   - control plane: the coordinator process runs a FleetHub that listens
+//     and, per deployment, a Session that validates handshakes (schedule
+//     fingerprint, processor claims), brokers the peer address map,
+//     broadcasts cluster-wide aborts and deaths, and hosts the
+//     coordinator's own processors;
 //   - data plane: once every processor is attached the hub distributes
 //     the address map of every node's peer listener and node↔node frames
-//     travel one TCP hop, point to point, never through the hub. Frames
-//     to and from hub-hosted processors ride the control connection,
-//     which is already a single hop.
+//     travel one TCP hop, point to point. The hub routes nothing: frames
+//     to and from hub-hosted processors ride the control connection, which
+//     is already a single hop, and a remote Send waits until the deployment
+//     has attached instead of parking frames.
 //
-// Readers always drain into unbounded mailboxes, so the network never
-// backpressures into a routing deadlock (the same argument that makes the
-// paper's store-and-forward executive deadlock-free). The hot path is
+// Node (Client) and hub (Session) host their processors through the same
+// endpoint, and every connection is read by one loop. Readers always drain
+// into unbounded mailboxes, so the network never backpressures into a
+// deadlock (the same argument that makes the paper's store-and-forward
+// executive deadlock-free). The hot path is
 // allocation-free: frame buffers come from a shared sync.Pool arena,
 // payload encoding is presized via value.EncodeSize, raw pixel slabs are
 // shipped by reference through vectored writes (value.EncodeTrailing), and
@@ -125,12 +129,12 @@ const (
 	flushTimeout = 5 * time.Second
 )
 
-// defaultMeshWaitTimeout bounds how long a remote Send waits for the hub's
-// peers frame. The map only arrives once every processor has attached, so a
-// node process that never starts would otherwise hang every sender
-// silently; past the deadline the cluster fails with a diagnostic instead.
-// Per-client (WithMeshWaitTimeout), not a package var: tests tuning it
-// must not race other clients.
+// defaultMeshWaitTimeout bounds how long a remote Send waits for the
+// deployment to attach — a node for the hub's peers frame, the hub for its
+// session's last node. A node process that never starts would otherwise
+// hang every sender silently; past the deadline the cluster fails with a
+// diagnostic instead. Per endpoint (WithMeshWaitTimeout), not a package
+// var: tests tuning it must not race other endpoints.
 const defaultMeshWaitTimeout = 30 * time.Second
 
 // frameBuf is one arena buffer. The pool stores *frameBuf rather than
@@ -168,7 +172,7 @@ type outFrame struct {
 }
 
 // capture folds the borrowed tail into the owned head buffer. Called
-// before a frame is parked in a queue or backlog, so the transport never
+// before a frame is parked in a writer queue, so the transport never
 // holds a reference into caller memory past Send: a sender may recycle a
 // payload's buffers as soon as Send returns. The head was presized for the
 // full frame (value.EncodeSize), so this append does not allocate.
@@ -232,11 +236,11 @@ func controlFrame(dst uint32, payload []byte) outFrame {
 
 // readFrameHeader reads one frame's length prefix and routing header,
 // leaving the payload (n - frameHeader bytes) unread on br. The split lets
-// a read loop choose per frame between slurping the payload into an arena
-// buffer (readFrameRest — control frames, batches, hub relays) and
-// stream-decoding it straight into its final value (value.DecodeStream, the
-// zero-copy path for pixel slabs bound for a local mailbox). io.EOF is
-// returned verbatim on a clean close between frames.
+// the read loop choose per frame between reading the payload into an arena
+// buffer (readPayload — control frames, batches) and stream-decoding it
+// straight into its final value (value.DecodeStream, the zero-copy path for
+// pixel slabs bound for a local mailbox). io.EOF is returned verbatim on a
+// clean close between frames.
 func readFrameHeader(br *bufio.Reader) (n int, dst uint32, key transport.Key, err error) {
 	var hdr [4 + frameHeader]byte
 	if _, err = io.ReadFull(br, hdr[:4]); err != nil {
@@ -263,35 +267,6 @@ func readFrameHeader(br *bufio.Reader) (n int, dst uint32, key transport.Key, er
 		Widx: int(int32(binary.BigEndian.Uint32(hdr[17:]))),
 	}
 	return
-}
-
-// readFrameRest materializes the remainder of a frame whose header
-// readFrameHeader consumed, rebuilding the full wire image (length prefix +
-// header + payload) in an arena buffer so the hub can relay it without
-// re-framing. Ownership of fb passes to the caller: putBuf it once the
-// payload is consumed, or hand it to a wconn.
-func readFrameRest(br *bufio.Reader, n int, dst uint32, key transport.Key) (fb *frameBuf, payload []byte, err error) {
-	fb = getBuf(4 + n)
-	buf := binary.BigEndian.AppendUint32(fb.b, uint32(n))
-	buf = appendHeader(buf, dst, key)
-	raw := buf[:4+n]
-	if _, err = io.ReadFull(br, raw[4+frameHeader:]); err != nil {
-		putBuf(fb)
-		return nil, nil, fmt.Errorf("nettransport: truncated frame body: %w", err)
-	}
-	fb.b = raw
-	return fb, raw[4+frameHeader:], nil
-}
-
-// readFrame reads one whole length-prefixed frame into an arena buffer —
-// readFrameHeader + readFrameRest for callers with no streaming fast path.
-func readFrame(br *bufio.Reader) (fb *frameBuf, dst uint32, key transport.Key, payload []byte, err error) {
-	n, dst, key, err := readFrameHeader(br)
-	if err != nil {
-		return nil, dst, key, nil, err
-	}
-	fb, payload, err = readFrameRest(br, n, dst, key)
-	return fb, dst, key, payload, err
 }
 
 // wire is what a wconn writes to: a net.Conn, or an shm-upgraded
@@ -322,7 +297,7 @@ func writeBuffers(c wire, bufs net.Buffers) error {
 // wconn owns all writes on one connection. Senders enqueue frames and never
 // block on the socket; a dedicated writer drains the whole queue into a
 // single vectored write (net.Buffers → writev), so bursts of frames —
-// a master scattering tasks, a backlog flush — coalesce into one syscall
+// a master scattering tasks, a peer-down broadcast — coalesce into one syscall
 // and raw payload tails are written straight from the payload value's
 // memory. Head buffers return to the arena after the write.
 type wconn struct {
@@ -425,11 +400,12 @@ func (w *wconn) send(f outFrame) error {
 
 // enqueue parks one frame on the writer queue and never touches the socket
 // from the calling goroutine. send's inline fast path can block on the wire
-// and, on failure, invokes onErr synchronously — so enqueue is the only safe
-// way to ship a frame while holding a lock that onErr may take (the hub
-// flushes the attach backlog under its registration lock). Any write error
-// surfaces later, from the writer goroutine. Frames enqueued after a failure
-// or flushClose are dropped, exactly as in send.
+// and, on failure, invokes onErr synchronously — so enqueue is the way to
+// ship a frame that a stalled or dying connection must not hold up (a
+// heartbeat; a peer-down broadcast, which includes the dead node's own
+// connection). Any write error surfaces later, from the writer goroutine.
+// Frames enqueued after a failure or flushClose are dropped, exactly as in
+// send.
 func (w *wconn) enqueue(f outFrame) {
 	w.mu.Lock()
 	if w.err != nil || w.closed {

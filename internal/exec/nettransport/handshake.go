@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"time"
 
 	"skipper/internal/arch"
@@ -50,7 +49,7 @@ func readString(br *bufio.Reader) (string, error) {
 	return string(b), nil
 }
 
-func writeHello(c net.Conn, h hello) error {
+func writeHello(c io.Writer, h hello) error {
 	buf := binary.BigEndian.AppendUint32(nil, magic)
 	buf = binary.BigEndian.AppendUint16(buf, wireVersion)
 	buf = binary.BigEndian.AppendUint64(buf, h.fingerprint)
@@ -111,6 +110,9 @@ func readHello(br *bufio.Reader) (hello, error) {
 		if h.shmFromHub, err = readString(br); err != nil {
 			return h, fmt.Errorf("nettransport: truncated handshake shm path: %w", err)
 		}
+		if h.shmToHub == "" || h.shmFromHub == "" {
+			return h, fmt.Errorf("nettransport: handshake requests the shm upgrade without both ring paths")
+		}
 	}
 	return h, nil
 }
@@ -123,7 +125,7 @@ func readHello(br *bufio.Reader) (hello, error) {
 // saying whether the hub mapped the hello's shm rings: the client falls
 // back to the plain socket when it is 0, so a mapping failure on either
 // end degrades instead of wedging the attach.
-func writeHelloReply(c net.Conn, msg string, shmOK bool) error {
+func writeHelloReply(c io.Writer, msg string, shmOK bool) error {
 	if msg == "" {
 		buf := append([]byte{0}, make([]byte, 9)...)
 		binary.BigEndian.PutUint64(buf[1:], uint64(time.Now().UnixNano()))
@@ -173,7 +175,7 @@ func readHelloReply(br *bufio.Reader) (int64, bool, error) {
 // request adds the only reply a peer handshake has: one ack byte saying
 // whether the acceptor mapped the ring (peerShmAck) or the connection
 // stays on the socket (peerShmNak). Plain hellos still get no reply.
-func writePeerHello(c net.Conn, fingerprint uint64, shmPath string) error {
+func writePeerHello(c io.Writer, fingerprint uint64, shmPath string) error {
 	buf := binary.BigEndian.AppendUint32(nil, magic)
 	buf = binary.BigEndian.AppendUint16(buf, wireVersion)
 	buf = binary.BigEndian.AppendUint64(buf, fingerprint)
@@ -241,8 +243,9 @@ func parseProcs(payload []byte) ([]arch.ProcID, error) {
 
 // encodePeers serializes the cluster address map carried by a peersDst
 // control frame: {u32 processor, u16 len, addr} per attached processor.
-// Hub-hosted processors are absent — they are reached over the control
-// connection, which is already a single hop.
+// A node sends to any processor the map does not list over its control
+// connection: the hub delivers to the processors it hosts, drops frames for
+// departed or dead ones, and relays nothing.
 func encodePeers(m map[arch.ProcID]string) []byte {
 	buf := binary.BigEndian.AppendUint16(nil, uint16(len(m)))
 	for p, addr := range m {

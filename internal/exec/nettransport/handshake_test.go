@@ -2,9 +2,11 @@ package nettransport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -44,4 +46,44 @@ func TestHubRefusesOlderWireVersion(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("hello of the previous version got %v, want a %q rejection", err, want)
 	}
+}
+
+// FuzzHello feeds arbitrary bytes to the handshake parsers — a node's
+// hello, a peer hello and the hub's reply. Each must return a value or an
+// error, never panic; and a hello that parses must survive re-encoding.
+func FuzzHello(f *testing.F) {
+	for _, h := range []hello{
+		{fingerprint: 7, procs: []arch.ProcID{1, 2}, dataAddr: "127.0.0.1:9"},
+		{fingerprint: 7, procs: []arch.ProcID{3}, dataAddr: "unix:/tmp/p", shmToHub: "/dev/shm/a", shmFromHub: "/dev/shm/b"},
+	} {
+		var b bytes.Buffer
+		writeHello(&b, h)
+		f.Add(b.Bytes())
+	}
+	for _, shm := range []string{"", "/dev/shm/r"} {
+		var b bytes.Buffer
+		writePeerHello(&b, 7, shm)
+		f.Add(b.Bytes())
+	}
+	for _, msg := range []string{"", "no processors claimed"} {
+		var b bytes.Buffer
+		writeHelloReply(&b, msg, true)
+		f.Add(b.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reader := func() *bufio.Reader { return bufio.NewReader(bytes.NewReader(data)) }
+		readPeerHello(reader(), 7)
+		readHelloReply(reader())
+		h, err := readHello(reader())
+		if err != nil {
+			return
+		}
+		var b bytes.Buffer
+		if err := writeHello(&b, h); err != nil {
+			t.Fatalf("parsed hello %+v does not re-encode: %v", h, err)
+		}
+		if h2, err := readHello(bufio.NewReader(&b)); err != nil || !reflect.DeepEqual(h, h2) {
+			t.Fatalf("hello %+v re-parsed as %+v (%v)", h, h2, err)
+		}
+	})
 }

@@ -66,6 +66,77 @@ func TestPeerDeathAbortsCluster(t *testing.T) {
 	}
 }
 
+// TestHubDropsOrRejectsForeignFrame pins what the hub does with a node
+// frame for a processor it does not host, now that it relays nothing: a
+// frame for a departed processor is dropped like loss in flight and the
+// connection reads on; one for an attached node's processor can only come
+// from a broken sender and fails the session with a diagnostic.
+func TestHubDropsOrRejectsForeignFrame(t *testing.T) {
+	a := arch.Ring(4)
+	hub, err := NewHub("127.0.0.1:0", a, 7, []arch.ProcID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	c1, err := Dial(hub.Addr(), 7, []arch.ProcID{1}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	c2, err := Dial(hub.Addr(), 7, []arch.ProcID{2}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2.Close()
+	for deadline := time.Now().Add(5 * time.Second); len(hub.ClusterInfo().Departed) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("processor 2 never departed")
+		}
+	}
+
+	// A hand-rolled node claims processor 3 and writes raw frames.
+	c, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := writeHello(c, hello{fingerprint: 7, procs: []arch.ProcID{3}, dataAddr: "127.0.0.1:9"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readHelloReply(bufio.NewReader(c)); err != nil {
+		t.Fatal(err)
+	}
+	k := transport.EdgeKey(graph.EdgeID(4))
+	write := func(dst arch.ProcID, v value.Value) {
+		t.Helper()
+		f, err := encodeMessage(dst, k, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.capture()
+		defer putBuf(f.head)
+		if _, err := c.Write(f.head.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(2, "to-departed")
+	write(0, "after")
+	if v, ok := hub.Recv(0, k); !ok || v.(string) != "after" {
+		t.Fatalf("recv after a frame for a departed processor = %v %v, want \"after\" (drop, read on): %v", v, ok, hub.Err())
+	}
+	if err := hub.Err(); err != nil {
+		t.Fatalf("a frame for a departed processor failed the session: %v", err)
+	}
+
+	write(1, "to-attached")
+	if _, ok := hub.Recv(0, k); ok {
+		t.Fatal("session kept running after a frame for a processor the hub does not host")
+	}
+	if err := hub.Err(); err == nil || !strings.Contains(err.Error(), "does not host") {
+		t.Fatalf("hub error = %v, want a \"does not host\" diagnostic", err)
+	}
+}
+
 // TestAbortSurvivesDeadControlConnection pins the abort re-entrancy guard:
 // Abort's best-effort abort frame is sent on the control connection, which
 // in real aborts is often already dead, so the inline write fails on the
@@ -95,11 +166,10 @@ func TestAbortSurvivesDeadControlConnection(t *testing.T) {
 	cl.Close()
 }
 
-// TestEnqueueNeverBlocksOnSocket pins the enqueue-only wconn path the hub
-// uses to flush the attach backlog under its registration lock: unlike
-// send's inline fast path, enqueue must return without touching the socket
-// (net.Pipe writes block until the other end reads, so an inline write here
-// would hang).
+// TestEnqueueNeverBlocksOnSocket pins the enqueue-only wconn path heartbeats
+// and the hub's peer-down broadcast take: unlike send's inline fast path,
+// enqueue must return without touching the socket (net.Pipe writes block
+// until the other end reads, so an inline write here would hang).
 func TestEnqueueNeverBlocksOnSocket(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c2.Close()

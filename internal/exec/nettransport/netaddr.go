@@ -16,7 +16,7 @@ import (
 // Address scheme: every listener and dial address in the backend is a plain
 // "host:port" TCP address unless prefixed with "unix:", in which case the
 // rest is a unix-domain socket path. The prefix travels everywhere an
-// address does — the hub bind address, Hub.Addr, the hello's data-listener
+// address does — the hub bind address, Session.Addr, the hello's data-listener
 // address, the peers map — so each endpoint independently dials the right
 // network and a cluster can mix transports (a unix mesh under a TCP hub).
 

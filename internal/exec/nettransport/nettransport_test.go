@@ -197,6 +197,10 @@ func TestHubRejectsDuplicateProcessor(t *testing.T) {
 	}
 }
 
+// TestBufferedFramesReachLateAttacher: a hub Send to a processor that has
+// not attached yet waits for the session to be ready instead of parking the
+// frame, so it still reaches the late attacher — and an Abort releases a
+// Send waiting on an attach that never comes.
 func TestBufferedFramesReachLateAttacher(t *testing.T) {
 	a := arch.Ring(2)
 	hub, err := nettransport.NewHub("127.0.0.1:0", a, 7, []arch.ProcID{0})
@@ -205,8 +209,11 @@ func TestBufferedFramesReachLateAttacher(t *testing.T) {
 	}
 	defer hub.Close()
 	k := transport.EdgeKey(graph.EdgeID(3))
-	// Send before processor 1 attaches: the hub must buffer.
-	hub.Send(0, 1, k, "early")
+	sent := make(chan struct{})
+	go func() {
+		hub.Send(0, 1, k, "early") // before processor 1 attaches: waits
+		close(sent)
+	}()
 	cl, err := nettransport.Dial(hub.Addr(), 7, []arch.ProcID{1}, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +221,34 @@ func TestBufferedFramesReachLateAttacher(t *testing.T) {
 	defer cl.Close()
 	v, ok := cl.Recv(1, k)
 	if !ok || v.(string) != "early" {
-		t.Fatalf("buffered frame lost: %v %v", v, ok)
+		t.Fatalf("early frame lost: %v %v", v, ok)
+	}
+	<-sent
+
+	lone, err := nettransport.NewHub("127.0.0.1:0", a, 8, []arch.ProcID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lone.Close()
+	sent2 := make(chan struct{})
+	go func() {
+		lone.Send(0, 1, k, "never") // processor 1 never attaches
+		close(sent2)
+	}()
+	select {
+	case <-sent2:
+		t.Fatal("Send to a processor that never attached returned before Abort")
+	case <-time.After(50 * time.Millisecond):
+	}
+	start := time.Now()
+	lone.Abort()
+	select {
+	case <-sent2:
+	case <-time.After(time.Second):
+		t.Fatal("Abort did not release a Send waiting for the session to attach")
+	}
+	if el := time.Since(start); el > 100*time.Millisecond {
+		t.Fatalf("Abort took %v to release the waiting Send, want <= 100ms", el)
 	}
 }
 
@@ -249,32 +283,33 @@ func TestPeerToPeerDirectDataPlane(t *testing.T) {
 		t.Fatalf("sender mesh frames = %d, want 1", got)
 	}
 	if got := hub.Stats().Hops; got != 0 {
-		t.Fatalf("hub relayed %d frames, want 0 — data plane must bypass the hub", got)
+		t.Fatalf("hub counted %d hops, want 0 — the hub relays nothing", got)
 	}
 }
 
-func TestHubPendingBacklogBounded(t *testing.T) {
+// TestHubSendToUnattachedTimesOut: a hub Send to a processor that never
+// attaches is bounded by the mesh-wait timeout and fails the session with a
+// diagnostic, instead of hanging or growing a backlog.
+func TestHubSendToUnattachedTimesOut(t *testing.T) {
 	a := arch.Ring(2)
-	hub, err := nettransport.NewHub("127.0.0.1:0", a, 7, []arch.ProcID{0})
+	hub, err := nettransport.NewHub("127.0.0.1:0", a, 7, []arch.ProcID{0},
+		nettransport.WithMeshWaitTimeout(200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	k := transport.EdgeKey(graph.EdgeID(1))
-	// Processor 1 never attaches: the per-processor buffer must hit its cap
-	// and fail the hub instead of growing without bound.
-	for i := 0; i < 2000; i++ {
-		hub.Send(0, 1, k, i)
-		if hub.Err() != nil {
-			break
-		}
+	done := make(chan struct{})
+	go func() {
+		hub.Send(0, 1, transport.EdgeKey(graph.EdgeID(1)), "stuck")
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("hub Send hung on a processor that never attaches")
 	}
-	err = hub.Err()
-	if err == nil {
-		t.Fatal("hub accepted 2000 frames for an unattached processor without failing")
-	}
-	if !strings.Contains(err.Error(), "backlog") {
-		t.Fatalf("unexpected overflow error: %v", err)
+	if err := hub.Err(); err == nil || !strings.Contains(err.Error(), "attached within") {
+		t.Fatalf("hub error = %v, want an \"attached within\" diagnostic", err)
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"skipper/internal/obsv"
 )
 
-// options collects the tunables shared by Dial and NewHub. Both accept the
-// same Option type; an option irrelevant to one side is simply ignored
-// there (WithMeshWaitTimeout has no meaning on the hub).
+// options collects the tunables shared by Dial, NewFleetHub and NewHub.
+// They accept the same Option type; an option irrelevant to one side is
+// simply ignored there (WithDataPlane has no meaning on the hub).
 type options struct {
 	heartbeat time.Duration
 	meshWait  time.Duration
@@ -16,7 +16,7 @@ type options struct {
 	trace     *obsv.Recorder
 }
 
-// Option configures a Client (Dial) or Hub (NewHub).
+// Option configures a Client (Dial) or a hub (NewFleetHub, NewHub).
 type Option func(*options)
 
 // WithHeartbeat arms liveness heartbeats at interval d. On a client, a
@@ -32,8 +32,10 @@ func WithHeartbeat(d time.Duration) Option {
 	return func(o *options) { o.heartbeat = d }
 }
 
-// WithMeshWaitTimeout bounds how long a client's remote Send waits for the
-// hub's peers map (default 30s). Client-side only.
+// WithMeshWaitTimeout bounds how long a remote Send waits for the
+// deployment to attach (default 30s): on a client, for the hub's peers map;
+// on a hub, for every processor of the sending session. Past the bound the
+// Send fails its endpoint with a diagnostic instead of hanging.
 func WithMeshWaitTimeout(d time.Duration) Option {
 	return func(o *options) { o.meshWait = d }
 }

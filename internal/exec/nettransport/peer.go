@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"skipper/internal/arch"
 	"skipper/internal/exec/transport"
 )
 
@@ -154,63 +153,21 @@ func (cl *Client) servePeer(c net.Conn) {
 		}
 	}
 	defer closer.Close()
-	for {
-		n, dst, key, err := readFrameHeader(br)
-		if err != nil {
-			if err != io.EOF && !cl.closing.Load() && !cl.aborted.Load() && !cl.hasPeerDownHandler() {
-				// A peer dying mid-write leaves a truncated frame here; with a
-				// failure handler registered that is containable noise (the
-				// control plane reports the death), without one it is fatal.
-				cl.failf("nettransport: reading from peer: %v", err)
-			}
-			return
-		}
-		// Data frames stream-decode straight off the socket; aborts and
-		// batches are slurped and dispatched in memory.
-		if cl.localSet[arch.ProcID(dst)] {
-			if err := cl.deliverStream(br, arch.ProcID(dst), key, n-frameHeader); err != nil {
-				if !cl.closing.Load() && !cl.aborted.Load() && !cl.hasPeerDownHandler() {
-					cl.failf("nettransport: reading from peer: %v", err)
-				}
-				return
-			}
-			continue
-		}
-		fb, payload, err := readFrameRest(br, n, dst, key)
-		if err != nil {
-			if !cl.closing.Load() && !cl.aborted.Load() && !cl.hasPeerDownHandler() {
-				cl.failf("nettransport: reading from peer: %v", err)
-			}
-			return
-		}
-		if dst == batchDst {
-			err = forEachBatched(payload, cl.peerFrame)
-		} else {
-			err = cl.peerFrame(dst, key, payload)
-		}
-		putBuf(fb)
-		if err == errStopRead {
-			return
-		}
-		if err != nil {
-			// Corrupt batch framing: same treatment as a truncated frame.
-			if !cl.closing.Load() && !cl.aborted.Load() && !cl.hasPeerDownHandler() {
-				cl.failf("nettransport: reading from peer: %v", err)
-			}
-			return
-		}
+	err = cl.readFrames(br, nil, cl.peerFrame)
+	// A peer dying mid-write leaves a truncated frame here; with a failure
+	// handler registered that is containable noise (the control plane
+	// reports the death), without one it is fatal.
+	if err != errStopRead && err != io.EOF && !cl.closing.Load() && !cl.aborted.Load() && cl.handler() == nil {
+		cl.failf("nettransport: reading from peer: %v", err)
 	}
 }
 
-// peerFrame dispatches one data-plane frame — read directly off the wire or
-// unpacked from a batch.
-func (cl *Client) peerFrame(dst uint32, key transport.Key, payload []byte) error {
+// peerFrame dispatches one data-plane frame that is not data for a
+// processor hosted here: an abort, or a misrouted frame.
+func (cl *Client) peerFrame(dst uint32, _ transport.Key, _ []byte) error {
 	if dst == abortDst {
 		cl.Abort()
 		return errStopRead
 	}
-	if !cl.deliver(arch.ProcID(dst), key, payload) {
-		return errStopRead
-	}
-	return nil
+	return cl.notHosted(dst)
 }

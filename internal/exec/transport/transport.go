@@ -9,8 +9,9 @@
 //   - memtransport: goroutine processors and sharded in-process mailboxes;
 //     Send delivers on the sender's goroutine and accounts the links the
 //     architecture graph would have charged;
-//   - nettransport: one OS process per processor, length-prefixed binary
-//     frames over TCP with a hub routing process.
+//   - nettransport: OS processes hosting shares of the processors,
+//     length-prefixed binary frames over TCP, unix sockets or shared-memory
+//     rings, one hop point to point, with a hub process as control plane.
 //
 // Contract (see DESIGN.md §8): messages addressed to the same (processor,
 // key) pair are delivered FIFO with respect to one sender; Send never
@@ -68,11 +69,12 @@ type Stats struct {
 	Messages int64
 	// Hops is the number of link traversals: on the mem backend the links
 	// each message's route crosses on the architecture graph, accounted at
-	// Send (nothing forwards); on the net backend frames relayed by the hub.
+	// Send (nothing forwards); always zero on the net backend, whose hub
+	// relays nothing.
 	Hops int64
 	// Direct is the number of frames shipped point-to-point over the net
-	// backend's peer mesh, bypassing the hub entirely. Always zero for the
-	// mem backend (every in-process delivery is already direct).
+	// backend's peer mesh between node processes. Always zero for the mem
+	// backend (every in-process delivery is already direct).
 	Direct int64
 	// BytesSent is the payload volume injected via Send, and BytesRecv the
 	// volume delivered to local consumers. The mem backend sizes payloads

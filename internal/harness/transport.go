@@ -61,10 +61,14 @@ func runExecutiveSpec(transport string, sp distrib.Spec) ([]track.Result, *exec.
 			sp.DataPlane = "shm"
 		}
 		errCh := make(chan error, sp.Procs-1)
-		spawn := func(addr string) error {
+		spawn := func(addr string, fail func(error)) error {
 			for p := 1; p < sp.Procs; p++ {
 				go func(p int) {
-					errCh <- distrib.RunNode(sp, p, addr, 2*time.Minute)
+					err := distrib.RunNode(sp, p, addr, 2*time.Minute)
+					if err != nil {
+						fail(err)
+					}
+					errCh <- err
 				}(p)
 			}
 			return nil

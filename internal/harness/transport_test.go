@@ -23,8 +23,8 @@ func TestE4IdenticalOverAllTransports(t *testing.T) {
 			}
 			// Hops vs Direct semantics (exec.RunResult godoc): hops are link
 			// traversals — accounted from the architecture graph on mem,
-			// performed by the hub relay on net; direct counts peer-mesh
-			// frames and is always zero on mem and on the hub itself.
+			// always zero on net, whose hub relays nothing; direct counts
+			// peer-mesh frames and is always zero on mem and on the hub itself.
 			switch tr {
 			case "mem":
 				if res.Hops == 0 {
@@ -35,7 +35,7 @@ func TestE4IdenticalOverAllTransports(t *testing.T) {
 				}
 			case "tcp":
 				if res.Hops != 0 {
-					t.Errorf("tcp: hub relayed %d frames; the peer mesh should carry all node traffic", res.Hops)
+					t.Errorf("tcp: %d hops counted; the hub relays nothing, every frame is one hop", res.Hops)
 				}
 				if res.Direct != 0 {
 					t.Errorf("tcp: coordinator (hub) counted %d direct frames; Direct is sender-side and the hub never uses the mesh", res.Direct)
