@@ -36,16 +36,17 @@ stress:
 # Ten seconds of coverage-guided fuzzing per target: the run-based labelling
 # kernel against its flood-fill oracle, every image kernel on a window view
 # against the same kernel on the view's Clone, the value codec, and the net
-# transport's read side — its one frame-read loop (batches included) and the
-# handshake parsers. New inputs land in the Go build cache; a failure writes
-# its reproducer under the package's testdata/fuzz/, to be committed as a
-# regression seed.
+# transport's read side — its one frame-read loop (batches included), the
+# handshake parsers and the shm ring's header words and slab. New inputs land
+# in the Go build cache; a failure writes its reproducer under the package's
+# testdata/fuzz/, to be committed as a regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzComponentsMatchFlood -fuzztime 10s ./internal/vision
 	$(GO) test -run '^$$' -fuzz FuzzViewKernelsMatchCompact -fuzztime 10s ./internal/vision
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime 10s ./internal/exec/nettransport
 	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 10s ./internal/exec/nettransport
+	$(GO) test -run '^$$' -fuzz '^FuzzShmRing$$' -fuzztime 10s ./internal/exec/nettransport
 
 # The repository's benchmark (bench/, BENCHMARK.json): all seven workloads,
 # untraced then traced, every frame and job checked against the sequential
@@ -64,7 +65,10 @@ bench-smoke:
 # working tree), built by its own bench/run.sh and run N times alternating
 # which side goes first. Prints medians, IQRs, wins and failed/attempted per
 # end-to-end metric — what a perf claim has to show (README § Performance).
+# W takes a comma-separated list: one table per workload, so every workload
+# that runs the changed code is one command.
 #   make bench-pairs A=HEAD B=. W=label512_mem N=10
+#   make bench-pairs W=label512_shm,quad256_tcp,track512_paced_unix
 A ?= HEAD
 B ?= .
 W ?= label512_mem

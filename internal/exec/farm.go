@@ -23,6 +23,10 @@ type workerPlan struct {
 	tasks        transport.Receiver
 	replyKey     transport.Key
 	spawn, label uint32 // trace labels: the spawn op, the compute function
+	// release: tasks and replies cross a copying link, so a task argument is
+	// this worker's alone and dead once its reply is sent — a view of it in
+	// the result was copied onto the wire by then.
+	release bool
 }
 
 // lowerWorker adds worker node w, whose spawn op carries the given trace
@@ -42,8 +46,10 @@ func (m *Machine) lowerWorker(pl *procPlan, w *graph.Node, spawn uint32) error {
 	if !ok {
 		return fmt.Errorf("exec: worker function %q not registered", w.Fn)
 	}
+	mp := m.sched.Assign[master]
 	pl.workers = append(pl.workers, &workerPlan{
-		widx: w.Index, comp: comp, masterProc: m.sched.Assign[master],
+		widx: w.Index, comp: comp, masterProc: mp,
+		release:  m.copies(mp, pl.p) && m.copies(pl.p, mp),
 		tasks:    m.t.Receiver(pl.p, transport.TaskKey(master, w.Index)),
 		replyKey: transport.ReplyKey(master),
 		spawn:    spawn,
@@ -76,6 +82,9 @@ func (m *Machine) runWorker(p arch.ProcID, w *workerPlan) {
 			trace.Record(int32(p), obsv.EvOpEnd, w.label, -1, int64(tk.Idx))
 			m.t.Send(p, w.masterProc, w.replyKey,
 				transport.Reply{Widx: w.widx, Task: tk.Idx, Gen: tk.Gen, V: y})
+			if w.release {
+				value.Release(tk.V)
+			}
 		default:
 			m.fail(fmt.Errorf("exec: worker received non-task payload"))
 			return

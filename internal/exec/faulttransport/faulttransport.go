@@ -84,6 +84,7 @@ var (
 	_ transport.FailureNotifier = (*Transport)(nil)
 	_ transport.PeerDowner      = (*Transport)(nil)
 	_ transport.TraceSink       = (*Transport)(nil)
+	_ transport.Copier          = (*Transport)(nil)
 )
 
 // New wraps inner with cfg's scripted faults.
@@ -186,6 +187,13 @@ func (t *Transport) Recv(p arch.ProcID, key transport.Key) (value.Value, bool) {
 // Receiver delegates to the inner backend.
 func (t *Transport) Receiver(p arch.ProcID, key transport.Key) transport.Receiver {
 	return t.inner.Receiver(p, key)
+}
+
+// Copies forwards the inner backend's answer; a backend without one passes
+// by reference.
+func (t *Transport) Copies(src, dst arch.ProcID) bool {
+	c, ok := t.inner.(transport.Copier)
+	return ok && c.Copies(src, dst)
 }
 
 // Abort delegates to the inner backend.

@@ -493,6 +493,13 @@ func (m *Machine) runStage(pl *procPlan, j int, f pipeFrame, memTok chan struct{
 			return false
 		}
 	}
+	if j == len(pl.stages)-1 {
+		// The frame is done: received values that die with it go back to
+		// the arena.
+		for _, s := range pl.release {
+			value.Release(f.vals[s])
+		}
+	}
 	if pipelined {
 		trace.Record(int32(pl.p), obsv.EvStageHand, 0, int32(j), int64(f.iter))
 		if stageLat != nil {

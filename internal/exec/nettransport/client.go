@@ -61,6 +61,7 @@ var (
 	_ transport.Transport       = (*Client)(nil)
 	_ transport.FailureNotifier = (*Client)(nil)
 	_ transport.PeerDowner      = (*Client)(nil)
+	_ transport.Copier          = (*Client)(nil)
 )
 
 // Dial connects to the hub at addr, retrying with jittered exponential

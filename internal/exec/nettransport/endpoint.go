@@ -207,6 +207,13 @@ func (e *endpoint) sendLocal(src, dst arch.ProcID, key transport.Key, payload va
 	return true
 }
 
+// Copies reports whether a payload from src reaches dst through the codec:
+// unless both are hosted here, it crosses a process boundary and the
+// receiver gets a decoded copy.
+func (e *endpoint) Copies(src, dst arch.ProcID) bool {
+	return !e.localSet[src] || !e.localSet[dst]
+}
+
 // encode flattens a remote message into a frame and accounts it as sent
 // (EvSend carries the wire size). false means encoding failed the endpoint.
 func (e *endpoint) encode(src, dst arch.ProcID, key transport.Key, payload value.Value) (outFrame, bool) {

@@ -63,6 +63,7 @@ var (
 	_ transport.Transport       = (*Session)(nil)
 	_ transport.FailureNotifier = (*Session)(nil)
 	_ transport.PeerDowner      = (*Session)(nil)
+	_ transport.Copier          = (*Session)(nil)
 )
 
 // connState is the session's per-connection bookkeeping: the processors

@@ -233,8 +233,10 @@ func openShmRing(path string) (*shmRing, error) {
 		r.unmap()
 		return nil, fmt.Errorf("nettransport: shm segment %s: bad magic %#x", path, m)
 	}
+	// Divide, never multiply: a hostile slot count times the slot size wraps
+	// past the mapping size it is checked against.
 	r.slots = atomic.LoadUint64(r.u64(shmOffSlots))
-	if r.slots == 0 || shmHdrSize+int(r.slots)*shmSlotSize > size {
+	if r.slots == 0 || r.slots > uint64((size-shmHdrSize)/shmSlotSize) {
 		r.unmap()
 		return nil, fmt.Errorf("nettransport: shm segment %s: slot count %d out of range", path, r.slots)
 	}
@@ -320,8 +322,9 @@ func (r *shmRing) tryWrite(p []byte) int {
 
 // tryRead copies published record bytes into p and returns the count (0 =
 // ring empty). Slots are released (head advanced) only when the current
-// record is fully drained. A record length that does not fit the mapping is
-// a corrupt ring and poisons it closed.
+// record is fully drained. Cursors more than a ring apart, or a record that
+// does not fit the mapping or the slots published, are a corrupt ring and
+// poison it closed.
 func (r *shmRing) tryRead(p []byte) int {
 	head := atomic.LoadUint64(r.u64(shmOffHead))
 	tail := atomic.LoadUint64(r.u64(shmOffTail))
@@ -331,7 +334,8 @@ func (r *shmRing) tryRead(p []byte) int {
 	pos := head % r.slots
 	off := shmHdrSize + int(pos)*shmSlotSize
 	n := int(binary.LittleEndian.Uint32(r.mem[off:]))
-	if n <= 0 || off+4+n > len(r.mem) {
+	used := uint64(4+n+shmSlotSize-1) / shmSlotSize
+	if tail-head > r.slots || n <= 0 || off+4+n > len(r.mem) || used > tail-head {
 		r.setClosed()
 		return 0
 	}
@@ -339,7 +343,6 @@ func (r *shmRing) tryRead(p []byte) int {
 	r.recOff += c
 	if r.recOff == n {
 		r.recOff = 0
-		used := uint64(4+n+shmSlotSize-1) / shmSlotSize
 		atomic.StoreUint64(r.u64(shmOffHead), head+used)
 	}
 	return c

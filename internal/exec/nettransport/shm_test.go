@@ -2,9 +2,12 @@ package nettransport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,6 +67,86 @@ func TestShmRingSlotExhaustion(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), src) {
 		t.Fatal("bytes drained from the exhausted ring differ from the bytes written")
 	}
+}
+
+// TestShmRingRejectsHostileHeader pins the two header checks a peer's bytes
+// must pass: a slot count whose slab would overflow the mapping size
+// arithmetic (1<<58 slots of 64 bytes wraps to 0) fails the open, and
+// cursors further apart than the ring poison it closed instead of indexing
+// outside the mapping.
+func TestShmRingRejectsHostileHeader(t *testing.T) {
+	ring, err := createShmRing(44, 16) // a 5 120-byte mapping
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ring.unmap()
+	defer ring.remove()
+	atomic.StoreUint64(ring.u64(shmOffSlots), 1<<58)
+	if r, err := openShmRing(ring.path); err == nil {
+		r.unmap()
+		t.Fatal("a ring claiming 1<<58 slots in a 5 120-byte mapping was accepted")
+	}
+
+	atomic.StoreUint64(ring.u64(shmOffSlots), 16)
+	atomic.StoreUint64(ring.u64(shmOffTail), 17) // one slot more than the ring holds
+	binary.LittleEndian.PutUint32(ring.mem[shmHdrSize:], 8)
+	if n := ring.tryRead(make([]byte, 64)); n != 0 {
+		t.Fatalf("read %d bytes from a ring whose cursors are 17 slots apart", n)
+	}
+	if !ring.closedFlag() {
+		t.Fatal("cursors further apart than the ring did not poison it closed")
+	}
+}
+
+// FuzzShmRing hands the consumer a ring whose header words and slab are
+// the fuzzer's: the slot count, both cursors and every slab byte, as a
+// hostile or torn peer could leave them. The closed flag is set, so an
+// empty ring ends the stream. The open must fail, or Read must return bytes
+// until io.EOF — never panic, block, or yield more bytes than the mapping
+// holds.
+func FuzzShmRing(f *testing.F) {
+	const slots = 16
+	f.Add(uint64(slots), uint64(0), uint64(0), []byte{})
+	f.Add(uint64(slots), uint64(0), uint64(1), []byte{5, 0, 0, 0, 'h', 'e', 'l', 'l', 'o'})
+	f.Add(uint64(slots), uint64(15), uint64(17), []byte{60, 0, 0, 0})
+	f.Add(uint64(slots), uint64(3), uint64(2), []byte{1, 0, 0, 0, 'x'})
+	// testdata/fuzz/FuzzShmRing holds the 1<<58-slot header that indexed
+	// outside the mapping before openShmRing divided instead of multiplying.
+	f.Fuzz(func(t *testing.T, nslots, head, tail uint64, slab []byte) {
+		ring, err := createShmRing(45, slots)
+		if err != nil {
+			t.Skip(err)
+		}
+		defer ring.unmap()
+		copy(ring.mem[shmHdrSize:], slab)
+		atomic.StoreUint64(ring.u64(shmOffSlots), nslots)
+		atomic.StoreUint64(ring.u64(shmOffHead), head)
+		atomic.StoreUint64(ring.u64(shmOffTail), tail)
+		ring.setClosed()
+		in, err := openShmRing(ring.path)
+		ring.remove()
+		if err != nil {
+			return
+		}
+		sa, sb := net.Pipe()
+		defer sb.Close()
+		c := newShmConn(sa, in, nil)
+		defer c.Close()
+		buf := make([]byte, 97)
+		for total := 0; ; {
+			n, err := c.Read(buf)
+			total += n
+			if total > len(in.mem) {
+				t.Fatalf("read %d bytes out of a %d-byte mapping", total, len(in.mem))
+			}
+			if err == io.EOF {
+				return
+			}
+			if err != nil || n == 0 {
+				t.Fatalf("Read = %d, %v; want bytes or io.EOF", n, err)
+			}
+		}
+	})
 }
 
 // TestShmConnBlockedProducerPreservesStream pushes a stream many times the

@@ -23,7 +23,7 @@ type planOp struct {
 	out   int                // first slot written
 	nout  int                // exec: number of slots written
 	mem   *memCell           // the delay state a Mem read or write touches
-	peer  arch.ProcID        // send: destination processor
+	peer  arch.ProcID        // send: destination processor; recv: source
 	key   transport.Key      // send: destination mailbox
 	rx    transport.Receiver // recv: the edge's mailbox endpoint
 	farm  *farm              // master: the farm record
@@ -45,6 +45,7 @@ type procPlan struct {
 	ops     []planOp
 	nslots  int           // size of a frame's value array
 	workers []*workerPlan // farm workers hosted here
+	release []int         // receive slots recycled once the frame is done (releasable)
 
 	// stages[j] lists, in execution order, the ops pipeline stage j runs on
 	// each frame; an unpipelined processor has the one stage. The MEM baton
@@ -106,7 +107,7 @@ func (m *Machine) lower(p arch.ProcID, iters int) (*procPlan, error) {
 		var err error
 		switch op.Kind {
 		case syndex.OpRecv:
-			o.rx, o.out = m.t.Receiver(p, transport.EdgeKey(op.Edge)), pl.nslots
+			o.rx, o.out, o.peer = m.t.Receiver(p, transport.EdgeKey(op.Edge)), pl.nslots, op.Peer
 			slot[op.Edge] = o.out
 			pl.nslots++
 		case syndex.OpSend:
@@ -147,12 +148,66 @@ func (m *Machine) lower(p arch.ProcID, iters int) (*procPlan, error) {
 			return nil, err
 		}
 	}
+	pl.release = m.releasable(pl)
 	var cuts []int
 	if m.Pipeline {
 		cuts = m.pipelineCuts(p)
 	}
 	pl.cutStages(cuts)
 	return pl, nil
+}
+
+// copies reports whether a payload src sends reaches dst as a decoded copy
+// that dst owns alone (transport.Copier); never on the in-process backend.
+func (m *Machine) copies(src, dst arch.ProcID) bool {
+	c, ok := m.t.(transport.Copier)
+	return ok && c.Copies(src, dst)
+}
+
+// releasable returns the receive slots whose value the frame recycles once
+// it is done (DESIGN.md §7). The value must have arrived over a copying
+// link, so this processor owns it alone, and neither it nor anything derived
+// from it may escape the frame. Derived is every output of an exec op that
+// reads a derived slot, transitively: a function's result may be a view of
+// its argument. A value escapes into delay state (a Mem read or write), into
+// the Output node's recorded value, into a farm master (which retains tasks
+// for re-dispatch and hands them to a co-hosted worker by reference) and
+// through a send that passes by reference. Program order is a topological
+// order of the slots, so one forward pass per receive finds everything
+// derived from it.
+func (m *Machine) releasable(pl *procPlan) []int {
+	var release []int
+	derived := make([]bool, pl.nslots)
+	for r := range pl.ops {
+		if pl.ops[r].kind != syndex.OpRecv || !m.copies(pl.ops[r].peer, pl.p) {
+			continue
+		}
+		clear(derived)
+		derived[pl.ops[r].out] = true
+		escapes := false
+		for i := r + 1; i < len(pl.ops) && !escapes; i++ {
+			o := &pl.ops[i]
+			reads := false
+			for _, s := range o.in {
+				reads = reads || derived[s]
+			}
+			switch {
+			case !reads:
+			case o.kind == syndex.OpSend:
+				escapes = !m.copies(pl.p, o.peer)
+			case o.kind == syndex.OpExec && o.mem == nil && o.node.Kind != graph.KindOutput:
+				for s := o.out; s < o.out+o.nout; s++ {
+					derived[s] = true
+				}
+			default: // a Mem read or write, the Output node, a farm master
+				escapes = true
+			}
+		}
+		if !escapes {
+			release = append(release, pl.ops[r].out)
+		}
+	}
+	return release
 }
 
 // pipelineCuts returns the ascending cut indices splitting processor p's

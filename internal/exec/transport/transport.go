@@ -19,7 +19,11 @@
 // transport is aborted; after Abort every blocked and future Recv returns
 // ok=false. Payload values are owned by the receiver once delivered —
 // senders must not mutate a payload after Send (the mem backend passes
-// references, the net backend copies through the wire codec).
+// references, the net backend copies through the wire codec). A backend
+// that copies finishes with the payload before Send returns, so the sender
+// may recycle its buffers at once. A copy (Copier says which links make
+// one) belongs to the receiving processor alone, which may recycle its
+// buffers once it is dead.
 package transport
 
 import (
@@ -90,6 +94,14 @@ type Stats struct {
 // backend returns the mailbox slot itself, preserving the 0-alloc contract).
 type Receiver interface {
 	Recv() (value.Value, bool)
+}
+
+// Copier is implemented by transports that deliver some payloads as
+// decoded copies. Copies reports whether a payload src sends to dst reaches
+// dst as a copy of its own rather than by reference. A transport without it
+// passes every payload by reference.
+type Copier interface {
+	Copies(src, dst arch.ProcID) bool
 }
 
 // Transport is the communication substrate a Machine executes over. A

@@ -68,6 +68,9 @@ const maxDecodeDepth = 512
 // path. Wrapper codecs (farm tasks) read their fixed fields and recurse via
 // DecodeStream. On error the reader's position is unspecified; stream
 // decoders must treat any error as fatal for the connection.
+//
+// Release, also optional, hands a dead value's buffers back to the arena its
+// decoder draws from (see Release below).
 type Ext struct {
 	Name       string
 	Match      func(v Value) bool
@@ -76,6 +79,7 @@ type Ext struct {
 	Size       func(v Value) int
 	EncodeTail func(buf []byte, v Value) (head, tail []byte, err error)
 	DecodeFrom func(r io.Reader, n int) (Value, error)
+	Release    func(v Value)
 }
 
 var (
@@ -122,6 +126,28 @@ func matchExt(v Value) *Ext {
 		}
 	}
 	return nil
+}
+
+// Release recycles the buffers of v, walking tuples and lists, through the
+// Release hooks of the extension codecs that match its leaves. The caller
+// asserts that v is dead: it owns v alone (the executive calls this only for
+// values a transport decoded for it) and neither v nor any view of it is
+// reachable once Release returns.
+func Release(v Value) {
+	switch v := v.(type) {
+	case Tuple:
+		for _, e := range v {
+			Release(e)
+		}
+	case List:
+		for _, e := range v {
+			Release(e)
+		}
+	default:
+		if e := matchExt(v); e != nil && e.Release != nil {
+			e.Release(v)
+		}
+	}
 }
 
 func lookupExt(name string) *Ext {

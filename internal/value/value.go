@@ -117,7 +117,10 @@ type Func struct {
 	Sig string
 	// Arity is the number of curried arguments.
 	Arity int
-	// Fn is the implementation. It receives exactly Arity arguments.
+	// Fn is the implementation. It receives exactly Arity arguments. It must
+	// not retain an argument, or any view of one, past its return except
+	// through its result: the executive recycles the buffers of a value a
+	// transport decoded once nothing the schedule holds refers to it.
 	Fn func(args []Value) Value
 	// Cost estimates the execution time of a call in processor cycles on
 	// the modelled target, given the actual arguments. Nil means DefaultCost.

@@ -11,7 +11,9 @@ import (
 // sync.Pool: GetImage is a drop-in replacement for NewImage (the returned
 // image is zeroed) and PutImage returns a frame to the pool once the caller
 // is done with it. Images that are never Put are simply collected by the
-// GC, so the arena is safe to adopt incrementally.
+// GC, so the arena is safe to adopt incrementally. The codec decodes every
+// image and window into arena buffers, and the executive puts them back once
+// a decoded value is dead (the Release hook registered in codec.go).
 
 var imagePool = sync.Pool{New: func() any { return &Image{} }}
 

@@ -27,6 +27,7 @@ func init() {
 		Size:       func(v value.Value) int { return 8 + v.(*Image).Bytes() },
 		EncodeTail: encodeImageTail,
 		DecodeFrom: decodeImageFrom,
+		Release:    func(v value.Value) { PutImage(v.(*Image)) },
 	})
 	value.RegisterExt(value.Ext{
 		Name:   "vision.Window",
@@ -42,6 +43,7 @@ func init() {
 		},
 		EncodeTail: encodeWindowTail,
 		DecodeFrom: decodeWindowFrom,
+		Release:    func(v value.Value) { PutImage(v.(Window).Img) },
 	})
 }
 

@@ -191,7 +191,8 @@ func (r Rect) String() string {
 // on it is reachable, a retained window keeps the whole frame alive, and
 // nobody writes through Img; Clone it to own the pixels. Pixels are copied
 // only when a window crosses a transport, and the window decoded on the far
-// side is compact and owns its buffer.
+// side is compact, draws its buffer from the arena, and goes back to it once
+// the executive finds it dead.
 type Window struct {
 	Origin Rect
 	Img    *Image

@@ -2,7 +2,7 @@
 # Paired benchmark runs of two versions of this repository
 # (/opt/skills/guides/choosing-metrics §8; the procedure PRs 16-18 report).
 #
-#   scripts/bench-pairs.sh A B WORKLOAD [N=10]
+#   scripts/bench-pairs.sh A B WORKLOAD[,WORKLOAD...] [N=10]
 #
 # A and B are each a git ref (exported with `git archive` into a scratch
 # directory, so nothing is registered in .git) or a directory holding a
@@ -10,8 +10,9 @@
 # Each side is built and run by its OWN bench/run.sh, with identical
 # flags; pair k runs A first when k is odd and B first when k is even, so
 # neither side always inherits the other's warm caches or thermal state.
-# Per end-to-end metric of BENCHMARK.json it prints both medians, both
-# interquartile ranges, how many pairs B won (ties count for neither),
+# A comma-separated list runs N pairs of each workload in turn. Per
+# workload and end-to-end metric of BENCHMARK.json it prints both medians,
+# both interquartile ranges, how many pairs B won (ties count for neither),
 # whether B's median is outside A's IQR and whether it is worse than A's by
 # more than the metric's bound; then failed/attempted per side.
 #
@@ -21,10 +22,11 @@
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-	sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
+	sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
 	exit 2
 fi
-ref_a=$1 ref_b=$2 workload=$3 pairs=${4:-10}
+ref_a=$1 ref_b=$2 pairs=${4:-10}
+IFS=, read -ra workloads <<<"$3"
 seed=${SEED:-5} seconds=${SECONDS_PER_RUN:-10} trace=${TRACE:-0}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 command -v python3 >/dev/null || { echo "bench-pairs: python3 is needed for the summary" >&2; exit 1; }
@@ -52,35 +54,10 @@ checkout() {
 dir_a=$(checkout a "$ref_a")
 dir_b=$(checkout b "$ref_b")
 
-flags=(--workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace")
-if [ -n "${SCENE:-}" ]; then flags+=(--scene "$SCENE"); fi
-
-# run SIDE DIR appends the run's JSON result (the last stdout line) to
-# SIDE's result file; a run that exits non-zero still counts, as failed.
-run() {
-	local out
-	if ! out=$(cd "$2" && bash bench/run.sh "${flags[@]}" 2>"$scratch/$1.stderr" | tail -n 1) || [ -z "$out" ]; then
-		out='{"crashed": true}'
-		echo "bench-pairs: $1 run failed; stderr in $scratch/$1.stderr" >&2
-	fi
-	echo "$out" >>"$scratch/$1.jsonl"
-}
-
-: >"$scratch/a.jsonl"
-: >"$scratch/b.jsonl"
-echo "A = $ref_a ($dir_a)" >&2
-echo "B = $ref_b ($dir_b)" >&2
-echo "bench/run.sh ${flags[*]}, $pairs pairs" >&2
-for k in $(seq 1 "$pairs"); do
-	if [ $((k % 2)) -eq 1 ]; then
-		run a "$dir_a"; run b "$dir_b"
-	else
-		run b "$dir_b"; run a "$dir_a"
-	fi
-	echo "pair $k/$pairs done" >&2
-done
-
-python3 - "$root/BENCHMARK.json" "$scratch/a.jsonl" "$scratch/b.jsonl" "$workload" <<'EOF'
+# summarize A_RESULTS B_RESULTS WORKLOAD prints the workload's table; it
+# fails when a run failed, crashed or missed the oracle.
+summarize() {
+	python3 - "$root/BENCHMARK.json" "$@" <<'EOF'
 import json, statistics, sys
 
 bench, fa, fb, workload = sys.argv[1:5]
@@ -121,3 +98,37 @@ for s in "AB":
     bad += failed + wrong
 sys.exit(1 if bad else 0)
 EOF
+}
+
+# run SIDE DIR appends the run's JSON result (the last stdout line) to
+# SIDE's result file for the current workload; a run that exits non-zero
+# still counts, as failed.
+run() {
+	local out
+	if ! out=$(cd "$2" && bash bench/run.sh "${flags[@]}" 2>"$scratch/$1.stderr" | tail -n 1) || [ -z "$out" ]; then
+		out='{"crashed": true}'
+		echo "bench-pairs: $1 run failed; stderr in $scratch/$1.stderr" >&2
+	fi
+	echo "$out" >>"$scratch/$1-$workload.jsonl"
+}
+
+echo "A = $ref_a ($dir_a)" >&2
+echo "B = $ref_b ($dir_b)" >&2
+status=0
+for workload in "${workloads[@]}"; do
+	flags=(--workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace")
+	if [ -n "${SCENE:-}" ]; then flags+=(--scene "$SCENE"); fi
+	: >"$scratch/a-$workload.jsonl"
+	: >"$scratch/b-$workload.jsonl"
+	echo "bench/run.sh ${flags[*]}, $pairs pairs" >&2
+	for k in $(seq 1 "$pairs"); do
+		if [ $((k % 2)) -eq 1 ]; then
+			run a "$dir_a"; run b "$dir_b"
+		else
+			run b "$dir_b"; run a "$dir_a"
+		fi
+		echo "$workload: pair $k/$pairs done" >&2
+	done
+	summarize "$scratch/a-$workload.jsonl" "$scratch/b-$workload.jsonl" "$workload" || status=1
+done
+exit $status
