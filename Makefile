@@ -36,8 +36,9 @@ stress:
 # Ten seconds of coverage-guided fuzzing per target: the run-based labelling
 # kernel against its flood-fill oracle, every image kernel on a window view
 # against the same kernel on the view's Clone, the value codec, and the net
-# transport's read side — its one frame-read loop (batches included), the
-# handshake parsers and the shm ring's header words and slab. New inputs land
+# transport's read side — its one frame-read loop (stream-decoding the frames
+# for a hosted processor), the handshake parsers and the shm ring's header
+# words and slab. New inputs land
 # in the Go build cache; a failure writes its reproducer under the package's
 # testdata/fuzz/, to be committed as a regression seed.
 fuzz-smoke:

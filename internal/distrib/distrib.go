@@ -58,10 +58,6 @@ type Job struct {
 	// same value so the chronograms line up — which is what makes it job
 	// description rather than per-process config.
 	Pipeline bool `json:"pipeline,omitempty"`
-	// PipelineDepth caps the pipeline's stage count (DESIGN.md §7):
-	// 0 or 1 cuts at every farm boundary, 2 restores the historical
-	// front/back split. Job description for the same reason Pipeline is.
-	PipelineDepth int `json:"pipelineDepth,omitempty"`
 	// Trace arms job-scoped event tracing on every process of the
 	// deployment: workers record their assignment's executive and
 	// transport events into a dedicated full-size ring and ship the
@@ -175,6 +171,17 @@ func HubListenAddr(transport string) (listen string, cleanup func(), err error) 
 	return "", nil, fmt.Errorf("distrib: unknown transport %q", transport)
 }
 
+// Upper bounds on a job's size, far above any in-tree job (16 processors,
+// 512x512 frames, 4 000 iterations): a run allocates its architecture and
+// program per processor, a frame per width x height and its outputs per
+// iteration up front, so an unbounded job description takes the server
+// down before the first frame.
+const (
+	maxJobProcs = 256
+	maxJobSide  = 4096
+	maxJobIters = 1_000_000
+)
+
 // Validate rejects job descriptions no deployment could run — the
 // admission check the service control plane applies before queueing.
 func (j Job) Validate() error {
@@ -183,14 +190,14 @@ func (j Job) Validate() error {
 	default:
 		return fmt.Errorf("distrib: unknown topology %q", j.Topology)
 	}
-	if j.Procs < 1 {
-		return fmt.Errorf("distrib: procs %d, want >= 1", j.Procs)
+	if j.Procs < 1 || j.Procs > maxJobProcs {
+		return fmt.Errorf("distrib: procs %d, want 1..%d", j.Procs, maxJobProcs)
 	}
-	if j.Width < 8 || j.Height < 8 {
-		return fmt.Errorf("distrib: frame %dx%d too small (want >= 8x8)", j.Width, j.Height)
+	if j.Width < 8 || j.Height < 8 || j.Width > maxJobSide || j.Height > maxJobSide {
+		return fmt.Errorf("distrib: frame %dx%d, want 8x8..%dx%d", j.Width, j.Height, maxJobSide, maxJobSide)
 	}
-	if j.Iters < 1 {
-		return fmt.Errorf("distrib: iters %d, want >= 1", j.Iters)
+	if j.Iters < 1 || j.Iters > maxJobIters {
+		return fmt.Errorf("distrib: iters %d, want 1..%d", j.Iters, maxJobIters)
 	}
 	return nil
 }
@@ -256,7 +263,6 @@ func (sp Spec) Configure(m *exec.Machine) {
 		SpeculateAfter: speculate,
 	}
 	m.Pipeline = sp.Pipeline
-	m.PipelineDepth = sp.PipelineDepth
 }
 
 // Deployment is a compiled Spec: the mapped schedule, this process's

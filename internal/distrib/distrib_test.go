@@ -323,19 +323,50 @@ func TestNodeRejectsCoordinatorProcessor(t *testing.T) {
 	}
 }
 
+// TestJobValidateBounds pins the admission check at both ends of every
+// size: a job past an upper bound would allocate its architecture, a frame
+// or its outputs at that size before the first frame.
+func TestJobValidateBounds(t *testing.T) {
+	ok := Job{Topology: "ring", Procs: 3, Width: 48, Height: 48, Vehicles: 1, Seed: 1, Iters: 2}
+	for _, tc := range []struct {
+		name string
+		edit func(*Job)
+		want string // "" = valid
+	}{
+		{"in-tree job", func(*Job) {}, ""},
+		{"largest job", func(j *Job) { j.Procs, j.Width, j.Height, j.Iters = 256, 4096, 4096, 1_000_000 }, ""},
+		{"smallest job", func(j *Job) { j.Procs, j.Width, j.Height, j.Iters = 1, 8, 8, 1 }, ""},
+		{"unknown topology", func(j *Job) { j.Topology = "torus" }, "topology"},
+		{"no procs", func(j *Job) { j.Procs = 0 }, "procs"},
+		{"too many procs", func(j *Job) { j.Procs = 257 }, "procs"},
+		{"frame too narrow", func(j *Job) { j.Width = 7 }, "frame"},
+		{"frame too wide", func(j *Job) { j.Width = 1_000_000 }, "frame"},
+		{"frame too tall", func(j *Job) { j.Height = 4097 }, "frame"},
+		{"no iters", func(j *Job) { j.Iters = 0 }, "iters"},
+		{"too many iters", func(j *Job) { j.Iters = 1 << 40 }, "iters"},
+	} {
+		j := ok
+		tc.edit(&j)
+		err := j.Validate()
+		if (err == nil) != (tc.want == "") || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestSpecConfigureSetsEveryKnob pins the one place a Spec becomes machine
-// settings: all four executive knobs land, and the job's own speculation
+// settings: all three executive knobs land, and the job's own speculation
 // threshold overrides the fleet's.
 func TestSpecConfigureSetsEveryKnob(t *testing.T) {
 	sp := trackingSpec(1)
-	sp.Deterministic, sp.Pipeline, sp.PipelineDepth = true, true, 2
+	sp.Deterministic, sp.Pipeline = true, true
 	sp.MaxRetries, sp.TaskDeadline, sp.SpeculateAfter = 3, time.Second, 200*time.Millisecond
 	var m goexec.Machine
 	sp.Configure(&m)
 	want := goexec.FaultTolerance{MaxRetries: 3, TaskDeadline: time.Second, SpeculateAfter: 200 * time.Millisecond}
-	if !m.DeterministicFarm || !m.Pipeline || m.PipelineDepth != 2 || m.FT != want {
-		t.Fatalf("machine = {det %v pipe %v depth %d ft %+v}, want everything the spec sets",
-			m.DeterministicFarm, m.Pipeline, m.PipelineDepth, m.FT)
+	if !m.DeterministicFarm || !m.Pipeline || m.FT != want {
+		t.Fatalf("machine = {det %v pipe %v ft %+v}, want everything the spec sets",
+			m.DeterministicFarm, m.Pipeline, m.FT)
 	}
 	sp.SpeculateAfterMS = -1
 	sp.Configure(&m)

@@ -17,7 +17,6 @@ type Flags struct {
 	Seed          *int64
 	Deterministic *bool
 	Pipeline      *bool
-	PipelineDepth *int
 	DataPlane     *string
 	Trace         *string
 	DebugAddr     *string
@@ -52,7 +51,6 @@ func FlagSet(fs *flag.FlagSet) *Flags {
 	f.Seed = own.Int64("seed", 3, "synthetic scene seed")
 	f.Deterministic = own.Bool("deterministic", false, "order-insensitive farm accumulation, same value on every process")
 	f.Pipeline = own.Bool("pipeline", false, "software-pipeline the itermem loop (overlap frame k+1's grab with frame k's farm), same value on every process")
-	f.PipelineDepth = own.Int("pipeline-depth", 0, "with -pipeline: cap the pipeline at this many stages (0 = cut at every farm boundary, 2 = the historical two-stage split)")
 	f.DataPlane = own.String("data-plane", "", "node data plane: tcp, unix or shm (default: inferred from the control connection's locality)")
 	f.Trace = own.String("trace", "", "trace directory: record an event trace and export its artifacts there")
 	f.DebugAddr = own.String("debug-addr", "", "serve /metrics, /healthz and /varz on this address")
@@ -69,7 +67,6 @@ func (f *Flags) Spec() Spec {
 			Width: *f.Size, Height: *f.Size,
 			Vehicles: *f.Vehicles, Seed: *f.Seed, Iters: *f.Iters,
 			Deterministic: *f.Deterministic, Pipeline: *f.Pipeline,
-			PipelineDepth: *f.PipelineDepth,
 		},
 		DataPlane: *f.DataPlane,
 		TraceDir:  *f.Trace, DebugAddr: *f.DebugAddr,

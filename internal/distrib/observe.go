@@ -82,12 +82,6 @@ func (ob *observer) start(sp Spec, t transport.Transport, m *exec.Machine, sess 
 			m.FTFalseSuspicions)
 		m.StageLatency = mx.StageObserver("skipper_pipeline_stage",
 			"Pipelined itermem stage busy time per frame in seconds.")
-		mx.CounterFunc("skipper_net_batch_flushes_total",
-			"Writer drains that coalesced two or more frames into one syscall.",
-			func() int64 { f, _ := nettransport.BatchStats(); return f })
-		mx.CounterFunc("skipper_net_batch_subframes_total",
-			"Frames shipped inside coalesced writer drains.",
-			func() int64 { _, s := nettransport.BatchStats(); return s })
 		mx.CounterFunc("skipper_shm_doorbell_arms_total",
 			"Armed-sleep transitions on shm rings (a spin window expired).",
 			func() int64 { a, _ := nettransport.ShmStats(); return a })

@@ -19,8 +19,8 @@ func runTraced(t *testing.T, transport string, iters int, pipeline bool) *obsv.T
 	t.Helper()
 	sp := trackingSpec(iters)
 	sp.TraceDir = t.TempDir()
-	// Full depth: PipelineDepth 0 cuts at every farm boundary, the maximum
-	// stage count the schedule admits (DESIGN.md §7).
+	// The pipeline cuts at every farm boundary, the maximum stage count the
+	// schedule admits (DESIGN.md §7).
 	sp.Pipeline = pipeline
 	switch transport {
 	case "mem":

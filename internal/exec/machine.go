@@ -129,14 +129,6 @@ type Machine struct {
 	// single stage, as does everything when the flag is off (the default).
 	Pipeline bool
 
-	// PipelineDepth caps the number of pipeline stages. Values below 2
-	// (the zero value included) leave the depth unbounded — one stage per
-	// master boundary; 2 restores the historical front-end/back-end split.
-	// It exists for measurement (depth sweeps in the benchmark suite), not
-	// tuning: deeper is never slower, because an unused stage is just an
-	// empty goroutine handoff.
-	PipelineDepth int
-
 	t     transport.Transport
 	ownT  bool          // machine creates/destroys the transport per run
 	local []arch.ProcID // processors this machine hosts

@@ -177,14 +177,13 @@ func newClient(fingerprint uint64, local []arch.ProcID, c wire, br *bufio.Reader
 		cl.rec.Store(o.trace)
 	}
 	cl.w = newWConn(c, func(err error) {
-		// The aborted check breaks a re-entrant deadlock: Abort's best-effort
-		// abort-frame send can fail inline on this very goroutine (the hub is
-		// typically already gone when Abort runs), and failf -> Abort would
-		// re-enter abortOnce.Do.
+		// The aborted check keeps a failed abort broadcast (the hub is
+		// typically already gone when Abort runs) from failing the client a
+		// second time.
 		if !cl.closing.Load() && !cl.aborted.Load() {
 			cl.failf("nettransport: hub connection: %v", err)
 		}
-	}, &cl.rec)
+	})
 	cl.readerWG.Add(2)
 	go cl.readLoop(br)
 	go cl.acceptLoop()
@@ -338,14 +337,16 @@ func (cl *Client) Send(src, dst arch.ProcID, key transport.Key, payload value.Va
 }
 
 // Abort notifies the hub (which re-broadcasts to every other node), wakes
-// any Send waiting for the peers map and unblocks all local mailboxes.
+// any Send waiting for the peers map and unblocks all local mailboxes. The
+// abort frame is enqueued: a send could wait forever behind a write stalled
+// on a hub that stopped reading, and the mailboxes would never unblock.
 func (cl *Client) Abort() {
 	cl.stopHeartbeat()
-	cl.halt(func() { cl.w.send(controlFrame(abortDst, nil)) }, false)
+	cl.halt(func() { cl.w.enqueue(controlFrame(abortDst, nil)) }, false)
 }
 
 // Sever tears the client down the way a crash would: no detach frame, no
-// queue flush — every socket (control, peer listener, peer connections)
+// flush — every socket (control, peer listener, peer connections)
 // is closed abruptly and local mailboxes are killed, dropping anything
 // buffered. The hub observes exactly what a died node process produces
 // (EOF without detach), which makes Sever the in-process stand-in for
@@ -362,18 +363,18 @@ func (cl *Client) Sever() {
 	cl.closeInbound()
 }
 
-// Close detaches from the cluster: peer connections flush and close, a
-// detach frame tells the hub this is a clean shutdown (EOF without one is
-// treated as a died node), the control connection flushes and closes, and
-// the peer listener and its accepted connections are torn down.
+// Close detaches from the cluster: peer connections flush and close, the
+// control connection flushes, ends with a detach frame telling the hub this
+// is a clean shutdown (EOF without one is treated as a died node) and
+// closes, and the peer listener and its accepted connections are torn down.
+// Each flush is bounded by flushTimeout.
 func (cl *Client) Close() error {
 	cl.closing.Store(true)
 	cl.stopHeartbeat()
 	for _, w := range cl.peerConns() {
 		w.flushClose()
 	}
-	cl.w.send(controlFrame(detachDst, nil))
-	cl.w.flushClose()
+	cl.w.flushClose(controlFrame(detachDst, nil))
 	cl.ln.Close()
 	cl.closeInbound()
 	cl.halt(nil, false)

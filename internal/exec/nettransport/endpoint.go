@@ -90,23 +90,14 @@ var errStopRead = errors.New("nettransport: stop reading")
 // connections and each node connection on the hub. A data frame for a
 // processor hosted here stream-decodes straight off the connection (pixel
 // slabs land in their arena image without an intermediate frame buffer);
-// anything else is read into an arena buffer and, a batch one sub-frame at a
-// time, delivered or handed to dispatch — control frames and data for
-// processors not hosted here, which only the owner knows how to treat.
-// from, on the hub, is the node connection's liveness record: every frame
-// bumps its clock, and once all its processors are declared dead its data
-// frames are dropped as stale. The loop returns the error that ended it:
-// io.EOF for a clean close between frames, errStopRead when dispatch asked.
+// anything else is read into an arena buffer and handed to dispatch —
+// control frames and data for processors not hosted here, which only the
+// owner knows how to treat. from, on the hub, is the node connection's
+// liveness record: every frame bumps its clock, and once all its processors
+// are declared dead its data frames are dropped as stale. The loop returns
+// the error that ended it: io.EOF for a clean close between frames,
+// errStopRead when dispatch asked.
 func (e *endpoint) readFrames(br *bufio.Reader, from *connState, dispatch func(dst uint32, key transport.Key, payload []byte) error) error {
-	frame := func(dst uint32, key transport.Key, payload []byte) error {
-		switch {
-		case dst < batchDst && e.stale(from): // the control range starts at batchDst
-			return nil
-		case e.localSet[arch.ProcID(dst)]:
-			return e.deliver(arch.ProcID(dst), key, len(payload), nil, payload)
-		}
-		return dispatch(dst, key, payload)
-	}
 	for {
 		n, dst, key, err := readFrameHeader(br)
 		if err != nil {
@@ -116,7 +107,7 @@ func (e *endpoint) readFrames(br *bufio.Reader, from *connState, dispatch func(d
 			from.lastHeard.Store(time.Now().UnixNano())
 		}
 		if e.localSet[arch.ProcID(dst)] && !e.stale(from) {
-			if err := e.deliver(arch.ProcID(dst), key, n-frameHeader, br, nil); err != nil {
+			if err := e.deliver(arch.ProcID(dst), key, n-frameHeader, br); err != nil {
 				return err
 			}
 			continue
@@ -125,10 +116,8 @@ func (e *endpoint) readFrames(br *bufio.Reader, from *connState, dispatch func(d
 		if err != nil {
 			return err
 		}
-		if dst == batchDst {
-			err = forEachBatched(payload, frame)
-		} else {
-			err = frame(dst, key, payload)
+		if dst >= peerDownDst || !e.stale(from) { // a stale connection's control frames still count
+			err = dispatch(dst, key, payload)
 		}
 		putBuf(fb)
 		if err != nil {
@@ -139,12 +128,12 @@ func (e *endpoint) readFrames(br *bufio.Reader, from *connState, dispatch func(d
 
 // readPayload reads a frame's n payload bytes into an arena buffer; the
 // caller putBufs it once the payload is consumed. A frame that takes this
-// path (a control frame, a batch) is legitimately at most a batch long, so
-// the buffer starts at that size and beyond it grows only as bytes arrive:
-// a corrupt or hostile length passes the maxFrame check without making the
+// path (a control frame) is legitimately small, so the buffer starts at
+// most at the reader's size and beyond it grows only as bytes arrive: a
+// corrupt or hostile length passes the maxFrame check without making the
 // reader allocate it up front.
 func readPayload(br *bufio.Reader, n int) (*frameBuf, []byte, error) {
-	fb := getBuf(min(n, batchMaxBytes))
+	fb := getBuf(min(n, readBufSize))
 	for len(fb.b) < n {
 		if len(fb.b) == cap(fb.b) {
 			fb.b = slices.Grow(fb.b, min(n, 2*cap(fb.b))-len(fb.b))
@@ -159,18 +148,11 @@ func readPayload(br *bufio.Reader, n int) (*frameBuf, []byte, error) {
 	return fb, fb.b, nil
 }
 
-// deliver decodes one data frame of n payload bytes into hosted processor
-// p's mailbox: straight off the connection when br is set, else from the
-// in-memory payload (a batched sub-frame). An error from br leaves it
-// mid-frame; the caller must stop reading the connection.
-func (e *endpoint) deliver(p arch.ProcID, key transport.Key, n int, br *bufio.Reader, payload []byte) error {
-	var v value.Value
-	var err error
-	if br != nil {
-		v, err = value.DecodeStream(br, n)
-	} else {
-		v, err = value.Decode(payload)
-	}
+// deliver stream-decodes one data frame of n payload bytes off br into
+// hosted processor p's mailbox. An error leaves br mid-frame; the caller
+// must stop reading the connection.
+func (e *endpoint) deliver(p arch.ProcID, key transport.Key, n int, br *bufio.Reader) error {
+	v, err := value.DecodeStream(br, n)
 	if err != nil {
 		return fmt.Errorf("nettransport: decoding frame for processor %d key %v: %v", p, key, err)
 	}
@@ -269,8 +251,8 @@ func (e *endpoint) awaitRoutes(late string) bool {
 // there first: it flags the endpoint aborted, wakes every Send waiting for
 // routes, runs notify (the owner's best-effort abort broadcast, if any) and
 // releases the mailboxes — draining what they hold, or with kill dropping it.
-// aborted is set before notify so a broadcast that fails inline cannot
-// re-enter Abort through a write-error handler.
+// aborted is set before notify so a failed broadcast write cannot fail the
+// endpoint again through a write-error handler.
 func (e *endpoint) halt(notify func(), kill bool) {
 	e.abortOnce.Do(func() {
 		e.aborted.Store(true)

@@ -14,12 +14,12 @@ import (
 	"skipper/internal/arch"
 )
 
-// TestHubRefusesOlderWireVersion: a node of the previous wire version must
-// be turned away at the handshake with the "wire version" diagnostic. The
-// bump to 7 changed no frame, only the farm protocol: attached, a version-6
-// worker would wait for the per-frame sentinels a version-7 master no longer
-// sends, and the run would hang until the watchdog.
+// TestHubRefusesOlderWireVersion: a version-7 node must be turned away at the
+// handshake with the "wire version" diagnostic. Version 7 still had batch
+// frames: attached, such a node could send one, which this reader would take
+// for data addressed to processor 0xfffffffa.
 func TestHubRefusesOlderWireVersion(t *testing.T) {
+	const older = 7
 	hub, err := NewHub("127.0.0.1:0", arch.Ring(2), 7, []arch.ProcID{0})
 	if err != nil {
 		t.Fatal(err)
@@ -31,9 +31,9 @@ func TestHubRefusesOlderWireVersion(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(5 * time.Second))
-	// A well-formed hello for processor 1, stamped with the previous version.
+	// A well-formed hello for processor 1, stamped with the older version.
 	buf := binary.BigEndian.AppendUint32(nil, magic)
-	buf = binary.BigEndian.AppendUint16(buf, wireVersion-1)
+	buf = binary.BigEndian.AppendUint16(buf, older)
 	buf = binary.BigEndian.AppendUint64(buf, 7)
 	buf = binary.BigEndian.AppendUint16(buf, 1)
 	buf = binary.BigEndian.AppendUint32(buf, 1)
@@ -42,9 +42,9 @@ func TestHubRefusesOlderWireVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = readHelloReply(bufio.NewReader(c))
-	want := fmt.Sprintf("wire version %d, want %d", wireVersion-1, wireVersion)
+	want := fmt.Sprintf("wire version %d, want %d", older, wireVersion)
 	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("hello of the previous version got %v, want a %q rejection", err, want)
+		t.Fatalf("hello of version %d got %v, want a %q rejection", older, err, want)
 	}
 }
 

@@ -137,11 +137,10 @@ func TestHubDropsOrRejectsForeignFrame(t *testing.T) {
 	}
 }
 
-// TestAbortSurvivesDeadControlConnection pins the abort re-entrancy guard:
-// Abort's best-effort abort frame is sent on the control connection, which
-// in real aborts is often already dead, so the inline write fails on the
-// aborting goroutine itself. The wconn's onErr must not re-enter Abort
-// (sync.Once.Do would self-deadlock and the mailboxes would never unblock).
+// TestAbortSurvivesDeadControlConnection pins Abort on a dead control
+// connection, the usual case in real aborts: the best-effort abort frame's
+// write fails, and the wconn's onErr must neither re-enter Abort nor fail
+// the client a second time — Abort returns and the mailboxes unblock.
 func TestAbortSurvivesDeadControlConnection(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -149,7 +148,7 @@ func TestAbortSurvivesDeadControlConnection(t *testing.T) {
 	}
 	c1, c2 := net.Pipe()
 	cl := newClient(7, []arch.ProcID{1}, c1, bufio.NewReader(c1), ln, 0, buildOptions(nil))
-	c2.Close() // control writes now fail synchronously on the caller's goroutine
+	c2.Close() // control writes now fail
 	done := make(chan struct{})
 	go func() {
 		cl.Abort()
@@ -158,7 +157,7 @@ func TestAbortSurvivesDeadControlConnection(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Abort deadlocked when the abort-frame send failed inline")
+		t.Fatal("Abort deadlocked when the abort-frame write failed")
 	}
 	if _, ok := cl.Recv(1, transport.EdgeKey(graph.EdgeID(1))); ok {
 		t.Fatal("mailbox delivered a value after abort")
@@ -166,14 +165,15 @@ func TestAbortSurvivesDeadControlConnection(t *testing.T) {
 	cl.Close()
 }
 
-// TestEnqueueNeverBlocksOnSocket pins the enqueue-only wconn path heartbeats
-// and the hub's peer-down broadcast take: unlike send's inline fast path,
-// enqueue must return without touching the socket (net.Pipe writes block
-// until the other end reads, so an inline write here would hang).
+// TestEnqueueNeverBlocksOnSocket pins the wconn path heartbeats, the hub's
+// peer-down broadcast and the abort broadcast take: unlike send, enqueue
+// must return without writing on the caller's goroutine (net.Pipe writes
+// block until the other end reads, so a write here would hang), and
+// flushClose must still deliver the frame.
 func TestEnqueueNeverBlocksOnSocket(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c2.Close()
-	w := newWConn(c1, nil, nil)
+	w := newWConn(c1, nil)
 	done := make(chan struct{})
 	go func() {
 		w.enqueue(controlFrame(abortDst, nil))

@@ -88,7 +88,7 @@ func (cl *Client) peerConn(addr string) (*wconn, error) {
 			return
 		}
 		cl.failf("nettransport: peer %s: %v", addr, err)
-	}, &cl.rec)
+	})
 	cl.pconns[addr] = w
 	return w, nil
 }

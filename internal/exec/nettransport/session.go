@@ -153,8 +153,8 @@ func (s *Session) Ready() bool {
 
 // serveConn validates one client handshake against this session, attaches
 // its processors and runs its reader loop. The handshake ack is written
-// before the connection gets a writer, so no queued frame can ever precede
-// it on the wire.
+// before the connection gets its wconn, so no frame can ever precede it on
+// the wire.
 func (s *Session) serveConn(c net.Conn, br *bufio.Reader, hel hello) {
 	if reject := s.validateHello(hel); reject != "" {
 		writeHelloReply(c, reject, false)
@@ -201,7 +201,7 @@ func (s *Session) serveConn(c net.Conn, br *bufio.Reader, hel hello) {
 	// side, often earlier: a control broadcast racing a node's clean exit
 	// finds the socket closed before the reader has seen the detach frame,
 	// and the peer-down broadcast races a dead node's socket teardown.
-	w := newWConn(cw, nil, &s.rec)
+	w := newWConn(cw, nil)
 	cs := &connState{w: w, procs: hel.procs}
 	cs.lastHeard.Store(time.Now().UnixNano())
 	s.mu.Lock()
@@ -499,17 +499,18 @@ func (s *Session) Fail(err error) {
 // Abort propagates a session-wide abort: every attached client gets an
 // abort control frame, any Send waiting for the session to be ready gives
 // up and all local mailboxes unblock. Other sessions on the same fleet hub
-// are untouched.
+// are untouched. The frames are enqueued, best effort: a connection may be
+// gone, or stalled under a write that would hold a send forever.
 func (s *Session) Abort() {
 	s.halt(func() {
 		for _, w := range s.conns() {
-			w.send(controlFrame(abortDst, nil)) // best effort: the conn may already be gone
+			w.enqueue(controlFrame(abortDst, nil))
 		}
 	}, false)
 }
 
 // Sever tears the session down the way a coordinator crash would: no abort
-// broadcast, no queue flush — every control connection closes abruptly and
+// broadcast, no flush — every control connection closes abruptly and
 // local mailboxes are killed (a NewHub session's listener closes too).
 // Attached clients observe exactly what a died coordinator produces (EOF on
 // the control connection), which makes Sever the in-process stand-in for
@@ -532,12 +533,12 @@ func (s *Session) Sever() {
 	})
 }
 
-// Close aborts the session and tears down its connections (flushing queued
-// frames, bounded by flushTimeout), then retires it from the fleet hub so
-// the fingerprint can be reused. The hub's listener and other sessions keep
-// running — except for a NewHub session, whose fleet hub closes with it;
-// connection reader goroutines are owned by the fleet hub and reaped by its
-// Close.
+// Close aborts the session and tears down its connections (flushing the
+// frames already handed to them, bounded by flushTimeout), then retires it
+// from the fleet hub so the fingerprint can be reused. The hub's listener
+// and other sessions keep running — except for a NewHub session, whose
+// fleet hub closes with it; connection reader goroutines are owned by the
+// fleet hub and reaped by its Close.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.closing.Store(true)

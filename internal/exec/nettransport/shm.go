@@ -22,7 +22,7 @@ import (
 // connection maps a tmpfs file holding a fixed-slot slab ring
 // (single-producer/single-consumer, atomic head/tail slot counters), the
 // producer writes every frame's wire image straight into the slab, and the
-// consumer parses it with the exact same frame/batch/stream-decode machinery
+// consumer parses it with the exact same frame/stream-decode machinery
 // that reads a socket — the ring's consumer side is an io.Reader, so a
 // bufio.Reader over it is indistinguishable from a bufio.Reader over a
 // net.Conn to the rest of the backend. The socket the connection started on
@@ -87,7 +87,7 @@ const (
 	// A socket's 8KB buffer amortizes read syscalls; ring reads cost no
 	// syscall at all, and a big buffer only double-copies payload bytes
 	// (fill from the ring, copy out again on the next large ReadFull), so
-	// the shm reader keeps just enough for frame headers and batch walking —
+	// the shm reader keeps just enough for frame headers and control frames —
 	// large payload reads bypass it and drain the ring directly.
 	shmReadBufSize = 1 << 10
 )
@@ -365,14 +365,10 @@ type shmConn struct {
 	wdl      atomic.Int64 // write deadline, UnixNano; 0 = none
 	bellDone chan struct{}
 
-	// bellRings counts doorbell bytes this connection actually wrote to
-	// wake an armed peer; the wconn reads it to record EvDoorbell deltas.
-	bellRings atomic.Int64
-
 	// inTimer/outTimer are the cached poll-fallback timers for waitData and
 	// waitSpace. Reads are serialized (one bufio.Reader loop) and writes are
-	// serialized (the wconn), so each timer has a single user and the cache
-	// keeps blocking waits allocation-free.
+	// serialized (the wconn's write lock), so each timer has a single user
+	// and the cache keeps blocking waits allocation-free.
 	inTimer  *time.Timer
 	outTimer *time.Timer
 
@@ -436,25 +432,14 @@ func (c *shmConn) ring(bell chan struct{}) {
 func (c *shmConn) doorbell(r *shmRing, flagOff int) {
 	if atomic.LoadUint32(r.u32(flagOff)) != 0 &&
 		atomic.CompareAndSwapUint32(r.u32(flagOff), 1, 0) {
-		c.bellRings.Add(1)
 		shmDoorbellRings.Add(1)
-		var b [1]byte
-		c.sock.Write(b[:]) // best effort: a dead socket is handled by bellLoop
+		c.sock.Write(bellByte) // best effort: a dead socket is handled by bellLoop
 	}
 }
 
-// outOccupancy reports the bytes currently published-but-unconsumed in the
-// out ring — the occupancy sample the wconn records as EvRingOcc after a
-// coalesced drain. Zero on a consume-only connection.
-func (c *shmConn) outOccupancy() int64 {
-	r := c.out
-	if r == nil {
-		return 0
-	}
-	tail := atomic.LoadUint64(r.u64(shmOffTail))
-	head := atomic.LoadUint64(r.u64(shmOffHead))
-	return int64(tail-head) * shmSlotSize
-}
+// bellByte is the doorbell's wake byte: shared and never written, so a ring
+// costs no allocation.
+var bellByte = []byte{0}
 
 // wakeConsumer signals the ring's consumer after a publish: a nonblocking
 // channel send when the peer shares this process, the socket doorbell
@@ -476,21 +461,23 @@ func (c *shmConn) wakeProducer(r *shmRing) {
 	c.doorbell(r, shmOffProdSleep)
 }
 
-// pollTimer returns the cached fallback timer, armed; stop must be deferred.
-func pollTimer(slot **time.Timer) (t *time.Timer, stop func()) {
-	t = *slot
-	if t == nil {
-		t = time.NewTimer(shmPollInterval)
-		*slot = t
+// pollTimer returns the cached fallback timer, armed; stopPoll must be
+// deferred. Neither allocates once the timer exists.
+func pollTimer(slot **time.Timer) *time.Timer {
+	if *slot == nil {
+		*slot = time.NewTimer(shmPollInterval)
 	} else {
-		t.Reset(shmPollInterval)
+		(*slot).Reset(shmPollInterval)
 	}
-	return t, func() {
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
+	return *slot
+}
+
+// stopPoll disarms a poll timer, draining a fire nobody received.
+func stopPoll(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
 	}
 }
@@ -528,12 +515,12 @@ func (c *shmConn) Write(p []byte) (int, error) {
 }
 
 // writev publishes the gathered buffers with a single consumer wakeup at
-// the end. Over the head+tail shape of a payload frame (and the writer's
-// multi-frame batches), Write's per-chunk wake would bounce a same-process
-// consumer awake after the head record just to block again on the missing
-// tail — an extra scheduler handoff per message. The one place an interim
-// wake is mandatory is a full ring: the consumer must hear about the data
-// already published before the producer sleeps waiting for it to drain.
+// the end. Over the head+tail shape of a payload frame, Write's per-chunk
+// wake would bounce a same-process consumer awake after the head record
+// just to block again on the missing tail — an extra scheduler handoff per
+// message. The one place an interim wake is mandatory is a full ring: the
+// consumer must hear about the data already published before the producer
+// sleeps waiting for it to drain.
 func (c *shmConn) writev(bufs net.Buffers) error {
 	if c.dead(c.out) {
 		return net.ErrClosed
@@ -547,24 +534,8 @@ func (c *shmConn) writev(bufs net.Buffers) error {
 	return nil
 }
 
-// writev2 is writev for the dominant head+tail frame shape, shaped so the
-// caller needs no net.Buffers slice (which escapes to the heap per frame).
-func (c *shmConn) writev2(head, tail []byte) error {
-	if c.dead(c.out) {
-		return net.ErrClosed
-	}
-	if err := c.writeQuiet(head); err != nil {
-		return err
-	}
-	if err := c.writeQuiet(tail); err != nil {
-		return err
-	}
-	c.wakeConsumer(c.out)
-	return nil
-}
-
 // writeQuiet copies p into the out ring without the trailing wake — the
-// vectored writers wake once per gather, except when a full ring forces the
+// vectored write wakes once per gather, except when a full ring forces the
 // consumer to drain mid-write.
 func (c *shmConn) writeQuiet(p []byte) error {
 	for len(p) > 0 {
@@ -605,8 +576,8 @@ func (c *shmConn) waitSpace() error {
 	if c.out.bells != nil {
 		spaceBell = c.out.bells.space
 	}
-	t, stop := pollTimer(&c.outTimer)
-	defer stop()
+	t := pollTimer(&c.outTimer)
+	defer stopPoll(t)
 	for {
 		atomic.StoreUint32(c.out.u32(shmOffProdSleep), 1)
 		shmDoorbellArms.Add(1)
@@ -698,8 +669,8 @@ func (c *shmConn) waitData() {
 	if c.in.bells != nil {
 		dataBell = c.in.bells.data
 	}
-	t, stop := pollTimer(&c.inTimer)
-	defer stop()
+	t := pollTimer(&c.inTimer)
+	defer stopPoll(t)
 	for {
 		atomic.StoreUint32(c.in.u32(shmOffConsSleep), 1)
 		shmDoorbellArms.Add(1)

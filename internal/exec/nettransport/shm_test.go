@@ -205,13 +205,11 @@ func TestShmConnBlockedProducerPreservesStream(t *testing.T) {
 	}
 }
 
-// TestShmPeerFIFOUnderControlTraffic is the shm cut of the batching
-// integration test: several goroutines blast small frames peer-to-peer over
-// the shm data plane (where the writer drains its queue without batch
-// wrapping — noBatch) while heartbeats tick on the control plane and a
-// third node is severed mid-stream. Per-sender FIFO must hold across the
-// unwrapped bursts, every frame must arrive, and the survivor must see the
-// contained death.
+// TestShmPeerFIFOUnderControlTraffic: several goroutines blast small frames
+// peer-to-peer over the shm data plane, sharing one ring under its write
+// lock, while heartbeats tick on the control plane and a third node is
+// severed mid-stream. Per-sender FIFO must hold, every frame must arrive,
+// and the survivor must see the contained death.
 func TestShmPeerFIFOUnderControlTraffic(t *testing.T) {
 	const hb = 10 * time.Millisecond
 	a := arch.Ring(4)
@@ -282,12 +280,11 @@ func TestShmPeerFIFOUnderControlTraffic(t *testing.T) {
 	wg.Wait()
 
 	// The frames must actually have traveled a ring, not a silent unix
-	// fallback: the sender's peer connection writer must be in noBatch mode,
-	// which newWConn sets only for an shmConn.
+	// fallback: the sender's peer connection must write to an shmConn.
 	c1.pcMu.Lock()
 	sawShm := false
 	for _, w := range c1.pconns {
-		if w.noBatch {
+		if _, ok := w.c.(*shmConn); ok {
 			sawShm = true
 		}
 	}

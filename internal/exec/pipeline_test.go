@@ -66,13 +66,13 @@ func pipeRegistry(frames *int64, shown *[]value.Value) *value.Registry {
 	return r
 }
 
-// runPipeSrc executes pipeSrc for iters frames with the pipeline on or off
+// runPipeSrc executes src for iters frames with the pipeline on or off
 // and returns the stream of outputs.
-func runPipeSrc(t *testing.T, a *arch.Arch, iters int, pipeline bool) []value.Value {
+func runPipeSrc(t *testing.T, src string, a *arch.Arch, iters int, pipeline bool) []value.Value {
 	t.Helper()
 	var frames int64
 	r := pipeRegistry(&frames, nil)
-	s := compile(t, pipeSrc, r, a, syndex.Structured)
+	s := compile(t, src, r, a, syndex.Structured)
 	m := NewMachine(s, r)
 	m.DeterministicFarm = true
 	m.Pipeline = pipeline
@@ -91,8 +91,8 @@ func runPipeSrc(t *testing.T, a *arch.Arch, iters int, pipeline bool) []value.Va
 func TestPipelinedItermemMatchesSequential(t *testing.T) {
 	for _, a := range []*arch.Arch{arch.Ring(1), arch.Ring(2), arch.Ring(4), arch.Star(5)} {
 		const iters = 12
-		seq := runPipeSrc(t, a, iters, false)
-		pip := runPipeSrc(t, a, iters, true)
+		seq := runPipeSrc(t, pipeSrc, a, iters, false)
+		pip := runPipeSrc(t, pipeSrc, a, iters, true)
 		if len(seq) != len(pip) {
 			t.Fatalf("%s: %d sequential outputs vs %d pipelined", a.Name, len(seq), len(pip))
 		}
@@ -175,33 +175,26 @@ let loop (s, x) = post (fold s (df 2 work fold 0 (mkwins (df 2 work fold 0 (mkwi
 let main = itermem grab loop show 1 ();;
 `
 
-// runDeepPipeSrc executes deepPipeSrc with the given pipeline depth
-// (0 = off, 1 = unbounded, otherwise the cap) and returns the outputs.
-func runDeepPipeSrc(t *testing.T, a *arch.Arch, iters, depth int) []value.Value {
+// matchesSequential runs src pipelined and sequentially on rings of one,
+// two and four processors and fails on the first differing output.
+func matchesSequential(t *testing.T, src string) {
 	t.Helper()
-	var frames int64
-	r := pipeRegistry(&frames, nil)
-	s := compile(t, deepPipeSrc, r, a, syndex.Structured)
-	m := NewMachine(s, r)
-	m.DeterministicFarm = true
-	if depth > 0 {
-		m.Pipeline = true
-		if depth > 1 {
-			m.PipelineDepth = depth
+	for _, a := range []*arch.Arch{arch.Ring(1), arch.Ring(2), arch.Ring(4)} {
+		const iters = 10
+		seq := runPipeSrc(t, src, a, iters, false)
+		got := runPipeSrc(t, src, a, iters, true)
+		for i := range seq {
+			if !value.Equal(seq[i], got[i]) {
+				t.Fatalf("%s: iteration %d: pipelined %v, sequential %v", a.Name, i, got[i], seq[i])
+			}
 		}
 	}
-	res, err := m.Run(iters)
-	if err != nil {
-		t.Fatalf("depth=%d: %v", depth, err)
-	}
-	return res.Outputs
 }
 
 // TestDeepPipelineMatchesSequential: on a three-master program the
 // executive must cut at every master boundary (at least one processor gets
-// three or more stages), the depth cap must truncate the chain, and the
-// output stream must be bit-identical to the sequential interpreter at
-// every depth.
+// three or more stages), and the output stream must be bit-identical to
+// the sequential interpreter.
 func TestDeepPipelineMatchesSequential(t *testing.T) {
 	var frames int64
 	r := pipeRegistry(&frames, nil)
@@ -216,26 +209,7 @@ func TestDeepPipelineMatchesSequential(t *testing.T) {
 	if maxStages < 3 {
 		t.Fatalf("deepest processor pipelines at %d stages, want >= 3", maxStages)
 	}
-	m.PipelineDepth = 2
-	for p := range s.Programs {
-		if n := len(m.pipelineCuts(arch.ProcID(p))); n > 1 {
-			t.Fatalf("proc %d: PipelineDepth=2 left %d cuts", p, n)
-		}
-	}
-
-	for _, a := range []*arch.Arch{arch.Ring(1), arch.Ring(2), arch.Ring(4)} {
-		const iters = 10
-		seq := runDeepPipeSrc(t, a, iters, 0)
-		for _, depth := range []int{1, 2, 3} {
-			got := runDeepPipeSrc(t, a, iters, depth)
-			for i := range seq {
-				if !value.Equal(seq[i], got[i]) {
-					t.Fatalf("%s depth=%d: iteration %d: %v, sequential %v",
-						a.Name, depth, i, got[i], seq[i])
-				}
-			}
-		}
-	}
+	matchesSequential(t, deepPipeSrc)
 }
 
 // latePipeSrc consumes the delay state only in the final fold: the linear
@@ -260,37 +234,7 @@ let main = itermem grab loop show 1 ();;
 // frame k-1's result into frame k (not a stale or initial value), which the
 // non-commutative fold makes visible immediately.
 func TestSunkMemReadMatchesSequential(t *testing.T) {
-	run := func(a *arch.Arch, iters, depth int) []value.Value {
-		var frames int64
-		r := pipeRegistry(&frames, nil)
-		s := compile(t, latePipeSrc, r, a, syndex.Structured)
-		m := NewMachine(s, r)
-		m.DeterministicFarm = true
-		if depth > 0 {
-			m.Pipeline = true
-			if depth > 1 {
-				m.PipelineDepth = depth
-			}
-		}
-		res, err := m.Run(iters)
-		if err != nil {
-			t.Fatalf("depth=%d: %v", depth, err)
-		}
-		return res.Outputs
-	}
-	for _, a := range []*arch.Arch{arch.Ring(1), arch.Ring(2), arch.Ring(4)} {
-		const iters = 10
-		seq := run(a, iters, 0)
-		for _, depth := range []int{1, 2, 3} {
-			got := run(a, iters, depth)
-			for i := range seq {
-				if !value.Equal(seq[i], got[i]) {
-					t.Fatalf("%s depth=%d: iteration %d: %v, sequential %v",
-						a.Name, depth, i, got[i], seq[i])
-				}
-			}
-		}
-	}
+	matchesSequential(t, latePipeSrc)
 }
 
 // TestPipelinedShowOrderPreserved: the display function runs in the back
@@ -345,7 +289,7 @@ func TestPipelinedFarmSurvivesWorkerKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipelined run did not survive the worker kill: %v", err)
 	}
-	want := runPipeSrc(t, a, iters, false)
+	want := runPipeSrc(t, pipeSrc, a, iters, false)
 	for i := range want {
 		if !value.Equal(res.Outputs[i], want[i]) {
 			t.Fatalf("iteration %d: degraded pipelined output %v, want %v", i, res.Outputs[i], want[i])
@@ -370,15 +314,14 @@ func before(t testing.TB, r *value.Registry, name string, f func()) {
 	}
 }
 
-// TestPipelineSpeedup holds the two gains pipelining exists for, live, on a
+// TestPipelineSpeedup holds the gains pipelining exists for, live, on a
 // ring(2) whose grab and farm workers block: the pipelined executive against
-// the sequential one (frame k's farm runs inside frame k+1's grab wait: the
-// period falls from grab + farm towards the longer of the two), and a cut at
-// every farm boundary against the two-stage split on latePipeSrc, whose
-// three chained farms take no state, so consecutive frames occupy
-// consecutive farms (deepPipeSrc feeds the state to its first farm and
-// cannot overlap them). Each must shorten the frame period by at least
-// 1.3x; they measure 1.8x and 2.8x, under -race too.
+// the sequential one, on pipeSrc (frame k's farm runs inside frame k+1's
+// grab wait: the period falls from grab + farm towards the longer of the
+// two) and on latePipeSrc, whose three chained farms take no state, so
+// consecutive frames occupy consecutive farms (deepPipeSrc feeds the state
+// to its first farm and cannot overlap them). Each must shorten the frame
+// period by at least 1.3x.
 func TestPipelineSpeedup(t *testing.T) {
 	const frames = 40
 	for _, c := range []struct {
@@ -388,8 +331,8 @@ func TestPipelineSpeedup(t *testing.T) {
 		{"pipelined vs sequential", pipeSrc,
 			func(m *Machine) {},
 			func(m *Machine) { m.Pipeline = true }},
-		{"full depth vs depth 2", latePipeSrc,
-			func(m *Machine) { m.Pipeline, m.PipelineDepth = true, 2 },
+		{"chained farms pipelined vs sequential", latePipeSrc,
+			func(m *Machine) {},
 			func(m *Machine) { m.Pipeline = true }},
 	} {
 		period := func(configure func(m *Machine)) time.Duration {

@@ -265,11 +265,7 @@ func (m *Machine) pipelineCuts(p arch.ProcID) []int {
 			kept = append(kept, c)
 		}
 	}
-	cuts = kept
-	if d := m.PipelineDepth; d >= 2 && len(cuts) > d-1 {
-		cuts = cuts[:d-1]
-	}
-	return cuts
+	return kept
 }
 
 // cutStages lays the plan's ops out as pipeline stages over the boundaries

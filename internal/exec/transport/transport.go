@@ -120,8 +120,8 @@ type Transport interface {
 	// Abort unblocks every pending and future Recv with ok=false. It is
 	// idempotent and safe to call concurrently with traffic.
 	Abort()
-	// Close releases the transport's resources (connections, reader and
-	// writer goroutines). The transport must not be used afterwards.
+	// Close releases the transport's resources (connections and their
+	// reader goroutines). The transport must not be used afterwards.
 	Close() error
 	// Err returns the first internal transport failure (routing error,
 	// connection loss, codec mismatch), or nil.

@@ -179,7 +179,7 @@ func TestFaultHookFiresOnFaultKindsOnly(t *testing.T) {
 
 	rec.Record(0, EvOpStart, 0, -1, 0)
 	rec.Record(0, EvSend, 0, 1, 8)
-	rec.Record(0, EvBatchFlush, 0, -1, 3)
+	rec.Record(0, EvEnqueue, 0, -1, 3)
 	rec.Record(0, EvStageHand, 0, 1, 5)
 	if len(got) != 0 {
 		t.Fatalf("hook fired on non-fault kinds: %v", got)

@@ -59,16 +59,6 @@ const (
 	// EvRequeue marks the serve scheduler re-running a job from scratch
 	// after a worker death; Arg is the attempt number being retired.
 	EvRequeue
-	// EvBatchFlush marks the writer goroutine coalescing queued frames into
-	// one batch write; Arg is the number of sub-frames in the batch.
-	EvBatchFlush
-	// EvRingOcc samples a shm slab-ring's occupancy after a write; Arg is
-	// the number of occupied bytes in the ring.
-	EvRingOcc
-	// EvDoorbell marks a shm doorbell actually ringing (the armed-sleep flag
-	// was set and a wake byte was written); Arg counts rings since the
-	// connection opened.
-	EvDoorbell
 	// EvStageHand marks a pipelined itermem stage finishing its op block for
 	// one frame and handing the baton on; Peer is the stage index, Arg the
 	// iteration, and the event's TS minus the previous stage's hand-off
@@ -95,8 +85,7 @@ var kindNames = [...]string{
 	EvAbort:    "abort",
 	EvPeerDown: "peer-down", EvRedispatch: "redispatch",
 	EvDegrade: "degrade", EvCancel: "cancel", EvRequeue: "requeue",
-	EvBatchFlush: "batch-flush", EvRingOcc: "ring-occ",
-	EvDoorbell: "doorbell", EvStageHand: "stage-hand",
+	EvStageHand: "stage-hand",
 	EvSpeculate: "speculate", EvSpecWin: "spec-win",
 }
 

@@ -9,8 +9,10 @@ import (
 	"sort"
 )
 
-// TraceSchema versions the on-disk trace format.
-const TraceSchema = "skipper-trace/v1"
+// TraceSchema versions the on-disk trace format. Events carry their kind as
+// a number, so removing a kind is a new version: v2 dropped the
+// batch-flush, ring-occ and doorbell kinds, and every later kind moved down.
+const TraceSchema = "skipper-trace/v2"
 
 // Trace is a recorder snapshot in exportable form: the event stream of one
 // process (or, after Merge, a whole deployment) plus everything needed to
@@ -296,15 +298,6 @@ func (t *Trace) chromeInto(ct *ChromeTrace, pid int) {
 		case EvRequeue:
 			cat = "fault"
 			args["attempt"] = ev.Arg
-		case EvBatchFlush:
-			cat = "telemetry"
-			args["frames"] = ev.Arg
-		case EvRingOcc:
-			cat = "telemetry"
-			args["occupied"] = ev.Arg
-		case EvDoorbell:
-			cat = "telemetry"
-			args["rings"] = ev.Arg
 		case EvStageHand:
 			cat = "pipeline"
 			args["stage"] = int64(ev.Peer)

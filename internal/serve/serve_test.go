@@ -268,6 +268,38 @@ func TestServeBackpressureFIFO(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOversizedJob: a job past the admission bounds gets 400 and
+// is never queued — admitted, its run would allocate every output (iters), a
+// frame (width) or an architecture (procs) at that size and take the server
+// down. A job naming the deleted pipelineDepth knob is refused too.
+func TestServeRejectsOversizedJob(t *testing.T) {
+	s, err := New(Config{MaxRunning: 1, QueueLimit: 8, JobTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const job = `"topology":"ring","vehicles":1,"seed":1`
+	for _, body := range []string{
+		`{` + job + `,"procs":3,"width":48,"height":48,"iters":1099511627776}`,
+		`{` + job + `,"procs":3,"width":1000000,"height":48,"iters":2}`,
+		`{` + job + `,"procs":1048576,"width":48,"height":48,"iters":2}`,
+		`{` + job + `,"procs":3,"width":48,"height":48,"iters":2,"pipelineDepth":2}`,
+	} {
+		resp, err := http.Post("http://"+s.Addr()+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d (%s), want 400", body, resp.StatusCode, msg)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused submissions left %d job(s) behind", len(jobs))
+	}
+}
+
 // TestServeCancel pins both cancellation paths: a queued job leaves the
 // queue without ever running, a running one is aborted through the
 // executive and reports cancelled — and the freed slot dispatches the next
