@@ -35,10 +35,12 @@ stress:
 
 # Ten seconds of coverage-guided fuzzing per target: the run-based labelling
 # kernel against its flood-fill oracle, every image kernel on a window view
-# against the same kernel on the view's Clone, the value codec, and the net
+# against the same kernel on the view's Clone, the value codec, the net
 # transport's read side — its one frame-read loop (stream-decoding the frames
 # for a hosted processor), the handshake parsers and the shm ring's header
-# words and slab. New inputs land
+# words and slab — and the fleet's JSON boundaries: lines into the control
+# plane's end of a worker channel, run messages into a worker's checks, and
+# POST /jobs bodies. New inputs land
 # in the Go build cache; a failure writes its reproducer under the package's
 # testdata/fuzz/, to be committed as a regression seed.
 fuzz-smoke:
@@ -48,6 +50,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime 10s ./internal/exec/nettransport
 	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime 10s ./internal/exec/nettransport
 	$(GO) test -run '^$$' -fuzz '^FuzzShmRing$$' -fuzztime 10s ./internal/exec/nettransport
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetMsg$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetMsg$$' -fuzztime 10s ./internal/distrib
+	$(GO) test -run '^$$' -fuzz '^FuzzJobBody$$' -fuzztime 10s ./internal/serve
 
 # The repository's benchmark (bench/, BENCHMARK.json): all seven workloads,
 # untraced then traced, every frame and job checked against the sequential

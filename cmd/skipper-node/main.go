@@ -1,33 +1,24 @@
-// Command skipper-node runs processors of a distributed SKiPPER executive
-// in its own OS process, in one of two modes.
-//
-// Classic one-shot mode hosts ONE processor of ONE deployment: it compiles
-// the same tracking deployment as the coordinator (the hub rejects the
-// connection if the schedule fingerprints differ), dials the hub, claims
-// its processor and interprets that processor's op program over the TCP
-// transport. The hub connection is control plane only (handshake, abort,
-// detach, frames to coordinator-hosted processors); once every processor
-// has attached, the hub broadcasts the cluster address map and node↔node
-// frames travel one TCP hop over the peer-to-peer data mesh (DESIGN.md §9).
-// Node processes are normally spawned by `skipper-run -transport=tcp`,
-// which passes matching deployment flags; the command line mirrors the
-// manifest.json `launch` entry written by skipperc -outdir:
-//
-//	skipper-node -hub 127.0.0.1:7000 -proc 3 \
-//	             -procs 8 -size 512 -vehicles 3 -seed 3 -iters 50
-//
-// Fleet mode (-fleet) turns the process into a long-lived worker of a
-// skipper-serve control plane: it joins the fleet, then executes any
-// number of job assignments — hosting whatever processors of whatever
-// deployments the scheduler hands it, several jobs concurrently — until
-// the control plane stops or disappears. Deployment flags are ignored in
-// this mode; each assignment ships its own spec (DESIGN.md §12):
+// Command skipper-node is a fleet worker: it turns its OS process into a
+// long-lived worker of a serve control plane — skipper-serve, or the
+// private one-job server of a skipper-run over tcp, unix or shm. It joins
+// the fleet, then executes any number of job assignments, hosting whatever
+// processors of whatever deployments the scheduler hands it, several jobs
+// concurrently, until the control plane stops or disappears. Each
+// assignment ships its own job (DESIGN.md §12): the worker compiles it (the
+// hub rejects the connection if the schedule fingerprints differ), dials
+// the fleet hub under the job's salted fingerprint and interprets its
+// processors' op programs; node↔node frames travel one hop over the
+// peer-to-peer data mesh (DESIGN.md §9).
 //
 //	skipper-node -fleet 127.0.0.1:7070 -name w1
+//
+// -data-plane and the chaos flags (-die-after-sends, -slow-every-nth,
+// -slow-for) are this process's own settings and apply to every assignment
+// it runs; skipper-run passes the chaos flags to the one worker that hosts
+// its drill's victim processor.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,42 +28,24 @@ import (
 )
 
 func main() {
-	shared := distrib.FlagSet(flag.CommandLine)
-	hub := flag.String("hub", "", "coordinator hub address (host:port), required unless -fleet")
-	proc := flag.Int("proc", -1, "processor id this node hosts (1..N-1), required unless -fleet")
-	fleet := flag.String("fleet", "", "skipper-serve fleet address: join as a long-lived worker instead of running one processor")
-	name := flag.String("name", "", "with -fleet: worker name (default host-pid)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "dial + run watchdog (with -fleet: how long to keep retrying the join)")
-	flight := flag.String("flight", "skipper-flight", "with -fleet: directory for the always-on flight recorder's fault artifacts (empty disables)")
-	dieAfterSends := flag.Int("die-after-sends", 0, "chaos: sever this node's transport after it has sent this many frames (0 disables)")
-	slowEveryNth := flag.Int("slow-every-nth", 0, "chaos: delay every Nth frame this node sends by -slow-for (0 disables)")
-	slowFor := flag.Duration("slow-for", 0, "chaos: how long -slow-every-nth delays a send")
+	fleet := flag.String("fleet", "", "serve fleet address to join as a worker (required)")
+	name := flag.String("name", "", "worker name (default host-pid)")
+	timeout := flag.Duration("timeout", 2*time.Minute, "how long to keep retrying the join")
+	flight := flag.String("flight", "skipper-flight", "directory for the always-on flight recorder's fault artifacts (empty disables)")
+	var node distrib.Node
+	flag.StringVar(&node.DataPlane, "data-plane", "", "node data plane: tcp, unix or shm (default: inferred from the control connection's locality)")
+	flag.IntVar(&node.Chaos.KillAfterSends, "die-after-sends", 0, "chaos: sever an assignment's session after it has sent this many frames (0 disables)")
+	flag.IntVar(&node.Chaos.SlowEveryNth, "slow-every-nth", 0, "chaos: delay every Nth frame an assignment sends by -slow-for (0 disables)")
+	flag.DurationVar(&node.Chaos.SlowFor, "slow-for", 0, "chaos: how long -slow-every-nth delays a send")
 	flag.Parse()
 
-	if *fleet != "" {
-		if err := distrib.RunWorker(*fleet, *name, *timeout, *flight); err != nil {
-			fmt.Fprintln(os.Stderr, "skipper-node:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *hub == "" || *proc < 0 {
-		fmt.Fprintln(os.Stderr, "skipper-node: -hub and -proc are required (or -fleet for worker mode)")
+	if *fleet == "" {
+		fmt.Fprintln(os.Stderr, "skipper-node: -fleet is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	sp := shared.Spec()
-	sp.DieAfterSends = *dieAfterSends
-	sp.SlowEveryNth = *slowEveryNth
-	sp.SlowFor = *slowFor
-	if err := distrib.RunNode(sp, *proc, *hub, *timeout); err != nil {
+	if err := distrib.RunWorker(*fleet, *name, *timeout, *flight, node); err != nil {
 		fmt.Fprintln(os.Stderr, "skipper-node:", err)
-		// A fired chaos trigger is the drill working as scripted, not a
-		// fault of this node; exit distinctly so the spawner can tell.
-		if errors.Is(err, distrib.ErrChaosKilled) {
-			os.Exit(3)
-		}
 		os.Exit(1)
 	}
 }

@@ -17,32 +17,35 @@
 // The optional positional argument names the architecture compactly:
 // "ring(8)" is shorthand for -topology ring -procs 8.
 //
-// Every -backend exec run goes through internal/distrib (RunInProcess for
-// -transport mem, RunCoordinator otherwise) and prints, once the run is
-// over, one display line per frame, the run's accounting and the summary.
+// Every -backend exec run is a one-job fleet: skipper-run submits its job
+// to a private serve control plane in this process (serve.Run) and prints,
+// once the run is over, one display line per frame, the run's accounting
+// and the summary. -transport mem runs every processor in this process.
 //
-// With -transport=tcp, unix or shm the executive really runs as N
-// OS processes: this process hosts processor 0 and the routing hub, and
-// one skipper-node child process is spawned per remaining processor (the
-// skipper-node binary is looked up next to skipper-run, then on PATH).
-// tcp talks over localhost sockets; unix uses unix-domain sockets for hub
-// and peer mesh — the same-host fast path (DESIGN.md §9); shm upgrades
-// every peer connection to an mmap'd slab ring and keeps the sockets as
+// With -transport=tcp, unix or shm the executive really runs as N OS
+// processes: this process hosts the control plane, the fleet hub and
+// processor 0, and one skipper-node -fleet worker process is spawned per
+// remaining processor (the skipper-node binary is looked up next to
+// skipper-run, then on PATH); worker k hosts exactly processor k. tcp
+// talks over localhost sockets; unix uses unix-domain sockets for hub and
+// peer mesh — the same-host fast path (DESIGN.md §9); shm upgrades every
+// peer connection to an mmap'd slab ring and keeps the sockets as
 // doorbells (DESIGN.md §9).
 //
 // -pipeline software-pipelines the itermem loop: frame k+1's grab and
 // preprocessing overlap frame k's farm and merge, with bit-identical
 // outputs (DESIGN.md §7).
 //
-// -trace=<dir> records an event trace of the run: each process writes its
-// trace-*.json file into dir, and afterwards the merged trace is exported
-// as chrome-trace.json (load it in chrome://tracing or Perfetto) and
-// chronogram-measured.svg — the measured counterpart of the simulator's
-// predicted chronogram (compare them with skipper-trace -compare). With
-// -backend=sim the predicted chronogram SVG is written there instead.
+// -trace=<dir> submits the job traced: every process records its events,
+// the workers ship theirs home, and afterwards the merged trace is written
+// into dir as trace-run.json and exported as chrome-trace.json (load it in
+// chrome://tracing or Perfetto) and chronogram-measured.svg — the measured
+// counterpart of the simulator's predicted chronogram (compare them with
+// skipper-trace -compare). With -backend=sim the predicted chronogram SVG
+// is written there instead.
 //
-// -debug-addr serves /metrics (Prometheus text), /healthz and /varz for
-// the duration of the run.
+// -debug-addr is the control plane's HTTP address: /metrics (Prometheus
+// text), /healthz and /varz for the duration of the run.
 //
 // -max-retries enables farm fault tolerance (DESIGN.md §11): when a node
 // hosting only farm workers dies mid-run, its in-flight tasks are
@@ -59,6 +62,8 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,8 +75,8 @@ import (
 
 	"skipper"
 	"skipper/internal/distrib"
-	goexec "skipper/internal/exec"
 	"skipper/internal/obsv"
+	"skipper/internal/serve"
 	"skipper/internal/track"
 	"skipper/internal/video"
 )
@@ -86,8 +91,8 @@ type chaos struct {
 }
 
 func main() {
-	// Deployment and executive flags come from the shared distrib set, so
-	// skipper-run, skipper-node and skipper-serve cannot drift apart again.
+	// The executive-tuning flags are declared once in distrib, for
+	// skipper-run and skipper-serve alike.
 	shared := distrib.FlagSet(flag.CommandLine)
 	backend := flag.String("backend", "exec", "execution backend: exec (goroutines) or sim (timing model)")
 	transportFlag := flag.String("transport", "mem", "with -backend exec: mem (in-process), tcp, unix or shm (one OS process per processor)")
@@ -100,26 +105,19 @@ func main() {
 	flag.DurationVar(&c.slowFor, "chaos-slow-for", 200*time.Millisecond, "chaos drill: how long the straggler delays each scripted send")
 	flag.Parse()
 
-	// The positional architecture and the shm transport's data plane are set
-	// as the shared flags they abbreviate, so they reach the node processes
-	// (shared.Args) like anything typed out in full. The plane must reach
-	// every process: a node left on "auto" would negotiate plain unix while
-	// its peers offer rings.
+	// The positional architecture is set as the flags it abbreviates.
 	if flag.NArg() > 0 {
 		if err := setTopologyArg(flag.Arg(0)); err != nil {
 			fatal(err)
 		}
 	}
-	if *transportFlag == "shm" && *shared.DataPlane == "" {
-		flag.Set("data-plane", "shm")
-	}
 
 	sp := shared.Spec()
 	switch *backend {
 	case "exec":
-		runExec(sp, shared.Args(), *transportFlag, c)
+		runExec(sp, shared, *transportFlag, c)
 	case "sim":
-		runSim(sp, *svgPath)
+		runSim(sp, *shared.Trace, *svgPath)
 	default:
 		fatal(fmt.Errorf("unknown backend %q", *backend))
 	}
@@ -147,29 +145,44 @@ func setTopologyArg(arg string) error {
 	return fmt.Errorf("unknown topology %q", name)
 }
 
-// runExec executes the deployment on the goroutine executive — in this
-// process (mem) or as N OS processes — and prints the one exec epilogue:
-// the per-frame display lines, the run's accounting, the tracking summary.
-func runExec(sp distrib.Spec, nodeArgs []string, transport string, c chaos) {
-	var rec *track.Recorder
-	var res *goexec.RunResult
-	var err error
-	if transport == "mem" {
-		if c.killProc != 0 || c.slowProc != 0 {
-			fatal(fmt.Errorf("-chaos-kill-proc and -chaos-slow-proc need a real node process (use -transport tcp, unix or shm)"))
-		}
-		rec, res, err = distrib.RunInProcess(sp, 5*time.Minute)
-	} else {
-		rec, res, err = runMulti(sp, nodeArgs, transport, c)
+// runExec executes the deployment on the goroutine executive as a one-job
+// serve — in this process (mem) or with one skipper-node worker process per
+// remaining processor — and prints the one exec epilogue: the per-frame
+// display lines, the run's accounting, the tracking summary.
+func runExec(sp distrib.Spec, f *distrib.Flags, transport string, c chaos) {
+	if transport == "mem" && (c.killProc != 0 || c.slowProc != 0) {
+		fatal(fmt.Errorf("-chaos-kill-proc and -chaos-slow-proc need a real node process (use -transport tcp, unix or shm)"))
 	}
+	for name, p := range map[string]int{"-chaos-kill-proc": c.killProc, "-chaos-slow-proc": c.slowProc} {
+		if p != 0 && (p < 1 || p >= sp.Procs) {
+			fatal(fmt.Errorf("%s %d outside node range 1..%d", name, p, sp.Procs-1))
+		}
+	}
+	cfg := serve.Config{HTTPAddr: *f.DebugAddr, JobTimeout: 5 * time.Minute, Tuning: sp.Tuning}
+	cleanup, err := cfg.OnTransport(transport)
 	if err != nil {
 		fatal(err)
 	}
-	for _, r := range rec.Results {
+	// The plane must reach every worker: one left on "auto" would negotiate
+	// plain unix while its peers offer rings.
+	plane := *f.DataPlane
+	if transport == "shm" && plane == "" {
+		plane = "shm"
+	}
+	var nodes nodeProcs
+	results, res, tr, err := serve.Run(cfg, sp.Job, nodes.spawn(sp.Procs, plane, c))
+	if werr := nodes.wait(err != nil); err == nil {
+		err = werr // a child that failed after the run was over
+	}
+	cleanup()
+	if err != nil {
+		fatal(err)
+	}
+	for _, r := range results {
 		fmt.Println(track.Display(r))
 	}
-	if sp.TraceDir != "" {
-		exportTrace(sp.TraceDir)
+	if *f.Trace != "" {
+		exportTrace(*f.Trace, tr)
 	}
 	if transport != "mem" {
 		fmt.Printf("%d processors as OS processes over %s, %d messages from coordinator\n",
@@ -183,12 +196,12 @@ func runExec(sp distrib.Spec, nodeArgs []string, transport string, c chaos) {
 				res.Speculations, res.SpeculationWins, res.FalseSuspicions)
 		}
 	}
-	printTrackingSummary(rec)
+	printTrackingSummary(results)
 }
 
 // runSim runs the deployment on the Transvision timing simulator: a
 // different backend, compiled through the public library API.
-func runSim(sp distrib.Spec, svgPath string) {
+func runSim(sp distrib.Spec, traceDir, svgPath string) {
 	scene := video.NewScene(sp.Width, sp.Height, sp.Vehicles, sp.Seed)
 	reg, rec := track.NewRegistry(scene, os.Stdout)
 	prog, err := skipper.Compile(track.ProgramSource(sp.Procs, sp.Width, sp.Height), reg)
@@ -203,7 +216,7 @@ func runSim(sp distrib.Spec, svgPath string) {
 	if err != nil {
 		fatal(err)
 	}
-	doTrace := sp.TraceDir != "" || svgPath != ""
+	doTrace := traceDir != "" || svgPath != ""
 	res, err := dep.Simulate(skipper.SimOptions{
 		Iters: sp.Iters, FramePeriod: skipper.VideoPeriod, Trace: doTrace,
 	})
@@ -218,11 +231,11 @@ func runSim(sp distrib.Spec, svgPath string) {
 		fmt.Println()
 		fmt.Print(res.Chronogram(100))
 		svg := res.ChronogramSVG(900, 16)
-		if sp.TraceDir != "" {
-			if err := os.MkdirAll(sp.TraceDir, 0o755); err != nil {
+		if traceDir != "" {
+			if err := os.MkdirAll(traceDir, 0o755); err != nil {
 				fatal(err)
 			}
-			out := filepath.Join(sp.TraceDir, "chronogram-predicted.svg")
+			out := filepath.Join(traceDir, "chronogram-predicted.svg")
 			if err := os.WriteFile(out, []byte(svg), 0o644); err != nil {
 				fatal(err)
 			}
@@ -235,25 +248,31 @@ func runSim(sp distrib.Spec, svgPath string) {
 			fmt.Printf("chronogram written to %s\n", svgPath)
 		}
 	}
-	printTrackingSummary(rec)
+	printTrackingSummary(rec.Results)
 }
 
-func printTrackingSummary(rec *track.Recorder) {
+func printTrackingSummary(results []track.Result) {
 	locked := 0
-	for _, r := range rec.Results {
+	for _, r := range results {
 		if r.Tracking {
 			locked++
 		}
 	}
 	fmt.Printf("\n%d iterations, %d in tracking phase (%.0f%%)\n",
-		len(rec.Results), locked, 100*float64(locked)/float64(max(len(rec.Results), 1)))
+		len(results), locked, 100*float64(locked)/float64(max(len(results), 1)))
 }
 
-// exportTrace merges the per-process trace files in dir into the Chrome
-// trace and measured-chronogram artifacts.
-func exportTrace(dir string) {
-	tr, err := obsv.LoadDir(dir)
-	if err != nil {
+// exportTrace writes the run's merged trace into dir as trace-run.json —
+// the file obsv.LoadDir and skipper-trace -compare read — and exports it as
+// the Chrome trace and measured-chronogram artifacts.
+func exportTrace(dir string, tr *obsv.Trace) {
+	if tr == nil {
+		fatal(errors.New("the traced run recorded no trace"))
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fatal(err)
+	}
+	if err := tr.WriteFile(filepath.Join(dir, "trace-run.json")); err != nil {
 		fatal(err)
 	}
 	data, err := tr.ChromeJSON()
@@ -271,37 +290,32 @@ func exportTrace(dir string) {
 		len(tr.Events), len(tr.Procs), dir)
 }
 
-// runMulti executes the tracking deployment as N communicating OS
-// processes on this host — over localhost TCP or unix-domain sockets per
-// transport — with processor 0 plus the hub here and one spawned
-// skipper-node per remaining processor, each given nodeArgs (the shared
-// flags as typed). c.killProc, when non-zero, scripts a chaos drill: that
-// node process is spawned with -die-after-sends so it severs itself
-// mid-run, and the run must degrade (or, with -max-retries, finish) without
-// it. c.slowProc scripts the straggler drill instead: the node stays alive
-// but delays its sends, the scenario -speculate-after exists for. Children
-// are waited on as they run: any other child exiting non-zero fails the run
-// at once with its error.
-func runMulti(sp distrib.Spec, nodeArgs []string, transport string, c chaos) (*track.Recorder, *goexec.RunResult, error) {
-	nodeBin, err := findNodeBinary()
-	if err != nil {
-		return nil, nil, err
-	}
-	listen, cleanup, err := distrib.HubListenAddr(transport)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	for name, p := range map[string]int{"-chaos-kill-proc": c.killProc, "-chaos-slow-proc": c.slowProc} {
-		if p != 0 && (p < 1 || p >= sp.Procs) {
-			return nil, nil, fmt.Errorf("%s %d outside node range 1..%d", name, p, sp.Procs-1)
+// nodeProcs are the skipper-node worker processes of one run.
+type nodeProcs struct {
+	cmds  []*exec.Cmd
+	exits chan error
+}
+
+// spawn is Run's spawn hook: one skipper-node -fleet child per remaining
+// processor, named serve.WorkerName(p) so that child p hosts processor p,
+// on the given data plane and with -flight= (no artifacts). c.killProc's
+// child gets -die-after-sends: its assignment severs itself mid-run and the
+// run must degrade (or, with -max-retries, finish) without it. c.slowProc's
+// gets the straggler flags instead, the scenario -speculate-after exists
+// for. Any other child that exits before the job is done fails the run at
+// once.
+func (np *nodeProcs) spawn(procs int, plane string, c chaos) func(string, func(error)) error {
+	return func(addr string, fail func(error)) error {
+		bin, err := findNodeBinary()
+		if err != nil {
+			return err
 		}
-	}
-	spawned := 0
-	exits := make(chan error, sp.Procs)
-	spawn := func(addr string, fail func(error)) error {
-		for p := 1; p < sp.Procs; p++ {
-			args := append([]string{"-hub", addr, "-proc", strconv.Itoa(p)}, nodeArgs...)
+		np.exits = make(chan error, procs)
+		for p := 1; p < procs; p++ {
+			args := []string{"-fleet", addr, "-name", serve.WorkerName(p), "-flight="}
+			if plane != "" {
+				args = append(args, "-data-plane", plane)
+			}
 			if p == c.killProc {
 				args = append(args, "-die-after-sends", strconv.Itoa(c.killAfter))
 			}
@@ -310,32 +324,44 @@ func runMulti(sp distrib.Spec, nodeArgs []string, transport string, c chaos) (*t
 					"-slow-every-nth", strconv.Itoa(c.slowEvery),
 					"-slow-for", c.slowFor.String())
 			}
-			cmd := exec.Command(nodeBin, args...)
+			cmd := exec.Command(bin, args...)
 			cmd.Stderr = os.Stderr
 			if err := cmd.Start(); err != nil {
 				return err
 			}
-			spawned++
+			np.cmds = append(np.cmds, cmd)
 			go func(p int) {
 				werr := cmd.Wait()
-				if werr != nil && p != c.killProc { // the scripted victim is supposed to die
-					werr = fmt.Errorf("node process %v: %w", cmd.Args[3:5], werr)
-					fail(werr)
-				} else {
-					werr = nil
+				if werr != nil {
+					werr = fmt.Errorf("node process %s: %w", serve.WorkerName(p), werr)
 				}
-				exits <- werr
+				if p == c.killProc {
+					werr = nil // the scripted victim may die
+				} else {
+					fail(cmp.Or(werr, fmt.Errorf("node process %s exited", serve.WorkerName(p))))
+				}
+				np.exits <- werr
 			}(p)
 		}
 		return nil
 	}
-	rec, res, err := distrib.RunCoordinator(sp, listen, spawn, 5*time.Minute)
-	for ; spawned > 0; spawned-- {
-		if werr := <-exits; werr != nil && err == nil {
-			err = werr // a child that failed after the run was over
+}
+
+// wait reaps every child, killing them first when the run has failed, and
+// returns the first error a child other than the victim exited with.
+func (np *nodeProcs) wait(kill bool) error {
+	for _, cmd := range np.cmds {
+		if kill {
+			cmd.Process.Kill()
 		}
 	}
-	return rec, res, err
+	var first error
+	for range np.cmds {
+		if err := <-np.exits; first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // findNodeBinary locates skipper-node: next to this executable first, then

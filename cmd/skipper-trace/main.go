@@ -1,6 +1,6 @@
 // Command skipper-trace analyzes event traces recorded by the executive
-// (skipper-run/skipper-node -trace=<dir>). It merges the per-process
-// trace-*.json files onto the coordinator's clock and prints a per-op
+// (skipper-run -trace=<dir>, or a flight-recorder dump). It merges the
+// trace-*.json files onto the hub's clock and prints a per-op
 // latency table, per-processor utilization and the (approximate) critical
 // path of the run.
 //

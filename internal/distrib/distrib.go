@@ -1,12 +1,15 @@
-// Package distrib runs the built-in tracking application as a multi-process
-// deployment: one coordinator process hosting processor 0 (and the TCP hub)
-// plus one skipper-node process per remaining processor. Every process
-// compiles the same specification from the same Spec — the hub's handshake
-// fingerprint check proves they agree — and then runs its share of the
-// executive over the nettransport backend. The stateful extern functions
-// (frame grabber, recorder) are instantiated per process but each is only
-// ever invoked on the processor hosting its node, so the distributed run is
-// bit-identical to the in-process one.
+// Package distrib is the deployment layer of the built-in tracking
+// application: the job every process of a deployment agrees on (Job), its
+// compilation (Deployment), the three roles a process plays in a run
+// (RunMem, RunHost, RunNode) and the fleet worker (Worker) that plays the
+// node role. Every multi-process run is a serve job (internal/serve): the
+// control plane hosts processor 0 on a fleet-hub session and its workers —
+// skipper-node -fleet processes or goroutines — host the rest. Every process
+// compiles the same Job, and the hub's handshake fingerprint check proves
+// they agree. The stateful extern functions (frame grabber, recorder) are
+// instantiated per process but each is only ever invoked on the processor
+// hosting its node, so the distributed run is bit-identical to the
+// in-process one.
 package distrib
 
 import (
@@ -76,48 +79,33 @@ type Job struct {
 	SpeculateAfterMS int64 `json:"speculateAfterMs,omitempty"`
 }
 
-// Spec is one process's full view of a deployment: the shared Job plus the
-// fleet/runtime configuration that is free to differ per process (tracing,
-// debug endpoints) or that tunes the executive fleet-wide (Tuning) without
-// entering the job description.
+// Spec is one deployment as a process runs it: the shared Job plus the
+// fleet-wide executive tuning (Tuning), which does not enter the job
+// description.
 type Spec struct {
 	Job
-
-	// TraceDir and DebugAddr are per-process local configuration, not part
-	// of the deployment agreement: they do not enter the schedule
-	// fingerprint, and each process of one deployment may set them
-	// differently (or not at all). TraceDir, when non-empty, arms event
-	// tracing and writes this process's trace file there after the run;
-	// DebugAddr, when non-empty, serves /metrics, /healthz and /varz on
-	// that address for the run's duration.
-	TraceDir  string
-	DebugAddr string
 
 	// Tuning is the fleet-wide executive tuning; it does not enter the
 	// schedule fingerprint.
 	Tuning
+}
 
-	// DieAfterSends is the chaos knob: when positive on a node process,
-	// its transport is severed — no detach, sockets torn mid-frame, the
-	// observable signature of kill -9 — once the node has sent that many
-	// frames. The node's run then fails with ErrChaosKilled while the rest
-	// of the cluster must carry on (or abort cleanly, without MaxRetries).
-	DieAfterSends int
-
-	// SlowEveryNth/SlowFor are the straggler chaos knobs: every Nth frame
-	// this node process sends is delayed by SlowFor on the sending
-	// goroutine — scripted slow compute, the scenario speculation exists
-	// for. Unlike DieAfterSends the node stays alive and must finish clean.
-	SlowEveryNth int
-	SlowFor      time.Duration
-
-	// DataPlane pins the node-side data plane ("tcp", "unix", "shm";
-	// empty = the transport's "auto" inference). "shm" is the same-host
-	// shared-memory slab ring (DESIGN.md §9): frames move through mmap'd
-	// per-connection rings and the sockets degrade to doorbells. Not part
-	// of the schedule fingerprint — it tunes how frames travel, never what
-	// they say.
+// Node is one worker process's own settings. They apply to every
+// assignment the worker runs and are no part of any job: they tune how its
+// frames travel, or script its failure in a drill.
+type Node struct {
+	// DataPlane pins the node data plane ("tcp", "unix", "shm"; empty = the
+	// transport's "auto" inference). "shm" is the same-host shared-memory
+	// slab ring (DESIGN.md §9): frames move through mmap'd per-connection
+	// rings and the sockets degrade to doorbells.
 	DataPlane string
+	// Chaos scripts faults into the sends of an assignment's first hosted
+	// processor. KillAfterSends severs the assignment's session once it has
+	// sent that many frames — no detach, sockets torn mid-frame, the
+	// observable signature of kill -9 — and ends the assignment with
+	// ErrChaosKilled while the worker stays joined; SlowEveryNth/SlowFor
+	// delay its sends instead, the straggler speculation exists for.
+	Chaos faulttransport.Fault
 }
 
 // Tuning is the executive tuning a whole deployment (or a whole serve fleet)
@@ -146,8 +134,9 @@ type Tuning struct {
 	SpeculateAfter time.Duration
 }
 
-// ErrChaosKilled marks a node run that ended because its own DieAfterSends
-// trigger fired — the expected casualty of a chaos drill, not a fault.
+// ErrChaosKilled marks a node run that ended because its own
+// Chaos.KillAfterSends trigger fired — the expected casualty of a chaos
+// drill, not a fault.
 var ErrChaosKilled = errors.New("distrib: node severed by chaos injection")
 
 // HubListenAddr returns a hub bind address for the named multi-process
@@ -220,8 +209,12 @@ func (j Job) Arch() (*arch.Arch, error) {
 // Compile builds this process's instance of the deployment: a fresh scene
 // and registry plus the mapped schedule. Every process of a deployment
 // calls this with the same Job and obtains a schedule with the same
-// fingerprint.
+// fingerprint. It validates the job first: a job no deployment could run
+// is an error, never a panic in the compiler chain.
 func (j Job) Compile() (*syndex.Schedule, *value.Registry, *track.Recorder, error) {
+	if err := j.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
 	a, err := j.Arch()
 	if err != nil {
 		return nil, nil, nil, err
@@ -266,10 +259,10 @@ func (sp Spec) Configure(m *exec.Machine) {
 }
 
 // Deployment is a compiled Spec: the mapped schedule, this process's
-// registry and the recorder its display node fills. Every launch — one-shot
-// node, coordinator, in-process run, fleet assignment, serve attempt — is a
-// Deployment attached to a transport by one of the three roles below
-// (RunMem, RunHost, RunNode), which all end in the same run.
+// registry and the recorder its display node fills. Every launch — serve
+// attempt, fleet assignment, in-process reference run — is a Deployment
+// attached to a transport by one of the three roles below (RunMem, RunHost,
+// RunNode), which all end in the same run.
 type Deployment struct {
 	Spec
 	Sched *syndex.Schedule
@@ -293,12 +286,11 @@ func (sp Spec) Deploy() (*Deployment, error) {
 // (nil = untraced), hand the machine to the caller's hook, run it under the
 // timeout watchdog, and seal rec's events into the run's trace — best
 // effort even after a failed run, since a partial trace is exactly what a
-// post-mortem needs. The hook is where callers differ: the classic paths
-// bring up the debug endpoint (and the coordinator spawns its nodes), a
-// fleet worker registers the session for Kill, serve publishes the machine
-// for Cancel and dispatches the assignments; an error from it skips the run
-// and becomes the run's error. clockOff is the process's estimated offset
-// onto the coordinator's wall clock (0 on the coordinator itself).
+// post-mortem needs. The hook is where callers differ: a fleet worker
+// registers the session for Kill, serve publishes the machine for Cancel and
+// dispatches the assignments; an error from it skips the run and becomes the
+// run's error. clockOff is the process's estimated offset onto the hub's
+// wall clock (0 on the hub itself).
 func (d *Deployment) run(t transport.Transport, local []arch.ProcID, clockOff int64,
 	rec *obsv.Recorder, timeout time.Duration, started func(*exec.Machine) error) (*exec.RunResult, *obsv.Trace, error) {
 	m := exec.NewMachineOn(d.Sched, d.Reg, t, local)
@@ -341,7 +333,7 @@ func (d *Deployment) RunMem(rec *obsv.Recorder, timeout time.Duration,
 
 // RunHost is the host role: processor 0 (input, output and farm masters)
 // on a hub session the remaining processors attach to over the network —
-// the classic coordinator's single session or one of a fleet hub's many.
+// one of a fleet hub's sessions.
 // The caller opened sess under the deployment's (salted) fingerprint and
 // closes it. rec is armed on the session before the hook runs, so it is
 // live before the hook lets any node attach.
@@ -353,59 +345,41 @@ func (d *Deployment) RunHost(sess *nettransport.Session, rec *obsv.Recorder, tim
 	return d.run(sess, []arch.ProcID{0}, 0, rec, timeout, started)
 }
 
-// netOptions collects the transport options the spec implies. The recorder
-// rides the dial/bind (WithTrace) so it is armed before the first inbound
-// frame — armed after the fact it can miss the initial task dispatch, which
-// the completeness suite rejects as unpaired sends.
-func (sp Spec) netOptions(rec *obsv.Recorder) []nettransport.Option {
-	opts := []nettransport.Option{nettransport.WithTrace(rec)}
-	if sp.Heartbeat > 0 {
-		opts = append(opts, nettransport.WithHeartbeat(sp.Heartbeat))
-	}
-	if sp.DataPlane != "" {
-		opts = append(opts, nettransport.WithDataPlane(sp.DataPlane))
-	}
-	return opts
-}
-
 // RunNode is the node role: processors procs (any subset of 1..N-1 — an
 // elastic fleet runs an 8-processor schedule at 2 processors per worker)
 // attached to the hub at hubAddr under the schedule fingerprint XOR salt.
-// The salt is a scheduler's session namespace — it lets two concurrent
-// submissions of an identical job hold distinct sessions on one fleet hub —
-// and is 0 for classic one-job deployments, where the fingerprint alone is
-// the agreement. The spec's chaos knobs, when set, wrap the connection in
-// scripted faults; a fired DieAfterSends trigger ends the run with
-// ErrChaosKilled. timeout bounds the dial retries and then the run.
-func (d *Deployment) RunNode(hubAddr string, salt uint64, procs []int, rec *obsv.Recorder, timeout time.Duration,
+// The salt is a scheduler's session namespace: it lets two concurrent
+// submissions of an identical job hold distinct sessions on one fleet hub.
+// node pins the data plane and, when it scripts chaos, wraps the connection
+// in those faults; a fired KillAfterSends trigger ends the run with
+// ErrChaosKilled. The recorder rides the dial (WithTrace) so it is armed
+// before the first inbound frame. timeout bounds the dial retries and then
+// the run.
+func (d *Deployment) RunNode(hubAddr string, salt uint64, procs []int, node Node, rec *obsv.Recorder, timeout time.Duration,
 	started func(*exec.Machine, *nettransport.Client) error) (*exec.RunResult, *obsv.Trace, error) {
-	if len(procs) == 0 {
-		return nil, nil, errors.New("distrib: no processors to host")
+	local, err := d.hosted(procs)
+	if err != nil {
+		return nil, nil, err
 	}
-	local := make([]arch.ProcID, len(procs))
-	for i, p := range procs {
-		if p <= 0 || p >= d.Sched.Arch.N {
-			return nil, nil, fmt.Errorf("distrib: node processor %d outside 1..%d (0 is the coordinator)", p, d.Sched.Arch.N-1)
-		}
-		local[i] = arch.ProcID(p)
+	opts := []nettransport.Option{nettransport.WithTrace(rec)}
+	if d.Heartbeat > 0 {
+		opts = append(opts, nettransport.WithHeartbeat(d.Heartbeat))
 	}
-	cl, err := nettransport.Dial(hubAddr, d.Sched.Fingerprint()^salt, local, timeout, d.netOptions(rec)...)
+	if node.DataPlane != "" {
+		opts = append(opts, nettransport.WithDataPlane(node.DataPlane))
+	}
+	cl, err := nettransport.Dial(hubAddr, d.Sched.Fingerprint()^salt, local, timeout, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer cl.Close()
 	var tr transport.Transport = cl
 	var killed atomic.Bool
-	fault := faulttransport.Fault{KillAfterSends: d.DieAfterSends}
-	if d.SlowEveryNth > 0 && d.SlowFor > 0 {
-		fault.SlowEveryNth = d.SlowEveryNth
-		fault.SlowFor = d.SlowFor
-	}
-	if fault != (faulttransport.Fault{}) {
+	if node.Chaos != (faulttransport.Fault{}) {
 		cfg := faulttransport.Config{
-			Faults: map[arch.ProcID]faulttransport.Fault{local[0]: fault},
+			Faults: map[arch.ProcID]faulttransport.Fault{local[0]: node.Chaos},
 		}
-		if d.DieAfterSends > 0 {
+		if node.Chaos.KillAfterSends > 0 {
 			// Sever, not Close: the cluster must see a death (EOF without
 			// detach, sockets torn mid-frame), not a clean shutdown.
 			cfg.OnKill = func(arch.ProcID) { killed.Store(true); cl.Sever() }
@@ -420,60 +394,20 @@ func (d *Deployment) RunNode(hubAddr string, salt uint64, procs []int, rec *obsv
 	return res, trace, err
 }
 
-// RunNode is the whole lifecycle of one classic node process: compile the
-// spec, dial the hub claiming proc, run the processor's program and detach.
-// Used by cmd/skipper-node and, in-process, by tests.
-func RunNode(sp Spec, proc int, hubAddr string, d time.Duration) error {
-	dep, err := sp.Deploy()
-	if err != nil {
-		return err
+// hosted checks the processors a node is asked to host: at least one, and
+// each a remote one (1..N-1; processor 0 belongs to the hub).
+func (d *Deployment) hosted(procs []int) ([]arch.ProcID, error) {
+	if len(procs) == 0 {
+		return nil, errors.New("distrib: no processors to host")
 	}
-	var ob observer
-	defer ob.close()
-	_, tr, err := dep.RunNode(hubAddr, 0, []int{proc}, dep.newRecorder(), d,
-		func(m *exec.Machine, cl *nettransport.Client) error { return ob.start(sp, cl, m, nil) })
-	if err = sp.writeTrace(tr, fmt.Sprintf("trace-node%d.json", proc), err); err != nil {
-		return fmt.Errorf("distrib: node %d: %w", proc, err)
-	}
-	return nil
-}
-
-// RunCoordinator hosts processor 0 and the hub. listen is the hub bind
-// address ("127.0.0.1:0" picks a free port); spawn is called once with the
-// bound address and must arrange for processors 1..N-1 to attach (OS
-// processes, goroutines — the coordinator does not care). A node that fails
-// before the run is over — a child that exits non-zero after a handshake
-// rejection or a bad flag — is reported through fail, which ends the run at
-// once with that error instead of leaving it to the watchdog. It returns the
-// coordinator's recorder (which holds the per-iteration tracking results,
-// since processor 0 hosts the input/output nodes) and the run result.
-func RunCoordinator(sp Spec, listen string, spawn func(addr string, fail func(error)) error, d time.Duration) (*track.Recorder, *exec.RunResult, error) {
-	dep, err := sp.Deploy()
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := dep.newRecorder()
-	hub, err := nettransport.NewHub(listen, dep.Sched.Arch, dep.Sched.Fingerprint(), []arch.ProcID{0}, sp.netOptions(rec)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer hub.Close()
-	var ob observer
-	defer ob.close()
-	res, tr, err := dep.RunHost(hub, rec, d, func(m *exec.Machine) error {
-		// The debug server comes up before the nodes are spawned, so health
-		// and metrics are scrapeable while the cluster is attaching.
-		if err := ob.start(sp, hub, m, hub); err != nil {
-			return err
+	local := make([]arch.ProcID, len(procs))
+	for i, p := range procs {
+		if p <= 0 || p >= d.Sched.Arch.N {
+			return nil, fmt.Errorf("distrib: node processor %d outside 1..%d (0 is the hub's)", p, d.Sched.Arch.N-1)
 		}
-		if spawn != nil {
-			if err := spawn(hub.Addr(), hub.Fail); err != nil {
-				return fmt.Errorf("distrib: spawning nodes: %w", err)
-			}
-		}
-		return nil
-	})
-	return dep.finish(res, tr, err)
+		local[i] = arch.ProcID(p)
+	}
+	return local, nil
 }
 
 // RunInProcess executes the spec on the plain in-process executive — the
@@ -483,18 +417,9 @@ func RunInProcess(sp Spec, d time.Duration) (*track.Recorder, *exec.RunResult, e
 	if err != nil {
 		return nil, nil, err
 	}
-	var ob observer
-	defer ob.close()
-	res, tr, err := dep.RunMem(dep.newRecorder(), d,
-		func(m *exec.Machine, t transport.Transport) error { return ob.start(sp, t, m, nil) })
-	return dep.finish(res, tr, err)
-}
-
-// finish is the epilogue of the two classic runs that host processor 0:
-// write the trace, then hand back the tracking results and the run result.
-func (d *Deployment) finish(res *exec.RunResult, tr *obsv.Trace, err error) (*track.Recorder, *exec.RunResult, error) {
-	if err = d.writeTrace(tr, "trace-coord.json", err); err != nil {
+	res, _, err := dep.RunMem(nil, d, func(*exec.Machine, transport.Transport) error { return nil })
+	if err != nil {
 		return nil, nil, err
 	}
-	return d.Results, res, nil
+	return dep.Results, res, nil
 }

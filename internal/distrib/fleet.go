@@ -81,11 +81,15 @@ type FleetMsg struct {
 }
 
 // Worker is one fleet member: a process (or goroutine, in tests) that has
-// joined a skipper-serve control plane and executes job assignments in a
-// loop — the long-lived counterpart of the one-shot RunNode. Assignments
-// run concurrently: a worker hosts processors of several jobs at once, each
-// over its own fingerprint-salted session.
+// joined a serve control plane and executes job assignments in a loop,
+// each in the node role. Assignments run concurrently: a worker hosts
+// processors of several jobs at once, each over its own fingerprint-salted
+// session.
 type Worker struct {
+	// Node holds the worker's own settings, applied to every assignment;
+	// set it before Serve.
+	Node
+
 	name string
 	conn net.Conn
 	dec  *json.Decoder
@@ -281,6 +285,7 @@ func (w *Worker) Serve() error {
 			w.closing.Store(true)
 			w.stopPing()
 			w.jobWG.Wait()
+			w.conn.Close() // the control plane waits for the channel to drop
 			return nil
 		}
 	}
@@ -336,13 +341,7 @@ func (w *Worker) runAssignment(m FleetMsg) {
 // bounded always-on flight ring (nil unless armed). Either way faults route
 // through the flight's dump path.
 func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
-	if m.Job == nil {
-		return nil, errors.New("distrib: run message without job spec")
-	}
-	if m.HubAddr == "" {
-		return nil, errors.New("distrib: run message without hub address")
-	}
-	dep, err := Spec{Job: *m.Job, Tuning: m.Tuning}.Deploy()
+	dep, err := m.deploy()
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +359,7 @@ func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
 	w.mu.Lock()
 	w.active[m.JobID] = a
 	w.mu.Unlock()
-	_, tr, err := dep.RunNode(m.HubAddr, m.Salt, m.Procs, rec, timeout,
+	_, tr, err := dep.RunNode(m.HubAddr, m.Salt, m.Procs, w.Node, rec, timeout,
 		func(_ *exec.Machine, cl *nettransport.Client) error {
 			w.mu.Lock()
 			defer w.mu.Unlock()
@@ -380,6 +379,26 @@ func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
 	return tr, err
 }
 
+// deploy is every check a worker makes on a run message before it dials:
+// the message names a job and a hub, the job compiles, and the processors
+// it assigns are the job's remote ones.
+func (m FleetMsg) deploy() (*Deployment, error) {
+	if m.Job == nil {
+		return nil, errors.New("distrib: run message without job spec")
+	}
+	if m.HubAddr == "" {
+		return nil, errors.New("distrib: run message without hub address")
+	}
+	dep, err := Spec{Job: *m.Job, Tuning: m.Tuning}.Deploy()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := dep.hosted(m.Procs); err != nil {
+		return nil, err
+	}
+	return dep, nil
+}
+
 // retire drops an ended assignment from the active set. A traced one's
 // sealed timeline (tr; nil for an untraced job) becomes w.ended.
 func (w *Worker) retire(jobID string, tr *obsv.Trace) {
@@ -391,16 +410,17 @@ func (w *Worker) retire(jobID string, tr *obsv.Trace) {
 	}
 }
 
-// RunWorker is the whole lifecycle of one fleet worker process: join the
-// control plane at addr and serve job assignments until it stops or
-// disappears. The long-lived sibling of RunNode, used by
-// `skipper-node -fleet`. flightDir arms the always-on flight recorder
-// (empty disables it); fault artifacts land there.
-func RunWorker(addr, name string, d time.Duration, flightDir string) error {
+// RunWorker is the whole lifecycle of one fleet worker process, used by
+// `skipper-node -fleet`: join the control plane at addr and serve job
+// assignments with node's settings until it stops or disappears. flightDir
+// arms the always-on flight recorder (empty disables it); fault artifacts
+// land there.
+func RunWorker(addr, name string, d time.Duration, flightDir string, node Node) error {
 	w, err := JoinFleet(addr, name, d)
 	if err != nil {
 		return err
 	}
+	w.Node = node
 	w.EnableFlight(flightDir)
 	if w.flight != nil {
 		defer w.flight.Close()

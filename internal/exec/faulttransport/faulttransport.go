@@ -214,12 +214,3 @@ func (t *Transport) SetTrace(r *obsv.Recorder) {
 		ts.SetTrace(r)
 	}
 }
-
-// QueueDepth forwards the inner backend's mailbox-depth gauge when it has
-// one (both built-in backends do; metrics endpoints scrape it).
-func (t *Transport) QueueDepth() int {
-	if qd, ok := t.inner.(interface{ QueueDepth() int }); ok {
-		return qd.QueueDepth()
-	}
-	return 0
-}

@@ -99,14 +99,11 @@ type Machine struct {
 	// recorder; the run's snapshot lands in RunResult.Trace. Nil — the
 	// default — costs one branch per op and nothing else.
 	Trace *obsv.Recorder
-	// OpLatency, when set, receives every op's duration in seconds. It is
-	// independent of Trace (metrics without tracing and vice versa).
-	OpLatency *obsv.Histogram
 	// StageLatency, when set, receives each pipeline stage's busy time per
 	// frame in seconds on every processor that pipelines — the
 	// measured per-stage period a latency/throughput re-mapper consumes.
-	// Like OpLatency it is independent of Trace (which records the same
-	// hand-offs as EvStageHand events).
+	// It is independent of Trace (which records the same hand-offs as
+	// EvStageHand events).
 	StageLatency func(stage int, seconds float64)
 
 	// FT, when enabled (MaxRetries > 0) and the transport supports failure
@@ -434,14 +431,14 @@ func (m *Machine) interpret(pl *procPlan, iters int) {
 }
 
 // runStage executes stage j's ops on frame f — the executive's one op loop.
-// Each op is bracketed with start/end trace events and the op-latency
-// observation when those are armed (the end is recorded even for a failing
-// op, so traces of aborted runs stay pairable). On a pipelined processor the
+// Each op is bracketed with start/end trace events when tracing is armed
+// (the end is recorded even for a failing op, so traces of aborted runs stay
+// pairable). On a pipelined processor the
 // frame leaving the stage is recorded too: the hand-off event and the
 // stage's busy time — the measured per-stage period. It reports false when
 // the run is failing.
 func (m *Machine) runStage(pl *procPlan, j int, f pipeFrame, memTok chan struct{}) bool {
-	trace, hist, stageLat := m.Trace, m.OpLatency, m.StageLatency
+	trace, stageLat := m.Trace, m.StageLatency
 	pipelined := len(pl.stages) > 1
 	var s0 time.Time
 	if pipelined && stageLat != nil {
@@ -464,21 +461,12 @@ func (m *Machine) runStage(pl *procPlan, j int, f pipeFrame, memTok chan struct{
 			}
 		}
 		op := &pl.ops[i]
-		var t0, durNS int64
-		var w0 time.Time
 		if trace != nil {
-			t0 = trace.Record(int32(pl.p), obsv.EvOpStart, op.label, -1, int64(f.iter))
-		} else if hist != nil {
-			w0 = time.Now()
+			trace.Record(int32(pl.p), obsv.EvOpStart, op.label, -1, int64(f.iter))
 		}
 		err := m.step(pl, op, f)
 		if trace != nil {
-			durNS = trace.Record(int32(pl.p), obsv.EvOpEnd, op.label, -1, int64(f.iter)) - t0
-		} else if hist != nil {
-			durNS = int64(time.Since(w0))
-		}
-		if hist != nil {
-			hist.Observe(float64(durNS) / 1e9)
+			trace.Record(int32(pl.p), obsv.EvOpEnd, op.label, -1, int64(f.iter))
 		}
 		if err != nil {
 			m.fail(err)

@@ -93,16 +93,6 @@ func (t *Transport) SetTrace(r *obsv.Recorder) {
 	}
 }
 
-// QueueDepth reports the total delivered-but-unconsumed values across all
-// processors' mailboxes (a point-in-time gauge for metrics).
-func (t *Transport) QueueDepth() int {
-	n := 0
-	for _, b := range t.boxes {
-		n += b.Depth()
-	}
-	return n
-}
-
 // MarkPeerDown declares processor p dead: its mailbox is killed (blocked
 // receivers unblock with ok=false, nothing further is delivered) and
 // packets to or from it are dropped at Send. Idempotent.

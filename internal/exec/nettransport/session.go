@@ -78,8 +78,8 @@ type connState struct {
 	gone      atomic.Bool  // readLoop exited (detach, death, or teardown)
 }
 
-// NewHub is the one-deployment shape of the hub, for `skipper-run`-style
-// runs (compile, attach a cluster sized for the schedule, run once, exit):
+// NewHub is the one-deployment shape of the hub, for drivers that bring a
+// schedule up once over raw transports (the benchmark, transport tests):
 // a Session on a FleetHub of its own listening on addr (e.g. "127.0.0.1:0";
 // see Addr for the bound address). local are hosted in this process, all
 // others must attach over the network with a matching schedule fingerprint.
@@ -415,8 +415,7 @@ func (s *Session) markDown(procs []arch.ProcID, notify bool) {
 	}
 }
 
-// ClusterInfo is a session's point-in-time view of its deployment, exposed
-// on the coordinator's /varz endpoint.
+// ClusterInfo is a session's point-in-time view of its deployment.
 type ClusterInfo struct {
 	// Ready is true once every non-local processor has attached and the
 	// peer address map has been broadcast.
@@ -484,15 +483,6 @@ func (s *Session) Send(src, dst arch.ProcID, key transport.Key, payload value.Va
 	}
 	if err := w.send(f); err != nil && !s.closing.Load() && !s.aborted.Load() {
 		s.failf("nettransport: sending to processor %d: %v", dst, err)
-	}
-}
-
-// Fail fails the session with err, unless it already failed or aborted,
-// and aborts it: for a coordinator that learns of a node's failure outside
-// the transport — a spawned node process exiting before the run is over.
-func (s *Session) Fail(err error) {
-	if !s.aborted.Load() {
-		s.failf("%w", err)
 	}
 }
 

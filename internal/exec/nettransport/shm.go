@@ -101,23 +101,6 @@ var shmSpin = runtime.NumCPU() > 1
 // shmSeq disambiguates ring segment names minted by one process.
 var shmSeq atomic.Int64
 
-// Process-wide doorbell telemetry, exported to /metrics via ShmStats: how
-// often a waiter armed its sleep flag before blocking (arms — each one is a
-// spin window that expired), and how often a producer/consumer actually
-// rang the socket doorbell to wake an armed peer (rings — each one is a
-// syscall round trip the busy-exchange fast path avoided). Unconditional
-// atomic adds on paths that are about to block or syscall anyway.
-var (
-	shmDoorbellArms  atomic.Int64
-	shmDoorbellRings atomic.Int64
-)
-
-// ShmStats reports the cumulative armed-sleep and doorbell-ring counts
-// across every shm connection of the process.
-func ShmStats() (arms, rings int64) {
-	return shmDoorbellArms.Load(), shmDoorbellRings.Load()
-}
-
 // ringBells is the in-process fast path for a ring's wakeups. The creator
 // registers a pair of cap-1 channels under the segment path; an opener in
 // the same process (the in-process deployments every test harness and the
@@ -432,7 +415,6 @@ func (c *shmConn) ring(bell chan struct{}) {
 func (c *shmConn) doorbell(r *shmRing, flagOff int) {
 	if atomic.LoadUint32(r.u32(flagOff)) != 0 &&
 		atomic.CompareAndSwapUint32(r.u32(flagOff), 1, 0) {
-		shmDoorbellRings.Add(1)
 		c.sock.Write(bellByte) // best effort: a dead socket is handled by bellLoop
 	}
 }
@@ -580,7 +562,6 @@ func (c *shmConn) waitSpace() error {
 	defer stopPoll(t)
 	for {
 		atomic.StoreUint32(c.out.u32(shmOffProdSleep), 1)
-		shmDoorbellArms.Add(1)
 		// Re-check after arming: the consumer drains, then checks the flag —
 		// both orders of the race end with either free slots visible here or
 		// the flag visible there (the sequentially consistent atomics forbid
@@ -673,7 +654,6 @@ func (c *shmConn) waitData() {
 	defer stopPoll(t)
 	for {
 		atomic.StoreUint32(c.in.u32(shmOffConsSleep), 1)
-		shmDoorbellArms.Add(1)
 		if c.in.readable() || c.dead(c.in) {
 			atomic.StoreUint32(c.in.u32(shmOffConsSleep), 0)
 			return

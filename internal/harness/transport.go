@@ -3,20 +3,22 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"skipper/internal/distrib"
 	"skipper/internal/exec"
+	"skipper/internal/serve"
 	"skipper/internal/track"
 )
 
 // Transports lists the executive communication backends the experiments
 // can run over: "mem" is the in-process goroutine executive, "tcp" runs
-// the same schedule split across a hub and one node per remaining
-// processor over localhost sockets, "unix" is the same multi-process
-// split over unix-domain sockets, and "shm" layers the shared-memory
-// slab-ring upgrade on the unix plane (DESIGN.md §9) — frames travel
-// through mmap'd per-connection rings, sockets carry only doorbells.
+// the same schedule as a one-job fleet — processor 0 on the control plane's
+// hub, one worker per remaining processor — over localhost sockets, "unix"
+// is the same split over unix-domain sockets, and "shm" layers the
+// shared-memory slab-ring upgrade on the unix plane (DESIGN.md §9) — frames
+// travel through mmap'd per-connection rings, sockets carry only doorbells.
 var Transports = []string{"mem", "tcp", "unix", "shm"}
 
 // e4Spec is the E4 deployment (ring(8), 256x256, 2 vehicles, seed 21).
@@ -30,61 +32,33 @@ func e4Spec(iters int) distrib.Spec {
 
 // runExecutiveOn executes the E4 tracking deployment on the named
 // transport and returns the per-iteration results recorded at the
-// processor hosting the display node, alongside the coordinator's run
-// result (transport statistics, optional trace).
+// processor hosting the display node, alongside that processor's run
+// result (message accounting).
 func runExecutiveOn(transport string, iters int) ([]track.Result, *exec.RunResult, error) {
 	return runExecutiveSpec(transport, e4Spec(iters))
 }
 
 // runExecutiveSpec is runExecutiveOn with the caller controlling the full
-// deployment spec (pipeline mode, determinism, fault-tolerance knobs).
+// deployment spec (pipeline mode, determinism, fault-tolerance knobs). The
+// spec runs as a one-job serve (serve.Run) whose workers are goroutines of
+// this process, each with its own freshly built registry — the same
+// isolation a worker process has — over real sockets.
 func runExecutiveSpec(transport string, sp distrib.Spec) ([]track.Result, *exec.RunResult, error) {
-	switch transport {
-	case "mem":
-		rec, res, err := distrib.RunInProcess(sp, 2*time.Minute)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rec.Results, res, nil
-	case "tcp", "unix", "shm":
-		// One hub (processor 0) plus one client per remaining processor,
-		// each with its own freshly built registry — the same isolation a
-		// per-processor OS process has, over real sockets (localhost TCP or
-		// a unix-domain socket per the named transport; "shm" additionally
-		// upgrades every connection to a shared-memory ring).
-		listen, cleanup, err := distrib.HubListenAddr(transport)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer cleanup()
-		if transport == "shm" {
-			sp.DataPlane = "shm"
-		}
-		errCh := make(chan error, sp.Procs-1)
-		spawn := func(addr string, fail func(error)) error {
-			for p := 1; p < sp.Procs; p++ {
-				go func(p int) {
-					err := distrib.RunNode(sp, p, addr, 2*time.Minute)
-					if err != nil {
-						fail(err)
-					}
-					errCh <- err
-				}(p)
-			}
-			return nil
-		}
-		rec, res, err := distrib.RunCoordinator(sp, listen, spawn, 2*time.Minute)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := 1; i < sp.Procs; i++ {
-			if nerr := <-errCh; nerr != nil {
-				return nil, nil, nerr
-			}
-		}
-		return rec.Results, res, nil
+	if !slices.Contains(Transports, transport) {
+		return nil, nil, fmt.Errorf("harness: unknown transport %q", transport)
 	}
-	return nil, nil, fmt.Errorf("harness: unknown transport %q", transport)
+	cfg := serve.Config{JobTimeout: 2 * time.Minute, Tuning: sp.Tuning}
+	cleanup, err := cfg.OnTransport(transport)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer cleanup()
+	var node func(int) distrib.Node
+	if transport == "shm" {
+		node = func(int) distrib.Node { return distrib.Node{DataPlane: "shm"} }
+	}
+	results, res, _, err := serve.Run(cfg, sp.Job, serve.InProcessWorkers(sp.Procs, node))
+	return results, res, err
 }
 
 // E4On is E4 with the parallel-executive leg running over the named

@@ -2,42 +2,18 @@ package obsv
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
-// DebugServer serves the observability endpoints of one executive process:
+// DebugMux builds the observability endpoints on a fresh mux, for a server
+// (serve) that mounts them next to its own API routes:
 //
 //	/metrics — Prometheus text exposition of the registered metrics
 //	/healthz — 200 "ok" while the health func returns nil, 503 otherwise
-//	/varz    — free-form JSON status (cluster view on the hub)
+//	/varz    — free-form JSON status
 //
-// It is deliberately tiny: std-lib net/http on a dedicated listener,
-// started by distrib when a process is given a debug address.
-type DebugServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// ServeDebug binds addr (e.g. "127.0.0.1:9190", port 0 picks a free one)
-// and serves the debug endpoints in a background goroutine. health and
-// varz may be nil.
-func ServeDebug(addr string, m *Metrics, health func() error, varz func() map[string]any) (*DebugServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: DebugMux(m, health, varz), ReadHeaderTimeout: 5 * time.Second}
-	s := &DebugServer{ln: ln, srv: srv}
-	go srv.Serve(ln)
-	return s, nil
-}
-
-// DebugMux builds the debug endpoints on a fresh mux without binding a
-// listener, for servers (skipper-serve) that mount them next to their own
-// API routes instead of on a dedicated debug port.
+// health and varz may be nil.
 func DebugMux(m *Metrics, health func() error, varz func() map[string]any) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -73,9 +49,3 @@ func DebugMux(m *Metrics, health func() error, varz func() map[string]any) *http
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-
-// Addr returns the bound listen address.
-func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server and releases the listener.
-func (s *DebugServer) Close() error { return s.srv.Close() }

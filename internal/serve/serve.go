@@ -124,7 +124,10 @@ type jobState struct {
 	workers  []string
 	results  []track.Result
 	digest   uint64
-	mach     *exec.Machine
+	// mach is the running attempt's machine, nil once it settles; res keeps
+	// the settled attempt's counters (not its outputs or trace) for Run.
+	mach *exec.Machine
+	res  *exec.RunResult
 	// cancelled marks a user DELETE; workerDied marks a fleet-member death
 	// observed on the control channel. Both abort the run through
 	// Machine.Cancel — the flags decide whether the outcome is "cancelled"
@@ -207,12 +210,11 @@ type Server struct {
 	mJoined       *obsv.Counter
 	mWorkersDead  *obsv.Counter
 	mWorkerErrors *obsv.Counter
-	mSpeculations *obsv.Counter
-	mSpecWins     *obsv.Counter
-	mFalseSusp    *obsv.Counter
 	hJobSeconds   *obsv.Histogram
 	hQueueWait    *obsv.Histogram
 	stageLat      func(stage int, seconds float64)
+	// ftSettled sums each ftSeries counter over the settled attempts.
+	ftSettled [len(ftSeries)]int64
 
 	// flight is the always-on flight recorder (nil unless Config.FlightDir).
 	flight *obsv.Flight
@@ -280,9 +282,19 @@ func (s *Server) initMetrics() {
 	s.mJoined = m.Counter("skipper_serve_workers_joined_total", "workers that completed the fleet join handshake")
 	s.mWorkersDead = m.Counter("skipper_serve_workers_dead_total", "workers whose control channel dropped without a leave")
 	s.mWorkerErrors = m.Counter("skipper_serve_assignment_errors_total", "failed assignment completions reported by workers")
-	s.mSpeculations = m.Counter("skipper_task_speculations_total", "straggler tasks speculatively duplicated onto idle workers, summed over job attempts")
-	s.mSpecWins = m.Counter("skipper_speculation_wins_total", "speculative duplicates whose reply beat the original worker's, summed over job attempts")
-	s.mFalseSusp = m.Counter("skipper_false_suspicions_total", "deadline-suspected workers whose reply later arrived, summed over job attempts")
+	for i, c := range ftSeries {
+		m.CounterFunc(c.name, c.help, func() int64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			n := s.ftSettled[i]
+			for _, st := range s.jobs {
+				if st.mach != nil {
+					n += c.count(st.mach)
+				}
+			}
+			return n
+		})
+	}
 	s.hJobSeconds = m.Histogram("skipper_serve_job_seconds", "wall-clock duration of successful jobs",
 		[]float64{0.01, 0.05, 0.25, 1, 5, 30, 120})
 	s.hQueueWait = m.Histogram("skipper_serve_queue_wait_seconds",
@@ -308,6 +320,39 @@ func (s *Server) initMetrics() {
 	m.GaugeFunc("skipper_serve_hub_sessions", "active frame-traffic sessions on the fleet hub", func() float64 {
 		return float64(s.hub.SessionCount())
 	})
+}
+
+// ftSeries are the executive's fault-tolerance counters as serve exports
+// them: each sums the settled attempts and the running machines' live
+// counts, so a scrape mid-run sees a straggler's speculations as they
+// happen. Speculation and failure detection run on the farm masters, which
+// the hub hosts, so the hub machine holds the whole deployment's counts.
+var ftSeries = [...]struct {
+	name, help string
+	count      func(*exec.Machine) int64
+}{
+	{"skipper_peer_failures_total", "processors declared dead by failure detection (heartbeat, EOF or task deadline), summed over job attempts", (*exec.Machine).FTFailures},
+	{"skipper_task_redispatches_total", "farm tasks re-dispatched onto surviving workers after their worker died, summed over job attempts", (*exec.Machine).FTRedispatches},
+	{"skipper_task_speculations_total", "straggler tasks speculatively duplicated onto idle workers, summed over job attempts", (*exec.Machine).FTSpeculations},
+	{"skipper_speculation_wins_total", "speculative duplicates whose reply beat the original worker's, summed over job attempts", (*exec.Machine).FTSpeculationWins},
+	{"skipper_false_suspicions_total", "deadline-suspected workers whose reply later arrived, summed over job attempts", (*exec.Machine).FTFalseSuspicions},
+}
+
+// settleLocked retires an attempt whose run has returned: its machine's
+// fault-tolerance counts move into the settled totals, and the run's
+// counters are kept for Run. Called under s.mu.
+func (s *Server) settleLocked(st *jobState, res *exec.RunResult) {
+	if st.mach != nil {
+		for i, c := range ftSeries {
+			s.ftSettled[i] += c.count(st.mach)
+		}
+		st.mach = nil
+	}
+	if res != nil {
+		kept := *res
+		kept.Outputs, kept.Trace = nil, nil
+		st.res = &kept
+	}
 }
 
 // Addr returns the HTTP API address; FleetAddr and HubAddr the worker and
@@ -585,7 +630,6 @@ func (s *Server) runJob(st *jobState, placement map[*workerState][]int) {
 			st.status = StatusQueued
 			st.err = err.Error()
 			st.workers = nil
-			st.mach = nil
 			st.enqueued = time.Now()
 			s.queue = append(s.queue, st)
 			s.running--
@@ -663,22 +707,16 @@ func (s *Server) executeJob(st *jobState, placement map[*workerState][]int) ([]t
 	} else {
 		res, tr, err = dep.RunHost(sess, rec, s.cfg.JobTimeout, started)
 	}
+	s.mu.Lock()
+	s.settleLocked(st, res)
 	if att != nil {
 		// Seal the hub-side snapshot into the attempt record (before the
 		// deferred Close tears the session down).
 		tr.Meta["job"] = st.id
 		tr.Meta["role"] = "hub"
-		s.mu.Lock()
 		att.hub, att.rec = tr, nil
-		s.mu.Unlock()
 	}
-	if res != nil {
-		// Speculation runs on the master — hosted here — so the hub machine
-		// holds the whole deployment's straggler accounting.
-		s.mSpeculations.Add(res.Speculations)
-		s.mSpecWins.Add(res.SpeculationWins)
-		s.mFalseSusp.Add(res.FalseSuspicions)
-	}
+	s.mu.Unlock()
 	if err != nil {
 		// A failed attempt whose deployment never became ready — the
 		// assigned workers died before attaching — never actually started,
@@ -926,7 +964,7 @@ func (s *Server) Close() error {
 	s.shutdownListeners()
 	// Worker channels close on their own once the stop lands or the conns
 	// drop; nudge the stragglers.
-	time.AfterFunc(2*time.Second, func() {
+	nudge := time.AfterFunc(2*time.Second, func() {
 		s.mu.Lock()
 		for _, w := range s.workers {
 			w.conn.Close()
@@ -934,6 +972,7 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 	})
 	s.wg.Wait()
+	nudge.Stop()
 	if s.flight != nil {
 		s.flight.Close()
 	}

@@ -32,17 +32,14 @@ type ProcManifest struct {
 }
 
 // Manifest is the machine-readable deployment description written next to
-// the macro-code files: everything a node launcher needs to start one
-// skipper-node process per processor and verify they agree.
+// the macro-code files: the architecture, the per-processor programs and the
+// schedule fingerprint every process of a deployment must agree on.
 type Manifest struct {
 	Architecture string         `json:"architecture"`
 	Processors   int            `json:"processors"`
 	Strategy     string         `json:"strategy"`
 	Fingerprint  string         `json:"fingerprint"` // hex, matches handshake
 	Procs        []ProcManifest `json:"procs"`
-	// Launch documents the per-processor command line for a distributed
-	// run ({hub} is the coordinator's listen address).
-	Launch string `json:"launch"`
 }
 
 // Manifest builds the deployment manifest for this schedule.
@@ -52,7 +49,6 @@ func (s *Schedule) Manifest() Manifest {
 		Processors:   s.Arch.N,
 		Strategy:     s.Strategy.String(),
 		Fingerprint:  fingerprintHex(s.Fingerprint()),
-		Launch:       "skipper-node -hub {hub} -proc {proc}",
 	}
 	assigned := make([]int, s.Arch.N)
 	for _, p := range s.Assign {
