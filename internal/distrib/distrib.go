@@ -206,11 +206,12 @@ func (j Job) Arch() (*arch.Arch, error) {
 	return nil, fmt.Errorf("distrib: unknown topology %q", j.Topology)
 }
 
-// Compile builds this process's instance of the deployment: a fresh scene
-// and registry plus the mapped schedule. Every process of a deployment
-// calls this with the same Job and obtains a schedule with the same
-// fingerprint. It validates the job first: a job no deployment could run
-// is an error, never a panic in the compiler chain.
+// Compile builds a fresh instance of the deployment: a fresh scene and
+// registry plus the mapped schedule, through the whole compiler chain every
+// time (Deploy memoizes the schedule). Every process of a deployment
+// compiles the same Job to a schedule with the same fingerprint. It
+// validates the job first: a job no deployment could run is an error, never
+// a panic in the compiler chain.
 func (j Job) Compile() (*syndex.Schedule, *value.Registry, *track.Recorder, error) {
 	if err := j.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -265,20 +266,33 @@ func (sp Spec) Configure(m *exec.Machine) {
 // RunNode), which all end in the same run.
 type Deployment struct {
 	Spec
-	Sched *syndex.Schedule
-	Reg   *value.Registry
+	// Sched is shared, read-only, by every deployment of the same shape in
+	// this process (see scheduleMemo); Fingerprint is its fingerprint.
+	Sched       *syndex.Schedule
+	Fingerprint uint64
+	Reg         *value.Registry
 	// Results holds the per-iteration tracking results once the run is over;
 	// only the process hosting processor 0 (display node) sees any.
 	Results *track.Recorder
 }
 
-// Deploy compiles the spec into this process's Deployment.
+// Deploy builds this process's Deployment of the spec. The schedule comes
+// from the process's memo of compiled job shapes (compiled with Job.Compile
+// on the shape's first deployment); the scene, registry and recorder are
+// this attempt's own.
 func (sp Spec) Deploy() (*Deployment, error) {
-	s, reg, rec, err := sp.Compile()
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	c, err := schedules.get(shapeOf(sp.Job), func() (*syndex.Schedule, error) {
+		s, _, _, err := sp.Compile()
+		return s, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{Spec: sp, Sched: s, Reg: reg, Results: rec}, nil
+	reg, rec := track.NewRegistry(video.NewScene(sp.Width, sp.Height, sp.Vehicles, sp.Seed), nil)
+	return &Deployment{Spec: sp, Sched: c.sched, Fingerprint: c.fp, Reg: reg, Results: rec}, nil
 }
 
 // run is the one way a deployment's processors start running in this
@@ -368,7 +382,7 @@ func (d *Deployment) RunNode(hubAddr string, salt uint64, procs []int, node Node
 	if node.DataPlane != "" {
 		opts = append(opts, nettransport.WithDataPlane(node.DataPlane))
 	}
-	cl, err := nettransport.Dial(hubAddr, d.Sched.Fingerprint()^salt, local, timeout, opts...)
+	cl, err := nettransport.Dial(hubAddr, d.Fingerprint^salt, local, timeout, opts...)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -232,16 +232,25 @@ func (m *Machine) RunWithTimeout(iters int, d time.Duration) (*RunResult, error)
 			m.interpret(pl, iters)
 		}()
 	}
-	// Watchdog: abort all communication waits if the deadline passes.
+	// Watchdog: abort all communication waits if the deadline passes. It
+	// reaches the machine through a pointer cleared once the run is over: the
+	// runtime may hold a stopped timer, callback included, until it next
+	// cleans its timer heap, and the machine holds the registry (with its
+	// scene) and the schedule.
 	var watchdog *time.Timer
+	var watched atomic.Pointer[Machine]
 	if d > 0 {
+		watched.Store(m)
 		watchdog = time.AfterFunc(d, func() {
-			m.fail(fmt.Errorf("exec: executive did not complete within %v (communication stalled)", d))
+			if m := watched.Load(); m != nil {
+				m.fail(fmt.Errorf("exec: executive did not complete within %v (communication stalled)", d))
+			}
 		})
 	}
 	wg.Wait()
 	if watchdog != nil {
 		watchdog.Stop()
+		watched.Store(nil)
 	}
 	stats := m.t.Stats()
 	terr := m.t.Err()

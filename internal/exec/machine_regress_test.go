@@ -12,6 +12,7 @@ import (
 	"skipper/internal/exec/memtransport"
 	"skipper/internal/exec/transport"
 	"skipper/internal/graph"
+	"skipper/internal/leakcheck"
 	"skipper/internal/syndex"
 	"skipper/internal/value"
 )
@@ -177,6 +178,7 @@ func TestRunGoroutinesBoundedAndReclaimed(t *testing.T) {
 				}
 			}
 		}
+		reclaimed := leakcheck.Goroutines(t)
 		baseline := runtime.NumGoroutine()
 		if _, err := m.RunWithTimeout(2000, 60*time.Second); err != nil {
 			t.Fatal(err)
@@ -185,21 +187,8 @@ func TestRunGoroutinesBoundedAndReclaimed(t *testing.T) {
 			t.Errorf("pipeline=%v: %d goroutines at frame 10, want at most %d (0 = never sampled)",
 				pipeline, midRun.Load(), limit)
 		}
-		if now := settledGoroutines(baseline); now > baseline {
-			t.Errorf("pipeline=%v: %d goroutines after the run, %d before it", pipeline, now, baseline)
-		}
+		reclaimed()
 	}
-}
-
-// settledGoroutines reports the goroutine count once it is back at baseline,
-// or after two seconds: goroutines unwind after the WaitGroup they
-// signalled, so the stragglers get a moment before it is called a leak.
-func settledGoroutines(baseline int) int {
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	return runtime.NumGoroutine()
 }
 
 // TestFarmMessagesPerRun pins the farm protocol's message count: every
@@ -257,15 +246,13 @@ func TestAbortedRunReleasesWorkers(t *testing.T) {
 		s := compile(t, pipeSrc, r, arch.Ring(8), syndex.Structured)
 		m = NewMachine(s, r)
 		m.DeterministicFarm, m.Pipeline = true, pipeline
-		baseline := runtime.NumGoroutine()
+		reclaimed := leakcheck.Goroutines(t)
 		if _, err := m.RunWithTimeout(100, 60*time.Second); !errors.Is(err, ErrCancelled) {
 			t.Fatalf("pipeline=%v: run returned %v, want ErrCancelled", pipeline, err)
 		}
 		if frames >= 100 {
 			t.Fatalf("pipeline=%v: the run was not cut short (%d frames grabbed)", pipeline, frames)
 		}
-		if now := settledGoroutines(baseline); now > baseline {
-			t.Errorf("pipeline=%v: %d goroutines after the aborted run, %d before it", pipeline, now, baseline)
-		}
+		reclaimed()
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"skipper/internal/exec/nettransport"
 	"skipper/internal/exec/transport"
 	"skipper/internal/graph"
+	"skipper/internal/leakcheck"
 	"skipper/internal/obsv"
 )
 
@@ -98,6 +99,35 @@ func TestWorkerChurnFreshSession(t *testing.T) {
 	if v, ok := c1b.Recv(1, km); !ok || v.(string) != "mesh" {
 		t.Fatalf("mesh frame after churn = %v %v, want \"mesh\"", v, ok)
 	}
+}
+
+// TestSessionReclaimsGoroutines: a session opened, attached, used and
+// closed leaves nothing running — the hub's accept and read loops and each
+// client's loops and peer listener all end with Close.
+func TestSessionReclaimsGoroutines(t *testing.T) {
+	openClose := func() {
+		hub, err := nettransport.NewHub("127.0.0.1:0", arch.Ring(3), 0x1eac, []arch.ProcID{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hub.Close()
+		for p := arch.ProcID(1); p <= 2; p++ {
+			c, err := nettransport.Dial(hub.Addr(), 0x1eac, []arch.ProcID{p}, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+		}
+		if err := hub.WaitReady(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		k := transport.EdgeKey(graph.EdgeID(7))
+		hub.Send(0, 2, k, "frame")
+	}
+	openClose() // the first session starts the runtime's and net's lazy goroutines
+	reclaimed := leakcheck.Goroutines(t)
+	openClose()
+	reclaimed()
 }
 
 // TestEarlyDetachStillCompletes: a node whose program is empty detaches

@@ -7,13 +7,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"skipper/internal/distrib"
 	"skipper/internal/exec/faulttransport"
+	"skipper/internal/leakcheck"
 	"skipper/internal/syndex"
 )
 
@@ -81,16 +81,9 @@ func TestRunReclaimsGoroutines(t *testing.T) {
 				}
 			}
 			run() // the first run starts the runtime's and net's lazy goroutines
-			baseline := runtime.NumGoroutine()
+			reclaimed := leakcheck.Goroutines(t)
 			run()
-			deadline := time.Now().Add(time.Second)
-			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > baseline {
-				buf := make([]byte, 1<<20)
-				t.Fatalf("%d goroutines a second after Run, %d before it:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
-			}
+			reclaimed()
 		})
 	}
 }
@@ -98,10 +91,11 @@ func TestRunReclaimsGoroutines(t *testing.T) {
 // TestFTSeriesCountLive: the fault-tolerance series count the running
 // machines, not only settled attempts — a straggler's speculation shows on
 // /metrics while its job still runs, which is how CI's straggler drill reads
-// it.
+// it. The job runs hundreds of frames past its first speculation (at about
+// 30 ms), so the scrape loop has a live window to look in.
 func TestFTSeriesCountLive(t *testing.T) {
 	job := distrib.Job{Topology: "ring", Procs: 8, Width: 128, Height: 128,
-		Vehicles: 2, Seed: 21, Iters: 40, Deterministic: true}
+		Vehicles: 2, Seed: 21, Iters: 400, Deterministic: true}
 	sched, _, _, err := job.Compile()
 	if err != nil {
 		t.Fatal(err)

@@ -660,7 +660,7 @@ func (s *Server) executeJob(st *jobState, placement map[*workerState][]int) ([]t
 
 	var sess *nettransport.Session
 	if !s.cfg.InProcess && st.job.Procs > 1 {
-		sess, err = s.hub.OpenSession(dep.Sched.Arch, dep.Sched.Fingerprint()^st.salt, []arch.ProcID{0})
+		sess, err = s.hub.OpenSession(dep.Sched.Arch, dep.Fingerprint^st.salt, []arch.ProcID{0})
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,9 @@ func macroFileName(p int) string { return fmt.Sprintf("proc%d.m4", p) }
 // programs), the architecture and the distribution strategy. Two processes
 // of a distributed executive handshake with their fingerprints — equal
 // fingerprints mean both compiled the same deployment, so a frame's edge
-// and farm identifiers refer to the same graph objects on both sides.
+// and farm identifiers refer to the same graph objects on both sides. Each
+// call renders the whole macro-code: a caller that needs it per run keeps it
+// beside the schedule, as distrib's memo of compiled job shapes does.
 func (s *Schedule) Fingerprint() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s.Arch.Name))

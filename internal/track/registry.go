@@ -50,7 +50,8 @@ const (
 
 // Source is the paper's Caml specification of the vehicle tracking
 // application (§4), with the extern declarations standing in for the C
-// prototypes. NPROC is substituted by ProgramSource.
+// prototypes. ProgramSource fills in the worker count (%[1]d) and the frame
+// geometry (%[2]d, %[3]d).
 const sourceTemplate = `
 (* Real-time vehicle detection and tracking -- paper section 4. *)
 type img;;
@@ -67,56 +68,19 @@ extern predict : mark list -> state * mark list;;
 extern display_marks : mark list -> unit;;
 extern empty_list : mark list;;
 
-let nproc = NPROC;;
+let nproc = %[1]d;;
 let s0 = init_state ();;
 let loop (state, im) =
   let ws = get_windows nproc state im in
   let marks = df nproc detect_mark accum_marks empty_list ws in
   predict marks;;
-let main = itermem read_img loop display_marks s0 (WIDTH, HEIGHT);;
+let main = itermem read_img loop display_marks s0 (%[2]d, %[3]d);;
 `
 
 // ProgramSource renders the tracking specification for a given worker count
 // and frame geometry.
 func ProgramSource(nproc, w, h int) string {
-	out := ""
-	for i := 0; i < len(sourceTemplate); i++ {
-		switch {
-		case hasPrefix(sourceTemplate[i:], "NPROC"):
-			out += itoa(nproc)
-			i += len("NPROC") - 1
-		case hasPrefix(sourceTemplate[i:], "WIDTH"):
-			out += itoa(w)
-			i += len("WIDTH") - 1
-		case hasPrefix(sourceTemplate[i:], "HEIGHT"):
-			out += itoa(h)
-			i += len("HEIGHT") - 1
-		default:
-			out += string(sourceTemplate[i])
-		}
-	}
-	return out
-}
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	s := ""
-	for n > 0 {
-		s = string(rune('0'+n%10)) + s
-		n /= 10
-	}
-	if neg {
-		s = "-" + s
-	}
-	return s
+	return fmt.Sprintf(sourceTemplate, nproc, w, h)
 }
 
 // Recorder collects per-iteration results as the application's display

@@ -1,6 +1,7 @@
 package track
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -23,6 +24,39 @@ func TestProgramSourceSubstitution(t *testing.T) {
 	}
 	if strings.Contains(src, "NPROC") || strings.Contains(src, "WIDTH") {
 		t.Fatal("placeholders not substituted")
+	}
+}
+
+// TestProgramSourceBytes pins the rendered specification byte for byte: the
+// digests were recorded from the character-at-a-time renderer this one
+// replaced, so a schedule fingerprint computed from either is the same.
+func TestProgramSourceBytes(t *testing.T) {
+	for _, c := range []struct {
+		nproc, w, h int
+		fnv         uint64
+	}{
+		{1, 8, 8, 0x78aa5066823373d9},
+		{8, 512, 512, 0x420882ac07268ae8},
+		{16, 128, 128, 0x9d0667ebd5c7aaeb},
+		{256, 4096, 4096, 0x801bbcb44c89f833},
+		{4, 128, 128, 0x05d5bfc7f785f5d6},
+		{3, 8, 4096, 0x68540bb0322c7fc8},
+		{100, 4096, 8, 0x26bd3fd1a008fcb4},
+		{0, 10, 2048, 0x611acdeeb488d79b},
+	} {
+		h := fnv.New64a()
+		h.Write([]byte(ProgramSource(c.nproc, c.w, c.h)))
+		if got := h.Sum64(); got != c.fnv {
+			t.Errorf("ProgramSource(%d, %d, %d) digest %#016x, want %#016x", c.nproc, c.w, c.h, got, c.fnv)
+		}
+	}
+}
+
+// TestProgramSourceAllocs: rendering fills the template in once, not by
+// rebuilding the string per character (1 431 allocations a call).
+func TestProgramSourceAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(50, func() { ProgramSource(256, 4096, 4096) }); n > 8 {
+		t.Fatalf("ProgramSource makes %.0f allocations, want at most 8", n)
 	}
 }
 

@@ -48,6 +48,10 @@ type Scene struct {
 	Dropout float64
 	rng     *rand.Rand
 	frame   int
+	// road is the background every frame starts from, painted on the
+	// first frame: it depends on the geometry alone, not on the frame or
+	// the seed.
+	road []uint8
 
 	// Camera model constants.
 	focal float64 // pixels-per-meter at 1 m
@@ -143,7 +147,11 @@ func (s *Scene) NextInto(im *vision.Image) *vision.Image {
 	if im.W != s.W || im.H != s.H {
 		panic("video: NextInto image geometry does not match scene")
 	}
-	s.renderBackground(im)
+	if s.road == nil {
+		s.road = make([]uint8, s.W*s.H)
+		s.renderBackground(s.road)
+	}
+	copy(im.Pix, s.road)
 	for i := range s.Vehicles {
 		s.stepVehicle(&s.Vehicles[i])
 		s.renderVehicle(im, s.Vehicles[i])
@@ -165,7 +173,7 @@ func (s *Scene) stepVehicle(v *Vehicle) {
 	v.X = clamp(v.X+v.VX, -4, 4)
 }
 
-func (s *Scene) renderBackground(im *vision.Image) {
+func (s *Scene) renderBackground(pix []uint8) {
 	// Horizontal gradient road texture plus lane-ish stripes, all below
 	// RoadGrayMax so it never crosses the detection threshold.
 	for y := 0; y < s.H; y++ {
@@ -178,7 +186,7 @@ func (s *Scene) renderBackground(im *vision.Image) {
 			if v > RoadGrayMax {
 				v = RoadGrayMax
 			}
-			im.Pix[y*s.W+x] = v
+			pix[y*s.W+x] = v
 		}
 	}
 }
