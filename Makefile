@@ -38,8 +38,8 @@ stress:
 # against the same kernel on the view's Clone, the value codec, the net
 # transport's read side — its one frame-read loop (stream-decoding the frames
 # for a hosted processor), the handshake parsers and the shm ring's header
-# words and slab — and the fleet's JSON boundaries: lines into the control
-# plane's end of a worker channel, run messages into a worker's checks, and
+# words and slab — and the fleet's boundaries: member frames into the control
+# plane's member loop, run-message payloads into a worker's checks, and
 # POST /jobs bodies. New inputs land
 # in the Go build cache; a failure writes its reproducer under the package's
 # testdata/fuzz/, to be committed as a regression seed.

@@ -1,14 +1,14 @@
 // Command skipper-node is a fleet worker: it turns its OS process into a
 // long-lived worker of a serve control plane — skipper-serve, or the
 // private one-job server of a skipper-run over tcp, unix or shm. It joins
-// the fleet, then executes any number of job assignments, hosting whatever
-// processors of whatever deployments the scheduler hands it, several jobs
-// concurrently, until the control plane stops or disappears. Each
-// assignment ships its own job (DESIGN.md §12): the worker compiles it (the
-// hub rejects the connection if the schedule fingerprints differ), dials
-// the fleet hub under the job's salted fingerprint and interprets its
-// processors' op programs; node↔node frames travel one hop over the
-// peer-to-peer data mesh (DESIGN.md §9).
+// the fleet hub at -fleet, then executes any number of job assignments,
+// hosting whatever processors of whatever deployments the scheduler hands
+// it, several jobs concurrently, until the control plane stops or
+// disappears. Each assignment ships its own job (DESIGN.md §12): the worker
+// compiles it, dials the same hub again under the job's salted fingerprint
+// (the hub rejects the connection if the schedule fingerprints differ) and
+// interprets its processors' op programs; node↔node frames travel one hop
+// over the peer-to-peer data mesh (DESIGN.md §9).
 //
 //	skipper-node -fleet 127.0.0.1:7070 -name w1
 //
@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	fleet := flag.String("fleet", "", "serve fleet address to join as a worker (required)")
+	fleet := flag.String("fleet", "", "serve fleet hub address to join as a worker (required)")
 	name := flag.String("name", "", "worker name (default host-pid)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "how long to keep retrying the join")
 	flight := flag.String("flight", "skipper-flight", "directory for the always-on flight recorder's fault artifacts (empty disables)")

@@ -1,6 +1,8 @@
 // Command skipper-serve runs SKiPPER as a service: a long-lived control
 // plane that schedules many tracking jobs over an elastic fleet of
-// skipper-node workers (DESIGN.md §12).
+// skipper-node workers (DESIGN.md §12). It binds two addresses: the HTTP
+// API, and the fleet hub, which workers join and their job sessions attach
+// to.
 //
 //	skipper-serve -http 127.0.0.1:8080 -fleet 127.0.0.1:7070
 //
@@ -36,8 +38,7 @@ import (
 
 func main() {
 	httpAddr := flag.String("http", "127.0.0.1:8080", "job API bind address (also serves /metrics, /healthz, /varz)")
-	fleetAddr := flag.String("fleet", "127.0.0.1:7070", "worker control-channel bind address (unix: paths work)")
-	hubAddr := flag.String("hub", "127.0.0.1:0", "frame-traffic fleet hub bind address (unix: paths work)")
+	fleetAddr := flag.String("fleet", "127.0.0.1:7070", "fleet hub bind address, which workers join and job sessions attach to (unix: paths work)")
 	queueLimit := flag.Int("queue-limit", 64, "FIFO queue bound; submissions beyond it get 429")
 	maxRunning := flag.Int("max-running", 8, "concurrently executing jobs")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-attempt executive watchdog")
@@ -50,7 +51,6 @@ func main() {
 	s, err := serve.New(serve.Config{
 		HTTPAddr:    *httpAddr,
 		FleetAddr:   *fleetAddr,
-		HubAddr:     *hubAddr,
 		QueueLimit:  *queueLimit,
 		MaxRunning:  *maxRunning,
 		JobTimeout:  *jobTimeout,
@@ -67,7 +67,6 @@ func main() {
 	if fa := s.FleetAddr(); fa != "" {
 		fmt.Printf("skipper-serve: fleet join address %s (skipper-node -fleet %s)\n", fa, fa)
 	}
-	fmt.Printf("skipper-serve: fleet hub on %s\n", s.HubAddr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -1,28 +1,26 @@
-// Fleet protocol: the control channel between skipper-serve's scheduler and
-// its workers. It is deliberately not the frame wire — newline-delimited
-// JSON over one TCP (or unix-domain) connection per worker, a few messages
-// per job — because fleet membership changes at human timescales while
-// frames move at microsecond ones. A worker joins once and then serves any
-// number of job assignments; each assignment makes the worker dial the
-// fleet hub's *data* listener under the job's salted fingerprint, so job
-// traffic rides the existing nettransport sessions and never touches this
-// channel.
+// Fleet protocol: the messages between skipper-serve's scheduler and its
+// workers. A worker joins the fleet hub — the same listener its job
+// sessions attach to — with a join hello carrying its name, and the hub's
+// welcome (or refusal) is the hello reply. From then on each message is one
+// member frame on that connection whose payload is a JSON FleetMsg, a few
+// per job: fleet membership changes at human timescales while frames move
+// at microsecond ones. Each assignment makes the worker dial the hub again
+// under the job's salted fingerprint, so job traffic rides its own
+// nettransport session and never touches the member connection.
 //
-//	worker → serve: {"type":"join","name":"w1"}
-//	serve  → worker: {"type":"welcome"}
 //	serve  → worker: {"type":"run","job":"j3","salt":...,"procs":[2,5],
-//	                  "hub":"127.0.0.1:9000","spec":{...Job...},...}
+//	                  "spec":{...Job...},...}
 //	worker → serve: {"type":"done","job":"j3","error":""}
-//	worker → serve: {"type":"ping"}        (liveness, every second)
-//	worker → serve: {"type":"leave"}       (clean departure)
 //	serve  → worker: {"type":"stop"}       (control plane shutting down)
+//
+// A worker leaves with a detach frame; a member connection that ends
+// without one is the worker's death.
 package distrib
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -35,26 +33,17 @@ import (
 
 // Fleet message types.
 const (
-	MsgJoin    = "join"
-	MsgWelcome = "welcome"
-	MsgRun     = "run"
-	MsgDone    = "done"
-	MsgPing    = "ping"
-	MsgLeave   = "leave"
-	MsgStop    = "stop"
+	MsgRun  = "run"
+	MsgDone = "done"
+	MsgStop = "stop"
 )
 
-// FleetPingInterval is how often an idle worker proves liveness.
-const FleetPingInterval = time.Second
-
-// FleetMsg is one line of the fleet protocol. The channel is internal: both
-// ends ship from this repository and no outside tool speaks it, so the
+// FleetMsg is one message of the fleet protocol. The protocol is internal:
+// both ends ship from this repository and no outside tool speaks it, so the
 // tuning travels as the Tuning struct itself, durations as plain
 // time.Duration nanoseconds, rather than as a per-field wire format.
 type FleetMsg struct {
 	Type string `json:"type"`
-	// Name identifies the worker (join/leave).
-	Name string `json:"name,omitempty"`
 	// JobID names the job an assignment or completion belongs to.
 	JobID string `json:"job,omitempty"`
 	// Salt XORs into the schedule fingerprint to namespace the job's
@@ -62,8 +51,6 @@ type FleetMsg struct {
 	Salt uint64 `json:"salt,omitempty"`
 	// Procs are the deployment processors this worker must host for the job.
 	Procs []int `json:"procs,omitempty"`
-	// HubAddr is the fleet hub's data/control listener the worker dials.
-	HubAddr string `json:"hub,omitempty"`
 	// Job is the deployment agreement, shipped verbatim from the submitter.
 	Job *Job `json:"spec,omitempty"`
 	// Tuning is the executive tuning the whole deployment must agree on;
@@ -80,6 +67,30 @@ type FleetMsg struct {
 	Trace *obsv.Trace `json:"trace,omitempty"`
 }
 
+// SendFleetMsg writes msg on a member connection, as one member frame.
+func SendFleetMsg(m *nettransport.Member, msg FleetMsg) error {
+	b, err := json.Marshal(msg)
+	if err != nil {
+		return err
+	}
+	return m.Send(b)
+}
+
+// RecvFleetMsg reads the next message off a member connection. io.EOF
+// means the other end left cleanly; any other error — the connection's, or
+// a frame that holds no fleet message — ends the membership as a death.
+func RecvFleetMsg(m *nettransport.Member) (FleetMsg, error) {
+	var msg FleetMsg
+	b, err := m.Recv()
+	if err != nil {
+		return msg, err
+	}
+	if err := json.Unmarshal(b, &msg); err != nil {
+		return msg, fmt.Errorf("distrib: member %q sent no fleet message: %w", m.Name(), err)
+	}
+	return msg, nil
+}
+
 // Worker is one fleet member: a process (or goroutine, in tests) that has
 // joined a serve control plane and executes job assignments in a loop,
 // each in the node role. Assignments run concurrently: a worker hosts
@@ -91,11 +102,8 @@ type Worker struct {
 	Node
 
 	name string
-	conn net.Conn
-	dec  *json.Decoder
-
-	encMu sync.Mutex
-	enc   *json.Encoder
+	addr string // the hub address it joined at, which assignments dial
+	m    *nettransport.Member
 
 	mu     sync.Mutex
 	active map[string]*assignment // job id → the assignment running it
@@ -110,10 +118,8 @@ type Worker struct {
 	// fault auto-dumps a trace artifact.
 	flight *obsv.Flight
 
-	closing  atomic.Bool
-	jobWG    sync.WaitGroup
-	pingStop chan struct{}
-	pingOnce sync.Once
+	closing atomic.Bool
+	jobWG   sync.WaitGroup
 }
 
 // assignment is what the worker tracks per running job, guarded by Worker.mu:
@@ -124,54 +130,24 @@ type assignment struct {
 	rec *obsv.Recorder
 }
 
-// JoinFleet dials the control plane at addr, retrying until d elapses
-// (workers may start before skipper-serve binds), and registers under name
-// (defaulting to host-pid). The returned worker serves assignments once
-// Serve is called.
+// JoinFleet dials the fleet hub at addr, retrying until d elapses
+// (workers may start before skipper-serve binds), and joins under name
+// (defaulting to host-pid). A refused join returns the hub's refusal. The
+// returned worker serves assignments once Serve is called.
 func JoinFleet(addr, name string, d time.Duration) (*Worker, error) {
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	network, address := nettransport.SplitNetAddr(addr)
-	deadline := time.Now().Add(d)
-	var c net.Conn
-	var err error
-	for {
-		c, err = net.DialTimeout(network, address, time.Second)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("distrib: joining fleet %s: %w", addr, err)
-		}
-		time.Sleep(100 * time.Millisecond)
+	c, err := nettransport.DialHub(addr, d)
+	if err != nil {
+		return nil, fmt.Errorf("distrib: joining fleet %s: %w", addr, err)
 	}
-	w := &Worker{
-		name:     name,
-		conn:     c,
-		dec:      json.NewDecoder(c),
-		enc:      json.NewEncoder(c),
-		active:   map[string]*assignment{},
-		pingStop: make(chan struct{}),
+	m, err := nettransport.Join(c, name)
+	if err != nil {
+		return nil, fmt.Errorf("distrib: joining fleet %s: %w", addr, err)
 	}
-	if err := w.send(FleetMsg{Type: MsgJoin, Name: name}); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("distrib: fleet join: %w", err)
-	}
-	var welcome FleetMsg
-	if err := w.dec.Decode(&welcome); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("distrib: fleet join: %w", err)
-	}
-	if welcome.Type != MsgWelcome {
-		c.Close()
-		if welcome.Error != "" {
-			return nil, fmt.Errorf("distrib: fleet join rejected: %s", welcome.Error)
-		}
-		return nil, fmt.Errorf("distrib: fleet join: unexpected %q reply", welcome.Type)
-	}
-	return w, nil
+	return &Worker{name: name, addr: addr, m: m, active: map[string]*assignment{}}, nil
 }
 
 // Name is the worker's fleet registration name.
@@ -233,41 +209,14 @@ func (w *Worker) activeTraces() []*obsv.Trace {
 	return out
 }
 
-func (w *Worker) send(msg FleetMsg) error {
-	w.encMu.Lock()
-	defer w.encMu.Unlock()
-	return w.enc.Encode(msg)
-}
-
-func (w *Worker) stopPing() {
-	w.pingOnce.Do(func() { close(w.pingStop) })
-}
-
-func (w *Worker) pingLoop() {
-	t := time.NewTicker(FleetPingInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.pingStop:
-			return
-		case <-t.C:
-		}
-		if w.closing.Load() {
-			return
-		}
-		w.send(FleetMsg{Type: MsgPing, Name: w.name})
-	}
-}
-
 // Serve executes job assignments until the control plane sends stop, Leave
 // or Kill is called, or the connection drops (a dead control plane). Each
 // run message starts a goroutine: assignments for different jobs overlap.
 func (w *Worker) Serve() error {
-	go w.pingLoop()
 	for {
-		var msg FleetMsg
-		if err := w.dec.Decode(&msg); err != nil {
-			w.stopPing()
+		msg, err := RecvFleetMsg(w.m)
+		if err != nil {
+			w.m.Close()
 			w.jobWG.Wait()
 			if w.closing.Load() {
 				return nil
@@ -283,9 +232,8 @@ func (w *Worker) Serve() error {
 			}(msg)
 		case MsgStop:
 			w.closing.Store(true)
-			w.stopPing()
 			w.jobWG.Wait()
-			w.conn.Close() // the control plane waits for the channel to drop
+			w.m.Leave() // the control plane waits for its members to leave
 			return nil
 		}
 	}
@@ -295,18 +243,16 @@ func (w *Worker) Serve() error {
 // of declaring it dead.
 func (w *Worker) Leave() error {
 	w.closing.Store(true)
-	w.stopPing()
-	w.send(FleetMsg{Type: MsgLeave, Name: w.name})
-	return w.conn.Close()
+	w.m.Leave()
+	return nil
 }
 
-// Kill tears the worker down the way kill -9 would: the fleet connection
+// Kill tears the worker down the way kill -9 would: the member connection
 // and every active job session are severed abruptly, no detach, no done
 // messages — the in-process stand-in for killing a worker process in
 // chaos and equivalence tests.
 func (w *Worker) Kill() {
 	w.closing.Store(true)
-	w.stopPing()
 	w.mu.Lock()
 	w.killed = true
 	cls := make([]*nettransport.Client, 0, len(w.active))
@@ -316,7 +262,7 @@ func (w *Worker) Kill() {
 		}
 	}
 	w.mu.Unlock()
-	w.conn.Close()
+	w.m.Close()
 	for _, cl := range cls {
 		cl.Sever()
 	}
@@ -327,11 +273,11 @@ func (w *Worker) Kill() {
 // traced job, carries the worker's event snapshot home.
 func (w *Worker) runAssignment(m FleetMsg) {
 	tr, err := w.execute(m)
-	done := FleetMsg{Type: MsgDone, JobID: m.JobID, Name: w.name, Salt: m.Salt, Trace: tr}
+	done := FleetMsg{Type: MsgDone, JobID: m.JobID, Salt: m.Salt, Trace: tr}
 	if err != nil {
 		done.Error = err.Error()
 	}
-	w.send(done) // best effort: the control plane may be gone
+	SendFleetMsg(w.m, done) // best effort: the control plane may be gone
 }
 
 // execute is the worker-side job lifecycle: compile the shipped Job and run
@@ -359,7 +305,7 @@ func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
 	w.mu.Lock()
 	w.active[m.JobID] = a
 	w.mu.Unlock()
-	_, tr, err := dep.RunNode(m.HubAddr, m.Salt, m.Procs, w.Node, rec, timeout,
+	_, tr, err := dep.RunNode(w.addr, m.Salt, m.Procs, w.Node, rec, timeout,
 		func(_ *exec.Machine, cl *nettransport.Client) error {
 			w.mu.Lock()
 			defer w.mu.Unlock()
@@ -380,14 +326,11 @@ func (w *Worker) execute(m FleetMsg) (*obsv.Trace, error) {
 }
 
 // deploy is every check a worker makes on a run message before it dials:
-// the message names a job and a hub, the job compiles, and the processors
-// it assigns are the job's remote ones.
+// the message names a job, the job compiles, and the processors it assigns
+// are the job's remote ones.
 func (m FleetMsg) deploy() (*Deployment, error) {
 	if m.Job == nil {
 		return nil, errors.New("distrib: run message without job spec")
-	}
-	if m.HubAddr == "" {
-		return nil, errors.New("distrib: run message without hub address")
 	}
 	dep, err := Spec{Job: *m.Job, Tuning: m.Tuning}.Deploy()
 	if err != nil {

@@ -64,30 +64,36 @@ var (
 	_ transport.Copier          = (*Client)(nil)
 )
 
-// Dial connects to the hub at addr, retrying with jittered exponential
-// backoff until d elapses (node processes may be spawned before the
-// coordinator finishes binding, and a whole fleet retrying in lockstep
-// would hammer it the moment it does), binds a peer data listener on the
-// same interface, then performs the handshake claiming local and starts
-// the reader and acceptor loops.
-func Dial(addr string, fingerprint uint64, local []arch.ProcID, d time.Duration, opts ...Option) (*Client, error) {
-	o := buildOptions(opts)
-	network, address := SplitNetAddr(addr)
+// DialHub connects to the hub at addr, retrying with jittered exponential
+// backoff until d elapses: node and worker processes may be spawned before
+// the hub finishes binding, and a whole fleet retrying in lockstep would
+// hammer it the moment it does.
+func DialHub(addr string, d time.Duration) (net.Conn, error) {
+	network, address := splitNetAddr(addr)
 	deadline := time.Now().Add(d)
 	bo := newBackoff()
-	var c net.Conn
-	var err error
 	for {
-		c, err = net.DialTimeout(network, address, time.Second)
+		c, err := net.DialTimeout(network, address, time.Second)
 		if err == nil {
-			break
+			setNoDelay(c)
+			return c, nil
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("nettransport: dialing hub %s: %w", addr, err)
 		}
 		bo.sleep()
 	}
-	setNoDelay(c)
+}
+
+// Dial connects to the hub at addr (DialHub), binds a peer data listener on
+// the same interface, then performs the handshake claiming local and starts
+// the reader and acceptor loops.
+func Dial(addr string, fingerprint uint64, local []arch.ProcID, d time.Duration, opts ...Option) (*Client, error) {
+	o := buildOptions(opts)
+	c, err := DialHub(addr, d)
+	if err != nil {
+		return nil, err
+	}
 	ln, err := listenPeer(c, o.dataPlane)
 	if err != nil {
 		c.Close()
@@ -97,7 +103,7 @@ func Dial(addr string, fingerprint uint64, local []arch.ProcID, d time.Duration,
 	// segments before saying hello — the hello carries their paths, the
 	// hub's reply says whether it mapped them. Creation failure (no tmpfs,
 	// quota) silently degrades to the plain socket.
-	h := hello{fingerprint: fingerprint, procs: local, dataAddr: JoinNetAddr(ln)}
+	h := hello{fingerprint: fingerprint, procs: local, dataAddr: joinNetAddr(ln)}
 	var shmOut, shmIn *shmRing
 	if o.dataPlane == "shm" && sameHost(c) {
 		if shmOut, err = createShmRing(fingerprint, shmDefaultSlots); err == nil {

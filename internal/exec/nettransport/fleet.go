@@ -2,9 +2,10 @@ package nettransport
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,11 +24,14 @@ import (
 // and workers hold, stays put. A rejected fingerprint means no such
 // deployment is active, which also guarantees frames from different jobs
 // sharing a worker can never cross: they ride different sessions here and
-// differently-fingerprinted peer connections on the data plane.
+// differently-fingerprinted peer connections on the data plane. The same
+// listener takes fleet members: a join hello goes to the hub's join
+// handler instead of a session (Member).
 type FleetHub struct {
 	ln       net.Listener
-	hb       time.Duration // heartbeat interval; 0 = no liveness monitor
-	meshWait time.Duration // bound on a session Send waiting for attachment
+	join     func(*Member) error // nil: joins are refused
+	hb       time.Duration       // heartbeat interval; 0 = no liveness monitor
+	meshWait time.Duration       // bound on a session Send waiting for attachment
 	// trace (WithTrace) pre-arms every session opened on this hub — set for
 	// NewHub's single session so the recorder is live before any node
 	// attaches; schedulers multiplexing sessions arm each one instead.
@@ -47,15 +51,18 @@ type FleetHub struct {
 // NewFleetHub binds addr (e.g. "127.0.0.1:0" or "unix:/tmp/hub.sock"; see
 // Addr for the bound address) and starts accepting connections. Sessions
 // are opened per deployment with OpenSession; a connection whose
-// fingerprint matches no open session is rejected in the handshake.
-func NewFleetHub(addr string, opts ...Option) (*FleetHub, error) {
+// fingerprint matches no open session is rejected in the handshake. join,
+// when not nil, takes every member that joins (see Member); without it
+// the hub refuses joins.
+func NewFleetHub(addr string, join func(*Member) error, opts ...Option) (*FleetHub, error) {
 	o := buildOptions(opts)
-	ln, err := ListenNet(addr)
+	ln, err := listenNet(addr)
 	if err != nil {
 		return nil, err
 	}
 	f := &FleetHub{
 		ln:       ln,
+		join:     join,
 		hb:       o.heartbeat,
 		meshWait: o.meshWait,
 		trace:    o.trace,
@@ -73,7 +80,7 @@ func NewFleetHub(addr string, opts ...Option) (*FleetHub, error) {
 
 // Addr is the address clients should dial ("unix:"-prefixed when the hub
 // listens on a unix-domain socket).
-func (f *FleetHub) Addr() string { return JoinNetAddr(f.ln) }
+func (f *FleetHub) Addr() string { return joinNetAddr(f.ln) }
 
 // OpenSession registers a deployment on the hub: connections whose hello
 // carries fingerprint are routed to the returned Session. local are the
@@ -135,19 +142,6 @@ func (f *FleetHub) SessionCount() int {
 	return len(f.sessions)
 }
 
-// SessionFingerprints lists the open sessions' fingerprints, sorted (a
-// /varz convenience).
-func (f *FleetHub) SessionFingerprints() []uint64 {
-	f.mu.Lock()
-	fps := make([]uint64, 0, len(f.sessions))
-	for fp := range f.sessions {
-		fps = append(fps, fp)
-	}
-	f.mu.Unlock()
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	return fps
-}
-
 func (f *FleetHub) acceptLoop() {
 	defer f.wg.Done()
 	for {
@@ -156,22 +150,30 @@ func (f *FleetHub) acceptLoop() {
 			return // listener closed
 		}
 		f.wg.Add(1)
-		go f.serveConn(c)
+		go func() {
+			defer f.wg.Done()
+			f.ServeConn(c)
+		}()
 	}
 }
 
-// serveConn reads one handshake and hands the connection to the session it
-// fingerprints. An unknown fingerprint is a per-connection rejection, never
-// a hub-wide fault: on a multi-job hub one confused node must not take the
-// other deployments down.
-func (f *FleetHub) serveConn(c net.Conn) {
-	defer f.wg.Done()
+// ServeConn reads one handshake on a connection accepted for the hub and
+// hands the connection to the join handler or to the session it
+// fingerprints; the accept loop runs it per connection, and a caller with
+// a connection of its own (a net.Pipe) may too. An unknown fingerprint is a
+// per-connection rejection, never a hub-wide fault: on a multi-job hub one
+// confused node must not take the other deployments down.
+func (f *FleetHub) ServeConn(c net.Conn) {
 	setNoDelay(c)
 	br := bufio.NewReaderSize(c, readBufSize)
 	hel, err := readHello(br)
 	if err != nil {
 		writeHelloReply(c, err.Error(), false)
 		c.Close()
+		return
+	}
+	if hel.name != "" {
+		f.serveJoin(c, br, hel.name)
 		return
 	}
 	s := f.session(hel.fingerprint)
@@ -182,6 +184,107 @@ func (f *FleetHub) serveConn(c net.Conn) {
 	}
 	s.serveConn(c, br, hel)
 }
+
+// serveJoin answers a join hello with the join handler's verdict: the
+// welcome, or its refusal. The member's writer is held until the reply is
+// written, so nothing the handler's side sends can precede the welcome.
+func (f *FleetHub) serveJoin(c net.Conn, br *bufio.Reader, name string) {
+	if f.join == nil {
+		writeHelloReply(c, "this hub takes no fleet members (it hosts a single deployment)", false)
+		c.Close()
+		return
+	}
+	m := newMember(name, c, br)
+	m.w.wmu.Lock()
+	defer m.w.wmu.Unlock()
+	if err := f.join(m); err != nil {
+		writeHelloReply(c, err.Error(), false)
+		c.Close()
+		return
+	}
+	if writeHelloReply(c, "", false) != nil {
+		c.Close() // the handler's side reads the member's death
+	}
+}
+
+// Member is one end of a fleet member's connection to a hub: the worker's,
+// from Join, or the hub's, handed to its join handler. The ends exchange
+// member frames, each carrying one control-plane message the transport
+// does not interpret, through the connection's locked writer; a clean
+// leave is a detach frame, and an end of stream without one is a death,
+// the rule a session applies to its nodes.
+type Member struct {
+	name string
+	w    *wconn
+	br   *bufio.Reader
+}
+
+func newMember(name string, c net.Conn, br *bufio.Reader) *Member {
+	return &Member{name: name, w: newWConn(c, nil), br: br}
+}
+
+// Join joins the fleet of the hub at the other end of c (see DialHub)
+// under name. The hub's refusal, if it refuses, is the error; c is closed
+// then.
+func Join(c net.Conn, name string) (*Member, error) {
+	if name == "" {
+		c.Close()
+		return nil, fmt.Errorf("nettransport: joining a fleet takes a name")
+	}
+	if err := writeHello(c, hello{name: name}); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("nettransport: join hello: %w", err)
+	}
+	br := bufio.NewReaderSize(c, readBufSize)
+	if _, _, err := readHelloReply(br); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return newMember(name, c, br), nil
+}
+
+// Name is the name the member joined under.
+func (m *Member) Name() string { return m.name }
+
+// Send writes one member frame carrying payload.
+func (m *Member) Send(payload []byte) error {
+	if len(payload) > maxFrame-frameHeader {
+		return fmt.Errorf("nettransport: member message of %d bytes exceeds the frame limit", len(payload))
+	}
+	return m.w.send(controlFrame(memberDst, payload))
+}
+
+// Recv returns the next member frame's payload. io.EOF means the other end
+// left cleanly, with a detach frame. Any other error is its death: the
+// stream ended without a detach, or carried a frame no member sends (one
+// past the frame limit, which is refused before anything is allocated, a
+// truncated one, or one for another destination).
+func (m *Member) Recv() ([]byte, error) {
+	n, dst, _, err := readFrameHeader(m.br)
+	switch {
+	case err == io.EOF:
+		return nil, fmt.Errorf("nettransport: member %q closed its connection without detaching", m.name)
+	case err != nil:
+		return nil, err
+	case dst == detachDst:
+		return nil, io.EOF
+	case dst != memberDst:
+		return nil, fmt.Errorf("nettransport: member %q sent a frame for %#x", m.name, dst)
+	}
+	fb, payload, err := readPayload(m.br, n-frameHeader)
+	if err != nil {
+		return nil, err
+	}
+	defer putBuf(fb)
+	return bytes.Clone(payload), nil
+}
+
+// Leave departs cleanly: a detach frame after what was already sent, then
+// the connection closes.
+func (m *Member) Leave() { m.w.flushClose(controlFrame(detachDst, nil)) }
+
+// Close drops the connection without a detach: the other end reads a death.
+func (m *Member) Close() error { return m.w.c.Close() }
 
 // monitor is the fleet-wide liveness watchdog, armed by WithHeartbeat: a
 // connection with no frames at all for 3 heartbeat intervals is condemned —

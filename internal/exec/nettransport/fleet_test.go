@@ -205,7 +205,7 @@ func TestDialTraceRecordsBeforeSetTrace(t *testing.T) {
 // two sessions share one listener and even the same processor IDs, yet a
 // frame keyed for job A is never delivered to job B.
 func TestCrossJobFrameIsolation(t *testing.T) {
-	f, err := nettransport.NewFleetHub("127.0.0.1:0")
+	f, err := nettransport.NewFleetHub("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestCrossJobFrameIsolation(t *testing.T) {
 // fingerprints are rejected per-connection, duplicates are refused, and a
 // closed session frees its fingerprint for reuse.
 func TestFleetHubSessionRegistry(t *testing.T) {
-	f, err := nettransport.NewFleetHub("127.0.0.1:0")
+	f, err := nettransport.NewFleetHub("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestStaleUnixSocketRecovered(t *testing.T) {
 	ln.(*net.UnixListener).SetUnlinkOnClose(false)
 	ln.Close() // the socket file survives, with nobody accepting
 
-	f, err := nettransport.NewFleetHub("unix:" + path)
+	f, err := nettransport.NewFleetHub("unix:"+path, nil)
 	if err != nil {
 		t.Fatalf("bind over stale socket file: %v", err)
 	}
@@ -353,7 +353,7 @@ func TestStaleUnixSocketRecovered(t *testing.T) {
 
 	// Live listener on the path: the probe connects, so the bind error
 	// stands instead of yanking a working hub's socket out from under it.
-	if _, err := nettransport.NewFleetHub("unix:" + path); err == nil {
+	if _, err := nettransport.NewFleetHub("unix:"+path, nil); err == nil {
 		t.Fatal("second hub bound over a live unix listener")
 	}
 	f.Close()

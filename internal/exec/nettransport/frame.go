@@ -3,11 +3,11 @@
 // processors and exchanges length-prefixed binary frames over TCP. The
 // topology splits into two planes (DESIGN.md §9):
 //
-//   - control plane: the coordinator process runs a FleetHub that listens
-//     and, per deployment, a Session that validates handshakes (schedule
-//     fingerprint, processor claims), brokers the peer address map,
-//     broadcasts cluster-wide aborts and deaths, and hosts the
-//     coordinator's own processors;
+//   - control plane: the coordinator process runs a FleetHub that listens,
+//     takes fleet members' joins (Member) and, per deployment, runs a
+//     Session that validates handshakes (schedule fingerprint, processor
+//     claims), brokers the peer address map, broadcasts cluster-wide
+//     aborts and deaths, and hosts the coordinator's own processors;
 //   - data plane: once every processor is attached the hub distributes
 //     the address map of every node's peer listener and node↔node frames
 //     travel one TCP hop, point to point. The hub routes nothing: frames
@@ -66,7 +66,10 @@ const (
 	// Version 8: batch frames are gone. A version-7 node could still send
 	// one, which this reader would take for data addressed to processor
 	// 0xfffffffa.
-	wireVersion = 8
+	// Version 9: fleet membership rides the hub. A join hello (a kind byte
+	// now follows the version) opens a member connection, which carries
+	// member frames and a closing detach frame.
+	wireVersion = 9
 	// abortDst is a control frame that propagates Abort across processes.
 	abortDst = 0xffffffff
 	// peersDst is a hub→node control frame carrying the address map of
@@ -84,8 +87,13 @@ const (
 	heartbeatDst = 0xfffffffc
 	// peerDownDst is a hub→node control frame listing processors whose
 	// process died; surviving nodes mark them dead and notify the executive.
-	// The lowest control destination: everything below it is a processor.
+	// The lowest control destination a node or session connection reads:
+	// everything below it is a processor.
 	peerDownDst = 0xfffffffb
+	// memberDst is a member frame: one control-plane message between a hub
+	// and a fleet member, in either direction. Member connections carry
+	// only member frames and a closing detach frame, never a processor's.
+	memberDst = 0xfffffffa
 	// maxFrame bounds a declared frame length before allocation: a corrupt
 	// or hostile peer cannot make us allocate more than this per frame.
 	maxFrame = 256 << 20

@@ -216,7 +216,7 @@ func TestStalledPeerTeardownIsBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			network, address := SplitNetAddr(hub.Addr())
+			network, address := splitNetAddr(hub.Addr())
 			c, err := net.Dial(network, address)
 			if err != nil {
 				t.Fatal(err)

@@ -10,14 +10,17 @@ import (
 	"skipper/internal/arch"
 )
 
-// hello is the client side of the control-connection handshake: it
-// identifies the schedule the process was compiled against (fingerprint),
-// the processors the process hosts, and the address of the process's peer
-// data listener, which the hub folds into the cluster address map once
-// every processor is attached. The hub rejects mismatched fingerprints —
-// two processes running different deployments of "the same" program would
-// otherwise exchange frames that decode into the wrong graph edges.
+// hello is the client side of the control-connection handshake, in one of
+// two kinds. A join hello carries only the name a fleet member joins under
+// (name != ""). An attach hello identifies the schedule the process was
+// compiled against (fingerprint), the processors the process hosts, and the
+// address of the process's peer data listener, which the hub folds into the
+// cluster address map once every processor is attached. The hub rejects
+// mismatched fingerprints — two processes running different deployments of
+// "the same" program would otherwise exchange frames that decode into the
+// wrong graph edges.
 type hello struct {
+	name        string
 	fingerprint uint64
 	procs       []arch.ProcID
 	dataAddr    string
@@ -49,9 +52,23 @@ func readString(br *bufio.Reader) (string, error) {
 	return string(b), nil
 }
 
+// Hello kinds, the byte after the wire version.
+const (
+	helloAttach = 0
+	helloJoin   = 1
+)
+
 func writeHello(c io.Writer, h hello) error {
 	buf := binary.BigEndian.AppendUint32(nil, magic)
 	buf = binary.BigEndian.AppendUint16(buf, wireVersion)
+	if h.name != "" {
+		if len(h.name) > 0xffff {
+			return fmt.Errorf("nettransport: member name too long")
+		}
+		_, err := c.Write(appendString(append(buf, helloJoin), h.name))
+		return err
+	}
+	buf = append(buf, helloAttach)
 	buf = binary.BigEndian.AppendUint64(buf, h.fingerprint)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.procs)))
 	for _, p := range h.procs {
@@ -74,8 +91,8 @@ func writeHello(c io.Writer, h hello) error {
 
 func readHello(br *bufio.Reader) (hello, error) {
 	var h hello
-	var head [16]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
+	var head [17]byte
+	if _, err := io.ReadFull(br, head[:7]); err != nil {
 		return h, fmt.Errorf("nettransport: truncated handshake: %w", err)
 	}
 	if m := binary.BigEndian.Uint32(head[0:]); m != magic {
@@ -84,8 +101,26 @@ func readHello(br *bufio.Reader) (hello, error) {
 	if v := binary.BigEndian.Uint16(head[4:]); v != wireVersion {
 		return h, fmt.Errorf("nettransport: wire version %d, want %d", v, wireVersion)
 	}
-	h.fingerprint = binary.BigEndian.Uint64(head[6:])
-	count := binary.BigEndian.Uint16(head[14:])
+	switch head[6] {
+	case helloJoin:
+		name, err := readString(br)
+		if err != nil {
+			return h, fmt.Errorf("nettransport: truncated join hello: %w", err)
+		}
+		if name == "" {
+			return h, fmt.Errorf("nettransport: join hello without a name")
+		}
+		h.name = name
+		return h, nil
+	case helloAttach:
+	default:
+		return h, fmt.Errorf("nettransport: unknown hello kind %d", head[6])
+	}
+	if _, err := io.ReadFull(br, head[7:]); err != nil {
+		return h, fmt.Errorf("nettransport: truncated handshake: %w", err)
+	}
+	h.fingerprint = binary.BigEndian.Uint64(head[7:])
+	count := binary.BigEndian.Uint16(head[15:])
 	h.procs = make([]arch.ProcID, count)
 	for i := range h.procs {
 		var pb [4]byte

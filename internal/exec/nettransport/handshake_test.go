@@ -48,13 +48,16 @@ func TestHubRefusesOlderWireVersion(t *testing.T) {
 	}
 }
 
-// FuzzHello feeds arbitrary bytes to the handshake parsers — a node's
-// hello, a peer hello and the hub's reply. Each must return a value or an
-// error, never panic; and a hello that parses must survive re-encoding.
+// FuzzHello feeds arbitrary bytes to the handshake parsers — a node's or a
+// joining member's hello, a peer hello and the hub's reply. Each must
+// return a value or an error, never panic; and a hello that parses must
+// survive re-encoding.
 func FuzzHello(f *testing.F) {
 	for _, h := range []hello{
 		{fingerprint: 7, procs: []arch.ProcID{1, 2}, dataAddr: "127.0.0.1:9"},
 		{fingerprint: 7, procs: []arch.ProcID{3}, dataAddr: "unix:/tmp/p", shmToHub: "/dev/shm/a", shmFromHub: "/dev/shm/b"},
+		{name: "w1"},
+		{name: "node007"},
 	} {
 		var b bytes.Buffer
 		writeHello(&b, h)
@@ -65,7 +68,7 @@ func FuzzHello(f *testing.F) {
 		writePeerHello(&b, 7, shm)
 		f.Add(b.Bytes())
 	}
-	for _, msg := range []string{"", "no processors claimed"} {
+	for _, msg := range []string{"", "no processors claimed", `serve: worker "w1" already joined`} {
 		var b bytes.Buffer
 		writeHelloReply(&b, msg, true)
 		f.Add(b.Bytes())

@@ -22,33 +22,33 @@ import (
 
 const unixScheme = "unix:"
 
-// SplitNetAddr resolves an address string to the (network, address) pair
+// splitNetAddr resolves an address string to the (network, address) pair
 // net.Dial and net.Listen expect.
-func SplitNetAddr(addr string) (network, address string) {
+func splitNetAddr(addr string) (network, address string) {
 	if len(addr) > len(unixScheme) && addr[:len(unixScheme)] == unixScheme {
 		return "unix", addr[len(unixScheme):]
 	}
 	return "tcp", addr
 }
 
-// JoinNetAddr renders a listener's bound address back into scheme-prefixed
-// string form, the inverse of SplitNetAddr.
-func JoinNetAddr(ln net.Listener) string {
+// joinNetAddr renders a listener's bound address back into scheme-prefixed
+// string form, the inverse of splitNetAddr.
+func joinNetAddr(ln net.Listener) string {
 	if ln.Addr().Network() == "unix" {
 		return unixScheme + ln.Addr().String()
 	}
 	return ln.Addr().String()
 }
 
-// ListenNet binds a scheme-prefixed address, with unix-domain socket
+// listenNet binds a scheme-prefixed address, with unix-domain socket
 // hygiene: a process killed with SIGKILL leaves its socket file behind, and
 // the next bind on that path fails with EADDRINUSE even though nobody is
 // listening. When that happens, a probe connect distinguishes the two
 // cases — a live listener accepts (the address really is in use, surface
 // the original error), a dead one refuses the connection — and a refused
 // probe unlinks the stale file and retries the bind once.
-func ListenNet(addr string) (net.Listener, error) {
-	network, address := SplitNetAddr(addr)
+func listenNet(addr string) (net.Listener, error) {
+	network, address := splitNetAddr(addr)
 	ln, err := net.Listen(network, address)
 	if err == nil || network != "unix" || !errors.Is(err, syscall.EADDRINUSE) {
 		return ln, err

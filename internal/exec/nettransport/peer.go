@@ -31,7 +31,7 @@ func (cl *Client) peerConn(addr string) (*wconn, error) {
 	if w, ok := cl.pconns[addr]; ok {
 		return w, nil
 	}
-	network, address := SplitNetAddr(addr)
+	network, address := splitNetAddr(addr)
 	deadline := time.Now().Add(flushTimeout)
 	bo := newBackoff()
 	var c net.Conn

@@ -85,7 +85,7 @@ type connState struct {
 // others must attach over the network with a matching schedule fingerprint.
 // The session's Close and Sever also shut the listener down.
 func NewHub(addr string, a *arch.Arch, fingerprint uint64, local []arch.ProcID, opts ...Option) (*Session, error) {
-	f, err := NewFleetHub(addr, opts...)
+	f, err := NewFleetHub(addr, nil, opts...)
 	if err != nil {
 		return nil, err
 	}

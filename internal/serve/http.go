@@ -194,11 +194,7 @@ func (s *Server) varz() map[string]any {
 			jobs = append(jobs, id)
 		}
 		sort.Strings(jobs)
-		workers = append(workers, map[string]any{
-			"name":          name,
-			"jobs":          jobs,
-			"lastSeenMsAgo": time.Since(w.lastSeen).Milliseconds(),
-		})
+		workers = append(workers, map[string]any{"name": name, "jobs": jobs})
 	}
 	// Per-session rows: one per running job attempt, so /varz shows what
 	// each hub session is (job, attempt, salt, placement, tracing), not just
@@ -226,12 +222,12 @@ func (s *Server) varz() map[string]any {
 	queued := len(s.queue)
 	running := s.running
 	s.mu.Unlock()
+	fleet := map[string]any{"workers": workers, "sessions": s.hubSessions()}
+	if s.hub != nil {
+		fleet["hubAddr"] = s.hub.Addr()
+	}
 	return map[string]any{
-		"fleet": map[string]any{
-			"workers":  workers,
-			"hubAddr":  s.hub.Addr(),
-			"sessions": s.hub.SessionCount(),
-		},
+		"fleet":    fleet,
 		"sessions": sessions,
 		"jobs":     s.Jobs(),
 		"queued":   queued,

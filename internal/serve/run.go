@@ -63,8 +63,8 @@ func (s *Server) runOne(job distrib.Job, spawn func(string, func(error)) error) 
 	case err := <-failed:
 		return nil, nil, nil, err
 	}
-	// Closing waits for every worker's channel to drop, so the done messages
-	// carrying a traced job's worker timelines have all been taken in.
+	// Closing waits for every worker to leave, so the done messages carrying
+	// a traced job's worker timelines have all been taken in.
 	s.Close()
 	var tr *obsv.Trace
 	if attempts, _ := s.JobTrace(id); len(attempts) > 0 {
@@ -101,25 +101,17 @@ func (s *Server) awaitWorkers(n int, failed <-chan error) error {
 }
 
 // OnTransport sets c up for a one-job run over the named transport: "mem"
-// runs every processor in process, and tcp, unix and shm bind the fleet
-// channel and the hub at distrib.HubListenAddr. A one-job run is never
-// re-run. cleanup removes what the addresses reserved on disk; call it once
-// the run is over.
+// runs every processor in process, and tcp, unix and shm bind the fleet hub
+// at distrib.HubListenAddr. A one-job run is never re-run. cleanup removes
+// what the address reserved on disk; call it once the run is over.
 func (c *Config) OnTransport(transport string) (cleanup func(), err error) {
 	c.JobRequeues = -1
 	if transport == "mem" {
 		c.InProcess = true
 		return func() {}, nil
 	}
-	var cleanFleet, cleanHub func()
-	if c.FleetAddr, cleanFleet, err = distrib.HubListenAddr(transport); err != nil {
-		return nil, err
-	}
-	if c.HubAddr, cleanHub, err = distrib.HubListenAddr(transport); err != nil {
-		cleanFleet()
-		return nil, err
-	}
-	return func() { cleanFleet(); cleanHub() }, nil
+	c.FleetAddr, cleanup, err = distrib.HubListenAddr(transport)
+	return cleanup, err
 }
 
 // WorkerName is the fleet name of the worker that hosts processor p in a

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +12,7 @@ import (
 
 	"skipper/internal/distrib"
 	"skipper/internal/exec/faulttransport"
+	"skipper/internal/exec/nettransport"
 	"skipper/internal/leakcheck"
 	"skipper/internal/syndex"
 )
@@ -152,24 +152,25 @@ func TestFTSeriesCountLive(t *testing.T) {
 	}
 }
 
-// FuzzFleetMsg feeds arbitrary lines into the control plane's end of a
-// worker's channel after a join: serveWorker must neither panic nor hang,
-// and returns once the channel drops. Done messages may name a traced job
-// the server holds.
+// FuzzFleetMsg feeds arbitrary member frames into the control plane's
+// member loop over net.Pipe, after a join through the hub's handshake: each
+// line of the input is one frame's payload. serveWorker must neither panic
+// nor hang, and the member is gone once its connection drops. Done messages
+// may name a traced job the server holds.
 func FuzzFleetMsg(f *testing.F) {
 	for _, seed := range []string{
-		`{"type":"ping","name":"fuzz"}`,
 		`{"type":"done","job":"j1","salt":1,"error":"boom"}`,
 		`{"type":"done","job":"j1","salt":1,"trace":{"schema":"skipper-trace/v2","nprocs":2,"procs":[1],"events":[{"kind":3}]}}`,
-		`{"type":"done","job":"j9","salt":7}` + "\n" + `{"type":"leave"}`,
-		`{"type":"join","name":"other"}` + "\n" + `{"type":"stop"}`,
+		`{"type":"done","job":"j9","salt":7}` + "\n" + `{"type":"done","job":"j1"}`,
+		`{"type":"stop"}` + "\n" + `{"type":"done","job":"j1","salt":1}`,
 		`{"type":"run","spec":{"procs":0}}`,
 		`{"type":`,
 		"\x00\xff[]{}",
+		"", // an empty member frame
 	} {
 		f.Add([]byte(seed))
 	}
-	s, err := New(Config{InProcess: true})
+	s, err := New(Config{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -181,25 +182,29 @@ func FuzzFleetMsg(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, lines []byte) {
 		srv, cl := net.Pipe()
-		served := make(chan struct{})
-		go func() {
-			s.serveWorker(srv)
-			close(served)
-		}()
-		go io.Copy(io.Discard, cl) // net.Pipe is synchronous: take the welcome
-		go func() {
-			json.NewEncoder(cl).Encode(distrib.FleetMsg{Type: distrib.MsgJoin, Name: "fuzz"})
-			cl.Write(lines)
-			cl.Close()
-		}()
-		select {
-		case <-served:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("serveWorker still running 10s after the channel dropped (input %q)", lines)
+		go s.hub.ServeConn(srv)
+		m, err := nettransport.Join(cl, "fuzz")
+		if err != nil {
+			t.Fatal(err)
 		}
-		s.mu.Lock()
-		att.workers = nil
-		s.mu.Unlock()
+		for _, line := range bytes.Split(lines, []byte("\n")) {
+			if m.Send(line) != nil {
+				break // the server dropped the member
+			}
+		}
+		m.Close()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			s.mu.Lock()
+			_, live := s.workers["fuzz"]
+			att.workers = nil
+			s.mu.Unlock()
+			if !live {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("member still joined 10s after its connection dropped (input %q)", lines)
+			}
+		}
 	})
 }
 

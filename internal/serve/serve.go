@@ -1,9 +1,9 @@
 // Package serve is skipper-as-a-service: the long-lived control plane that
 // turns the one-deployment-per-process executive into a multi-job scheduler
-// over an elastic worker fleet. One Server owns three listeners — the HTTP
-// API clients submit jobs to, the fleet control channel workers join over
-// (distrib.FleetMsg lines), and a shared nettransport.FleetHub carrying
-// every job's frame traffic in fingerprint-salted sessions. Jobs queue
+// over an elastic worker fleet. One Server owns two listeners — the HTTP
+// API clients submit jobs to, and a shared nettransport.FleetHub that
+// workers join (distrib.FleetMsg member frames) and that carries every
+// job's frame traffic in fingerprint-salted sessions. Jobs queue
 // FIFO, run concurrently up to MaxRunning, survive worker deaths by
 // re-running from scratch under a fresh session salt (deterministic specs
 // therefore reproduce bit-identical results), and cancel cleanly through
@@ -12,10 +12,10 @@ package serve
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -48,18 +48,16 @@ var ErrQueueFull = errors.New("serve: job queue full")
 // ErrClosed rejects submissions to a control plane that is shutting down.
 var ErrClosed = errors.New("serve: server closed")
 
-// Config tunes a Server. The zero value works: every listener picks a free
+// Config tunes a Server. The zero value works: both listeners pick a free
 // loopback port and the queue/concurrency limits take their defaults.
 type Config struct {
 	// HTTPAddr is the job API bind address (default "127.0.0.1:0"). The
 	// observability endpoints (/metrics, /healthz, /varz) share it.
 	HTTPAddr string
-	// FleetAddr is the worker control-channel bind address (default
-	// "127.0.0.1:0"; "unix:" paths work).
+	// FleetAddr is the fleet hub's bind address, which workers join and
+	// their job sessions attach to (default "127.0.0.1:0"; "unix:" paths
+	// work). Not bound in InProcess mode.
 	FleetAddr string
-	// HubAddr is the frame-traffic fleet hub bind address (default
-	// "127.0.0.1:0"; "unix:" paths work).
-	HubAddr string
 	// QueueLimit bounds the FIFO queue (default 64); submissions beyond it
 	// are rejected with ErrQueueFull.
 	QueueLimit int
@@ -94,9 +92,6 @@ func (c *Config) fillDefaults() {
 	if c.FleetAddr == "" {
 		c.FleetAddr = "127.0.0.1:0"
 	}
-	if c.HubAddr == "" {
-		c.HubAddr = "127.0.0.1:0"
-	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 64
 	}
@@ -129,7 +124,7 @@ type jobState struct {
 	mach *exec.Machine
 	res  *exec.RunResult
 	// cancelled marks a user DELETE; workerDied marks a fleet-member death
-	// observed on the control channel. Both abort the run through
+	// observed on its member connection. Both abort the run through
 	// Machine.Cancel — the flags decide whether the outcome is "cancelled"
 	// or "re-queue/fail". placementFailed marks an attempt whose assignment
 	// never reached its worker (dead before the run started): it re-queues
@@ -161,28 +156,18 @@ type jobAttempt struct {
 
 // workerState is one fleet member as the control plane sees it.
 type workerState struct {
-	name  string
-	conn  net.Conn
-	encMu sync.Mutex
-	enc   *json.Encoder
-	// guarded by the server mu:
-	lastSeen time.Time
-	jobs     map[string]bool // job ids with assignments on this worker
-	left     bool            // clean leave (vs death)
+	name string
+	m    *nettransport.Member
+	jobs map[string]bool // job ids with assignments on this worker; guarded by the server mu
 }
 
-func (w *workerState) send(msg distrib.FleetMsg) error {
-	w.encMu.Lock()
-	defer w.encMu.Unlock()
-	return w.enc.Encode(msg)
-}
+func (w *workerState) send(msg distrib.FleetMsg) error { return distrib.SendFleetMsg(w.m, msg) }
 
 // Server is the control plane. Build with New, stop with Close.
 type Server struct {
 	cfg Config
 
-	hub     *nettransport.FleetHub
-	fleetLn net.Listener
+	hub     *nettransport.FleetHub // nil in InProcess mode
 	httpLn  net.Listener
 	httpSrv *http.Server
 
@@ -239,25 +224,16 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 
-	var hubOpts []nettransport.Option
-	if cfg.Heartbeat > 0 {
-		hubOpts = append(hubOpts, nettransport.WithHeartbeat(cfg.Heartbeat))
-	}
-	hub, err := nettransport.NewFleetHub(cfg.HubAddr, hubOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("serve: hub: %w", err)
-	}
-	s.hub = hub
-
 	if !cfg.InProcess {
-		ln, err := nettransport.ListenNet(cfg.FleetAddr)
-		if err != nil {
-			hub.Close()
-			return nil, fmt.Errorf("serve: fleet listener: %w", err)
+		var hubOpts []nettransport.Option
+		if cfg.Heartbeat > 0 {
+			hubOpts = append(hubOpts, nettransport.WithHeartbeat(cfg.Heartbeat))
 		}
-		s.fleetLn = ln
-		s.wg.Add(1)
-		go s.acceptFleet()
+		hub, err := nettransport.NewFleetHub(cfg.FleetAddr, s.join, hubOpts...)
+		if err != nil {
+			return nil, fmt.Errorf("serve: fleet hub: %w", err)
+		}
+		s.hub = hub
 	}
 
 	if err := s.startHTTP(); err != nil {
@@ -280,7 +256,7 @@ func (s *Server) initMetrics() {
 	s.mRejected = m.Counter("skipper_serve_jobs_rejected_total", "submissions refused because the queue was full")
 	s.mRequeues = m.Counter("skipper_serve_job_requeues_total", "job re-runs triggered by worker deaths")
 	s.mJoined = m.Counter("skipper_serve_workers_joined_total", "workers that completed the fleet join handshake")
-	s.mWorkersDead = m.Counter("skipper_serve_workers_dead_total", "workers whose control channel dropped without a leave")
+	s.mWorkersDead = m.Counter("skipper_serve_workers_dead_total", "workers whose member connection ended without a detach")
 	s.mWorkerErrors = m.Counter("skipper_serve_assignment_errors_total", "failed assignment completions reported by workers")
 	for i, c := range ftSeries {
 		m.CounterFunc(c.name, c.help, func() int64 {
@@ -318,7 +294,7 @@ func (s *Server) initMetrics() {
 		return float64(len(s.workers))
 	})
 	m.GaugeFunc("skipper_serve_hub_sessions", "active frame-traffic sessions on the fleet hub", func() float64 {
-		return float64(s.hub.SessionCount())
+		return float64(s.hubSessions())
 	})
 }
 
@@ -355,20 +331,25 @@ func (s *Server) settleLocked(st *jobState, res *exec.RunResult) {
 	}
 }
 
-// Addr returns the HTTP API address; FleetAddr and HubAddr the worker and
-// frame listeners (scheme-prefixed when unix).
+// Addr returns the HTTP API address.
 func (s *Server) Addr() string { return s.httpLn.Addr().String() }
 
-// FleetAddr is the bound worker control-channel address ("" in InProcess mode).
+// FleetAddr is the bound fleet hub address workers join at, scheme-prefixed
+// when unix ("" in InProcess mode).
 func (s *Server) FleetAddr() string {
-	if s.fleetLn == nil {
+	if s.hub == nil {
 		return ""
 	}
-	return nettransport.JoinNetAddr(s.fleetLn)
+	return s.hub.Addr()
 }
 
-// HubAddr is the bound frame-traffic hub address.
-func (s *Server) HubAddr() string { return s.hub.Addr() }
+// hubSessions counts the open job sessions on the fleet hub.
+func (s *Server) hubSessions() int {
+	if s.hub == nil {
+		return 0
+	}
+	return s.hub.SessionCount()
+}
 
 func (s *Server) kickScheduler() {
 	select {
@@ -743,14 +724,13 @@ func (s *Server) assign(st *jobState, placement map[*workerState][]int, mach *ex
 			JobID:   st.id,
 			Salt:    st.salt,
 			Procs:   procs,
-			HubAddr: s.hub.Addr(),
 			Job:     &st.job,
 			Tuning:  s.cfg.Tuning,
 			Timeout: s.cfg.JobTimeout,
 		}
 		if err := w.send(msg); err != nil {
-			// The worker died between placement and assignment (the
-			// control-channel teardown races this dispatch). Evict it now,
+			// The worker died between placement and assignment (its member
+			// connection's teardown races this dispatch). Evict it now,
 			// mark the attempt as a free re-queue — the run never started,
 			// so it must not burn the budget — and abort so this attempt
 			// does not wait out the whole watchdog.
@@ -783,98 +763,63 @@ func (s *Server) finish(st *jobState, status, errMsg string, results []track.Res
 	s.mu.Unlock()
 }
 
-// acceptFleet owns the worker control listener.
-func (s *Server) acceptFleet() {
-	defer s.wg.Done()
-	for {
-		c, err := s.fleetLn.Accept()
-		if err != nil {
-			return // listener closed on shutdown
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveWorker(c)
-		}()
+// join is the fleet hub's join handler: it refuses a member while the
+// server closes or under a name already joined, and otherwise registers it
+// and starts its message loop.
+func (s *Server) join(m *nettransport.Member) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closing {
+		return ErrClosed
 	}
+	if _, dup := s.workers[m.Name()]; dup {
+		return fmt.Errorf("serve: worker %q already joined", m.Name())
+	}
+	w := &workerState{name: m.Name(), m: m, jobs: map[string]bool{}}
+	s.workers[w.name] = w
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.serveWorker(w)
+	}()
+	return nil
 }
 
-// serveWorker handles one fleet member's control channel for its lifetime:
-// join handshake, ping/done bookkeeping, then either a clean leave or a
-// death (EOF without leave), which marks every job with an assignment on
-// the worker for abort-and-re-queue.
-func (s *Server) serveWorker(c net.Conn) {
-	dec := json.NewDecoder(c)
-	w := &workerState{conn: c, enc: json.NewEncoder(c), jobs: map[string]bool{}}
-
-	var join distrib.FleetMsg
-	if err := dec.Decode(&join); err != nil || join.Type != distrib.MsgJoin || join.Name == "" {
-		w.send(distrib.FleetMsg{Type: distrib.MsgJoin, Error: "serve: expected a join message with a name"})
-		c.Close()
-		return
-	}
-	w.name = join.Name
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		w.send(distrib.FleetMsg{Type: distrib.MsgStop})
-		c.Close()
-		return
-	}
-	if _, dup := s.workers[w.name]; dup {
-		s.mu.Unlock()
-		w.send(distrib.FleetMsg{Type: distrib.MsgJoin, Error: fmt.Sprintf("serve: worker %q already joined", w.name)})
-		c.Close()
-		return
-	}
-	w.lastSeen = time.Now()
-	s.workers[w.name] = w
-	s.mu.Unlock()
-	if err := w.send(distrib.FleetMsg{Type: distrib.MsgWelcome}); err != nil {
-		s.removeWorker(w, false)
-		c.Close()
-		return
-	}
+// serveWorker reads one fleet member's messages for its lifetime. It ends
+// in a clean leave (a detach frame) or a death — any other end of the
+// connection, or a frame that holds no fleet message — which marks every
+// job with an assignment on the worker for abort-and-re-queue.
+func (s *Server) serveWorker(w *workerState) {
 	s.mJoined.Inc()
 	s.kickScheduler()
-
 	for {
-		var msg distrib.FleetMsg
-		if err := dec.Decode(&msg); err != nil {
-			s.removeWorker(w, w.left)
-			c.Close()
+		msg, err := distrib.RecvFleetMsg(w.m)
+		if err != nil {
+			s.removeWorker(w, err == io.EOF)
+			w.m.Close()
 			return
 		}
-		switch msg.Type {
-		case distrib.MsgPing:
-			s.mu.Lock()
-			w.lastSeen = time.Now()
-			s.mu.Unlock()
-		case distrib.MsgDone:
-			if msg.Error != "" {
-				s.mWorkerErrors.Inc()
-			}
-			s.mu.Lock()
-			delete(w.jobs, msg.JobID)
-			// A traced assignment ships its event snapshot home; attach it to
-			// the attempt whose salt it echoes (a requeued job has several).
-			if msg.Trace != nil {
-				if st, ok := s.jobs[msg.JobID]; ok {
-					for _, att := range st.attempts {
-						if att.salt == msg.Salt {
-							att.workers = append(att.workers, msg.Trace)
-							break
-						}
+		if msg.Type != distrib.MsgDone {
+			continue
+		}
+		if msg.Error != "" {
+			s.mWorkerErrors.Inc()
+		}
+		s.mu.Lock()
+		delete(w.jobs, msg.JobID)
+		// A traced assignment ships its event snapshot home; attach it to
+		// the attempt whose salt it echoes (a requeued job has several).
+		if msg.Trace != nil {
+			if st, ok := s.jobs[msg.JobID]; ok {
+				for _, att := range st.attempts {
+					if att.salt == msg.Salt {
+						att.workers = append(att.workers, msg.Trace)
+						break
 					}
 				}
 			}
-			s.mu.Unlock()
-		case distrib.MsgLeave:
-			w.left = true
-			s.removeWorker(w, true)
-			c.Close()
-			return
 		}
+		s.mu.Unlock()
 	}
 }
 
@@ -912,11 +857,8 @@ func (s *Server) removeWorker(w *workerState, clean bool) {
 	s.kickScheduler()
 }
 
-// shutdownListeners closes every listener; safe to call repeatedly.
+// shutdownListeners closes the fleet hub; safe to call repeatedly.
 func (s *Server) shutdownListeners() {
-	if s.fleetLn != nil {
-		s.fleetLn.Close()
-	}
 	if s.hub != nil {
 		s.hub.Close()
 	}
@@ -962,12 +904,13 @@ func (s *Server) Close() error {
 		s.httpSrv.Close()
 	}
 	s.shutdownListeners()
-	// Worker channels close on their own once the stop lands or the conns
-	// drop; nudge the stragglers.
+	// Workers leave once the stop lands and their assignments are done, a
+	// traced one's done message carrying its timeline home; nudge the
+	// stragglers.
 	nudge := time.AfterFunc(2*time.Second, func() {
 		s.mu.Lock()
 		for _, w := range s.workers {
-			w.conn.Close()
+			w.m.Close()
 		}
 		s.mu.Unlock()
 	})

@@ -2,16 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"skipper/internal/arch"
 	"skipper/internal/distrib"
 	"skipper/internal/exec/nettransport"
 	"skipper/internal/track"
@@ -411,4 +414,138 @@ func TestServeRestartsOnStaleFleetSocket(t *testing.T) {
 	}
 	w := startWorker(t, s, "w1")
 	defer w.Leave()
+}
+
+// TestServeDropsHostileMember: a member that sends what no worker sends — a
+// frame declaring more than the frame limit, or a payload that is no fleet
+// message — is dropped as one dead worker. The job it was placed on
+// re-queues and finishes on the other members, and the server carries on.
+// The oversized frame is refused from its header, never allocated.
+func TestServeDropsHostileMember(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		send func(c net.Conn, m *nettransport.Member) error
+	}{
+		{"oversized frame", func(c net.Conn, _ *nettransport.Member) error {
+			// A whole frame header: a 4 GiB length, then destination and key.
+			_, err := c.Write(append([]byte{0xff, 0xff, 0xff, 0xff}, make([]byte, 17)...))
+			return err
+		}},
+		{"no fleet message", func(_ net.Conn, m *nettransport.Member) error {
+			return m.Send([]byte(`[1,2,3]`))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Config{JobTimeout: 30 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			base := "http://" + s.Addr()
+			startWorker(t, s, "w1")
+			startWorker(t, s, "w2")
+			c, err := nettransport.DialHub(s.FleetAddr(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := nettransport.Join(c, "a-hostile") // first in name order: it hosts processor 1
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+
+			id := postJob(t, base, tinyJob(20))
+			if run, err := distrib.RecvFleetMsg(m); err != nil || run.Type != distrib.MsgRun || run.JobID != id {
+				t.Fatalf("hostile member's first message = %+v, %v; want the run for %s", run, err, id)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := tc.send(c, m); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Wait(id, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if v := getJob(t, base, id); v.Status != StatusDone {
+				t.Fatalf("job = %q (err %q), want done on the remaining members", v.Status, v.Error)
+			}
+			if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<20 {
+				t.Errorf("the server allocated %d MB while dropping the member", grown>>20)
+			}
+			var scrape bytes.Buffer
+			s.metrics.WritePrometheus(&scrape)
+			for _, want := range []string{
+				"\nskipper_serve_workers_dead_total 1\n",
+				"\nskipper_serve_workers_live 2\n",
+				"\nskipper_serve_job_requeues_total 1\n",
+			} {
+				if !strings.Contains(scrape.String(), want) {
+					t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+				}
+			}
+		})
+	}
+}
+
+// TestJoinRefusalsReachJoinFleet: when a hub refuses a join, JoinFleet
+// returns the hub's own refusal text — for a name already joined, for a
+// join hello of another wire version, and for a hub that takes no members.
+func TestJoinRefusalsReachJoinFleet(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := startWorker(t, s, "w1")
+	defer w.Leave()
+	single, err := nettransport.NewHub("127.0.0.1:0", arch.Ring(2), 7, []arch.ProcID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	for _, tc := range []struct{ name, addr, want string }{
+		{"duplicate name", s.FleetAddr(), `serve: worker "w1" already joined`},
+		{"another wire version", restampedProxy(t, s.FleetAddr(), 8), "wire version 8, want "},
+		{"single-session hub", single.Addr(), "this hub takes no fleet members"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := distrib.JoinFleet(tc.addr, "w1", 5*time.Second)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("JoinFleet = %v, want the refusal %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// restampedProxy forwards one connection to addr with its hello restamped
+// as wire version v — the u16 after the 4-byte magic — the way a worker
+// built at another version sends it; the hub's reply comes back unchanged.
+func restampedProxy(t *testing.T, addr string, v uint16) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		hub, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer hub.Close()
+		buf := make([]byte, 64)
+		n, err := io.ReadAtLeast(c, buf, 7) // magic, version and hello kind: enough for the hub's verdict
+		if err != nil {
+			return
+		}
+		binary.BigEndian.PutUint16(buf[4:], v)
+		hub.Write(buf[:n])
+		io.Copy(c, hub)
+	}()
+	return ln.Addr().String()
 }
