@@ -38,9 +38,10 @@ stress:
 # against the same kernel on the view's Clone, the value codec, the net
 # transport's read side — its one frame-read loop (stream-decoding the frames
 # for a hosted processor), the handshake parsers and the shm ring's header
-# words and slab — and the fleet's boundaries: member frames into the control
+# words and slab — the fleet's boundaries: member frames into the control
 # plane's member loop, run-message payloads into a worker's checks, and
-# POST /jobs bodies. New inputs land
+# POST /jobs bodies — and source text through the compiler chain (stub
+# registry, compile, map onto ring(3)). New inputs land
 # in the Go build cache; a failure writes its reproducer under the package's
 # testdata/fuzz/, to be committed as a regression seed.
 fuzz-smoke:
@@ -53,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetMsg$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetMsg$$' -fuzztime 10s ./internal/distrib
 	$(GO) test -run '^$$' -fuzz '^FuzzJobBody$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s .
 
 # The repository's benchmark (bench/, BENCHMARK.json): all seven workloads,
 # untraced then traced, every frame and job checked against the sequential

@@ -68,14 +68,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skipper-bench: -exp: %v\n", err)
 		os.Exit(2)
 	}
+	if err := run(os.Stdout, want, *iters); err != nil {
+		fmt.Fprintf(os.Stderr, "skipper-bench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run prints the selected experiments' tables to w, each followed by a
+// blank line.
+func run(w io.Writer, want map[string]bool, iters int) error {
 	for _, e := range experiments {
 		if !want["all"] && !want[e.name] {
 			continue
 		}
-		if err := e.run(os.Stdout, *iters); err != nil {
-			fmt.Fprintf(os.Stderr, "skipper-bench: %s: %v\n", e.name, err)
-			os.Exit(1)
+		if err := e.run(w, iters); err != nil {
+			return fmt.Errorf("%s: %v", e.name, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }

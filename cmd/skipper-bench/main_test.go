@@ -1,6 +1,25 @@
 package main
 
-import "testing"
+import (
+	"hash/fnv"
+	"testing"
+)
+
+// TestAllExperimentsGolden pins the FNV-64a digest of `skipper-bench -exp
+// all -iters 30`: every E-table is deterministic (simulated time, seeded
+// scenes), so a change to any printed figure is a change of this digest.
+// Update it to the digest the failure reports only when a table is meant to
+// change.
+func TestAllExperimentsGolden(t *testing.T) {
+	const want uint64 = 0x920680b9d15f688e
+	h := fnv.New64a()
+	if err := run(h, map[string]bool{"all": true}, 30); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("skipper-bench -exp all -iters 30 digest = %#x, want %#x", got, want)
+	}
+}
 
 func TestSelectExperiments(t *testing.T) {
 	for _, c := range []struct {

@@ -73,12 +73,11 @@ import (
 	"strings"
 	"time"
 
-	"skipper"
 	"skipper/internal/distrib"
 	"skipper/internal/obsv"
 	"skipper/internal/serve"
+	"skipper/internal/sim"
 	"skipper/internal/track"
-	"skipper/internal/video"
 )
 
 // chaos is the scripted fault-injection drill, if any: killProc severs
@@ -113,13 +112,17 @@ func main() {
 	}
 
 	sp := shared.Spec()
+	var err error
 	switch *backend {
 	case "exec":
-		runExec(sp, shared, *transportFlag, c)
+		err = runExec(sp, shared, *transportFlag, c)
 	case "sim":
-		runSim(sp, *shared.Trace, *svgPath)
+		err = runSim(sp, *shared.Trace, *svgPath)
 	default:
-		fatal(fmt.Errorf("unknown backend %q", *backend))
+		err = fmt.Errorf("unknown backend %q", *backend)
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 
@@ -149,19 +152,19 @@ func setTopologyArg(arg string) error {
 // serve — in this process (mem) or with one skipper-node worker process per
 // remaining processor — and prints the one exec epilogue: the per-frame
 // display lines, the run's accounting, the tracking summary.
-func runExec(sp distrib.Spec, f *distrib.Flags, transport string, c chaos) {
+func runExec(sp distrib.Spec, f *distrib.Flags, transport string, c chaos) error {
 	if transport == "mem" && (c.killProc != 0 || c.slowProc != 0) {
-		fatal(fmt.Errorf("-chaos-kill-proc and -chaos-slow-proc need a real node process (use -transport tcp, unix or shm)"))
+		return fmt.Errorf("-chaos-kill-proc and -chaos-slow-proc need a real node process (use -transport tcp, unix or shm)")
 	}
 	for name, p := range map[string]int{"-chaos-kill-proc": c.killProc, "-chaos-slow-proc": c.slowProc} {
 		if p != 0 && (p < 1 || p >= sp.Procs) {
-			fatal(fmt.Errorf("%s %d outside node range 1..%d", name, p, sp.Procs-1))
+			return fmt.Errorf("%s %d outside node range 1..%d", name, p, sp.Procs-1)
 		}
 	}
 	cfg := serve.Config{HTTPAddr: *f.DebugAddr, JobTimeout: 5 * time.Minute, Tuning: sp.Tuning}
 	cleanup, err := cfg.OnTransport(transport)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// The plane must reach every worker: one left on "auto" would negotiate
 	// plain unix while its peers offer rings.
@@ -176,7 +179,7 @@ func runExec(sp distrib.Spec, f *distrib.Flags, transport string, c chaos) {
 	}
 	cleanup()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for _, r := range results {
 		fmt.Println(track.Display(r))
@@ -197,33 +200,28 @@ func runExec(sp distrib.Spec, f *distrib.Flags, transport string, c chaos) {
 		}
 	}
 	printTrackingSummary(results)
+	return nil
 }
 
-// runSim runs the deployment on the Transvision timing simulator: a
-// different backend, compiled through the public library API.
-func runSim(sp distrib.Spec, traceDir, svgPath string) {
-	scene := video.NewScene(sp.Width, sp.Height, sp.Vehicles, sp.Seed)
-	reg, rec := track.NewRegistry(scene, os.Stdout)
-	prog, err := skipper.Compile(track.ProgramSource(sp.Procs, sp.Width, sp.Height), reg)
+// runSim runs the deployment on the Transvision timing simulator: the job
+// compiles (and validates) as it does for the exec backend, and the display
+// lines print once the simulation is over.
+func runSim(sp distrib.Spec, traceDir, svgPath string) error {
+	s, reg, rec, err := sp.Compile()
 	if err != nil {
-		fatal(err)
-	}
-	a, err := sp.Arch()
-	if err != nil {
-		fatal(err)
-	}
-	dep, err := prog.MapOnto(a, skipper.Structured)
-	if err != nil {
-		fatal(err)
+		return err
 	}
 	doTrace := traceDir != "" || svgPath != ""
-	res, err := dep.Simulate(skipper.SimOptions{
-		Iters: sp.Iters, FramePeriod: skipper.VideoPeriod, Trace: doTrace,
+	res, err := sim.Run(s, reg, sim.Options{
+		Iters: sp.Iters, FramePeriod: sim.VideoPeriod, Trace: doTrace,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\n%s, %d iterations at 25 Hz:\n", a.Name, sp.Iters)
+	for _, r := range rec.Results {
+		fmt.Println(track.Display(r))
+	}
+	fmt.Printf("\n%s, %d iterations at 25 Hz:\n", s.Arch.Name, sp.Iters)
 	fmt.Printf("  mean latency : %6.1f ms\n", res.MeanLatency(2)*1000)
 	fmt.Printf("  max latency  : %6.1f ms\n", res.MaxLatency(2)*1000)
 	fmt.Printf("  frames skipped: %d\n", res.FramesSkipped)
@@ -233,22 +231,23 @@ func runSim(sp distrib.Spec, traceDir, svgPath string) {
 		svg := res.ChronogramSVG(900, 16)
 		if traceDir != "" {
 			if err := os.MkdirAll(traceDir, 0o755); err != nil {
-				fatal(err)
+				return err
 			}
 			out := filepath.Join(traceDir, "chronogram-predicted.svg")
 			if err := os.WriteFile(out, []byte(svg), 0o644); err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Printf("predicted chronogram written to %s\n", out)
 		}
 		if svgPath != "" {
 			if err := os.WriteFile(svgPath, []byte(svg), 0o644); err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Printf("chronogram written to %s\n", svgPath)
 		}
 	}
 	printTrackingSummary(rec.Results)
+	return nil
 }
 
 func printTrackingSummary(results []track.Result) {

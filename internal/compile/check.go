@@ -1,24 +1,30 @@
-package skipper
+package compile
 
 import (
 	"fmt"
 
 	"skipper/internal/dsl/ast"
 	"skipper/internal/dsl/parser"
+	"skipper/internal/value"
 )
 
-// checkRegistryConsistency cross-checks every extern declaration against the
-// registered function: the curried arity must match the declared arrow
-// count, and when the registration carries its own signature string the two
-// signatures must be alpha-equivalent. This catches the classic drift bug
-// where the Caml spec and the C prototype (here: the Go registration)
-// silently disagree.
-func checkRegistryConsistency(prog *ast.Program, reg *Registry) error {
+// checkExterns refuses a name declared extern twice, and cross-checks every
+// extern declaration against the registered function: the curried arity
+// must match the declared arrow count, and when the registration carries its
+// own signature string the two signatures must be alpha-equivalent. This
+// catches the classic drift bug where the Caml spec and the C prototype
+// (here: the Go registration) silently disagree.
+func checkExterns(prog *ast.Program, reg *value.Registry) error {
+	declared := map[string]bool{}
 	for _, d := range prog.Decls {
 		ext, ok := d.(*ast.DExtern)
 		if !ok {
 			continue
 		}
+		if declared[ext.Name] {
+			return DuplicateExtern(ext)
+		}
+		declared[ext.Name] = true
 		f, ok := reg.Lookup(ext.Name)
 		if !ok {
 			// Expansion reports unregistered externs with a position;
@@ -44,6 +50,12 @@ func checkRegistryConsistency(prog *ast.Program, reg *Registry) error {
 		}
 	}
 	return nil
+}
+
+// DuplicateExtern is the diagnostic for a second declaration of an extern
+// name, positioned at that declaration.
+func DuplicateExtern(ext *ast.DExtern) error {
+	return fmt.Errorf("%s: extern %s is declared twice", ext.Pos, ext.Name)
 }
 
 // arrowCount counts the top-level arrows of a signature (the curried arity).

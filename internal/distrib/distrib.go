@@ -20,14 +20,12 @@ import (
 	"time"
 
 	"skipper/internal/arch"
-	"skipper/internal/dsl/parser"
-	"skipper/internal/dsl/types"
+	"skipper/internal/compile"
 	"skipper/internal/exec"
 	"skipper/internal/exec/faulttransport"
 	"skipper/internal/exec/memtransport"
 	"skipper/internal/exec/nettransport"
 	"skipper/internal/exec/transport"
-	"skipper/internal/expand"
 	"skipper/internal/obsv"
 	"skipper/internal/syndex"
 	"skipper/internal/track"
@@ -207,9 +205,10 @@ func (j Job) Arch() (*arch.Arch, error) {
 }
 
 // Compile builds a fresh instance of the deployment: a fresh scene and
-// registry plus the mapped schedule, through the whole compiler chain every
-// time (Deploy memoizes the schedule). Every process of a deployment
-// compiles the same Job to a schedule with the same fingerprint. It
+// registry plus the mapped schedule, through the whole compiler chain
+// (internal/compile) every time (Deploy memoizes the schedule). Every
+// process of a deployment compiles the same Job to a schedule with the same
+// fingerprint. It
 // validates the job first: a job no deployment could run is an error, never
 // a panic in the compiler chain.
 func (j Job) Compile() (*syndex.Schedule, *value.Registry, *track.Recorder, error) {
@@ -222,19 +221,7 @@ func (j Job) Compile() (*syndex.Schedule, *value.Registry, *track.Recorder, erro
 	}
 	scene := video.NewScene(j.Width, j.Height, j.Vehicles, j.Seed)
 	reg, rec := track.NewRegistry(scene, nil)
-	prog, err := parser.Parse(track.ProgramSource(j.Procs, j.Width, j.Height))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := expand.Expand(prog, info, reg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s, err := syndex.Map(res.Graph, a, reg, syndex.Structured)
+	s, err := compile.Schedule(track.ProgramSource(j.Procs, j.Width, j.Height), reg, a, syndex.Structured)
 	if err != nil {
 		return nil, nil, nil, err
 	}

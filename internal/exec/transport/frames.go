@@ -1,9 +1,9 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"skipper/internal/value"
 )
@@ -91,23 +91,23 @@ func init() {
 			}
 			return Task{Idx: int(idx), Gen: gen, V: v}, nil
 		},
-		DecodeFrom: func(r io.Reader, n int) (value.Value, error) {
-			var hdr [16]byte
-			if n < len(hdr) {
+		DecodeFrom: func(r *bufio.Reader, n int) (value.Value, error) {
+			if n < 16 {
 				return nil, fmt.Errorf("truncated task header (%d bytes)", n)
 			}
-			if _, err := io.ReadFull(r, hdr[:]); err != nil {
-				return nil, err
-			}
-			v, err := value.DecodeStream(r, n-len(hdr))
+			hdr, err := r.Peek(16)
 			if err != nil {
 				return nil, err
 			}
-			return Task{
+			t := Task{
 				Idx: int(int64(binary.BigEndian.Uint64(hdr[0:]))),
 				Gen: int64(binary.BigEndian.Uint64(hdr[8:])),
-				V:   v,
-			}, nil
+			}
+			r.Discard(16)
+			if t.V, err = value.DecodeStream(r, n-16); err != nil {
+				return nil, err
+			}
+			return t, nil
 		},
 	})
 	value.RegisterExt(value.Ext{
@@ -156,24 +156,24 @@ func init() {
 			}
 			return Reply{Widx: int(widx), Task: int(task), Gen: gen, V: v}, nil
 		},
-		DecodeFrom: func(r io.Reader, n int) (value.Value, error) {
-			var hdr [24]byte
-			if n < len(hdr) {
+		DecodeFrom: func(r *bufio.Reader, n int) (value.Value, error) {
+			if n < 24 {
 				return nil, fmt.Errorf("truncated reply header (%d bytes)", n)
 			}
-			if _, err := io.ReadFull(r, hdr[:]); err != nil {
-				return nil, err
-			}
-			v, err := value.DecodeStream(r, n-len(hdr))
+			hdr, err := r.Peek(24)
 			if err != nil {
 				return nil, err
 			}
-			return Reply{
+			rep := Reply{
 				Widx: int(int64(binary.BigEndian.Uint64(hdr[0:]))),
 				Task: int(int64(binary.BigEndian.Uint64(hdr[8:]))),
 				Gen:  int64(binary.BigEndian.Uint64(hdr[16:])),
-				V:    v,
-			}, nil
+			}
+			r.Discard(24)
+			if rep.V, err = value.DecodeStream(r, n-24); err != nil {
+				return nil, err
+			}
+			return rep, nil
 		},
 	})
 }

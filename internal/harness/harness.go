@@ -7,12 +7,11 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"skipper/internal/arch"
+	"skipper/internal/compile"
 	"skipper/internal/dsl/eval"
-	"skipper/internal/dsl/parser"
-	"skipper/internal/dsl/types"
-	"skipper/internal/expand"
 	"skipper/internal/sim"
 	"skipper/internal/skel"
 	"skipper/internal/syndex"
@@ -27,23 +26,39 @@ import (
 func compileTracking(nproc, w, h, vehicles int, seed int64, a *arch.Arch, strat syndex.Strategy) (*syndex.Schedule, *value.Registry, *track.Recorder, error) {
 	scene := video.NewScene(w, h, vehicles, seed)
 	reg, rec := track.NewRegistry(scene, nil)
-	prog, err := parser.Parse(track.ProgramSource(nproc, w, h))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := expand.Expand(prog, info, reg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s, err := syndex.Map(res.Graph, a, reg, strat)
+	s, err := compile.Schedule(track.ProgramSource(nproc, w, h), reg, a, strat)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return s, reg, rec, nil
+}
+
+// simTracking simulates the 512x512, 3-vehicle tracking application with
+// nproc farm workers on a and returns the simulation with the per-iteration
+// results the display node recorded.
+func simTracking(nproc int, seed int64, a *arch.Arch, strat syndex.Strategy, opts sim.Options) (*sim.Result, []track.Result, error) {
+	s, reg, rec, err := compileTracking(nproc, 512, 512, 3, seed, a, strat)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := sim.Run(s, reg, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, rec.Results, nil
+}
+
+// byPhase splits a simulated tracking run's iteration latencies (seconds)
+// by the phase each iteration ran in.
+func byPhase(results []track.Result, res *sim.Result) (tracking, reinit []float64) {
+	for i, r := range results[:min(len(results), len(res.Iters))] {
+		if r.Tracking {
+			tracking = append(tracking, res.Iters[i].Latency)
+		} else {
+			reinit = append(reinit, res.Iters[i].Latency)
+		}
+	}
+	return tracking, reinit
 }
 
 func mean(xs []float64) float64 {
@@ -74,29 +89,15 @@ type E1Result struct {
 // the application processing each image of the video stream in first case,
 // and one image out of 3 in the second."
 func E1(w io.Writer, iters int) (*E1Result, error) {
-	s, reg, rec, err := compileTracking(8, 512, 512, 3, 3, arch.Ring(8), syndex.Structured)
+	res, results, err := simTracking(8, 3, arch.Ring(8), syndex.Structured, sim.Options{Iters: iters, FramePeriod: sim.VideoPeriod})
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(s, reg, sim.Options{Iters: iters, FramePeriod: sim.VideoPeriod})
-	if err != nil {
-		return nil, err
-	}
-	var trackLat, reinitLat []float64
+	trackLat, reinitLat := byPhase(results, res)
 	trackFramesOK := true
-	for i, r := range rec.Results {
-		if i >= len(res.Iters) {
-			break
-		}
-		it := res.Iters[i]
-		if r.Tracking {
-			trackLat = append(trackLat, it.Latency)
-			if i > 0 && rec.Results[i-1].Tracking &&
-				it.Frame-res.Iters[i-1].Frame != 1 {
-				trackFramesOK = false
-			}
-		} else {
-			reinitLat = append(reinitLat, it.Latency)
+	for i := 1; i < min(len(results), len(res.Iters)); i++ {
+		if results[i].Tracking && results[i-1].Tracking && res.Iters[i].Frame-res.Iters[i-1].Frame != 1 {
+			trackFramesOK = false
 		}
 	}
 	out := &E1Result{
@@ -135,25 +136,11 @@ func E2(w io.Writer, iters int, procCounts []int) ([]E2Row, error) {
 	fmt.Fprintf(w, "  P    tracking     reinit\n")
 	var rows []E2Row
 	for _, p := range procCounts {
-		s, reg, rec, err := compileTracking(p, 512, 512, 3, 3, arch.Ring(p), syndex.Structured)
+		res, results, err := simTracking(p, 3, arch.Ring(p), syndex.Structured, sim.Options{Iters: iters, FramePeriod: sim.VideoPeriod})
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run(s, reg, sim.Options{Iters: iters, FramePeriod: sim.VideoPeriod})
-		if err != nil {
-			return nil, err
-		}
-		var tl, rl []float64
-		for i, r := range rec.Results {
-			if i >= len(res.Iters) {
-				break
-			}
-			if r.Tracking {
-				tl = append(tl, res.Iters[i].Latency)
-			} else {
-				rl = append(rl, res.Iters[i].Latency)
-			}
-		}
+		tl, rl := byPhase(results, res)
 		row := E2Row{Procs: p, TrackingMS: mean(tl) * 1000, ReinitMS: mean(rl) * 1000}
 		rows = append(rows, row)
 		fmt.Fprintf(w, "  %-3d  %7.1f ms  %7.1f ms\n", row.Procs, row.TrackingMS, row.ReinitMS)
@@ -178,22 +165,13 @@ type E3Result struct {
 // hand coder can reach on uniform loads.
 func E3(w io.Writer, iters int) (*E3Result, error) {
 	const P = 8
-	s, reg, rec, err := compileTracking(P, 512, 512, 3, 5, arch.Ring(P), syndex.Structured)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(s, reg, sim.Options{Iters: iters})
+	res, results, err := simTracking(P, 5, arch.Ring(P), syndex.Structured, sim.Options{Iters: iters})
 	if err != nil {
 		return nil, err
 	}
 	// Compare the reinitialization phase (uniform full-image bands), the
 	// only phase a static hand-partition expresses directly.
-	var reinit []float64
-	for i, r := range rec.Results {
-		if i < len(res.Iters) && !r.Tracking {
-			reinit = append(reinit, res.Iters[i].Latency)
-		}
-	}
+	_, reinit := byPhase(results, res)
 	if len(reinit) == 0 {
 		return nil, fmt.Errorf("harness: no reinitialization iterations observed")
 	}
@@ -248,25 +226,17 @@ type E4Result struct {
 func runE4Mode(mode string, iters int) ([]track.Result, error) {
 	scene := video.NewScene(256, 256, 2, 21)
 	reg, rec := track.NewRegistry(scene, nil)
-	prog, err := parser.Parse(track.ProgramSource(8, 256, 256))
-	if err != nil {
-		return nil, err
-	}
-	info, err := types.Check(prog)
+	p, err := compile.Source(track.ProgramSource(8, 256, 256), reg)
 	if err != nil {
 		return nil, err
 	}
 	switch mode {
 	case "emulate":
-		if _, err := eval.New(reg, eval.Options{MaxIters: iters}).Run(prog); err != nil {
+		if _, err := eval.New(reg, eval.Options{MaxIters: iters}).Run(p.AST); err != nil {
 			return nil, err
 		}
 	case "simulate":
-		res, err := expand.Expand(prog, info, reg)
-		if err != nil {
-			return nil, err
-		}
-		s, err := syndex.Map(res.Graph, arch.Ring(8), reg, syndex.Structured)
+		s, err := p.Map(arch.Ring(8), syndex.Structured)
 		if err != nil {
 			return nil, err
 		}
@@ -397,19 +367,7 @@ extern work : int * int -> int * int;;
 extern show : int -> unit;;
 let main = itermem grab work show 0 ();;
 `
-		prog, err := parser.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		info, err := types.Check(prog)
-		if err != nil {
-			return nil, err
-		}
-		eres, err := expand.Expand(prog, info, r)
-		if err != nil {
-			return nil, err
-		}
-		s, err := syndex.Map(eres.Graph, arch.Ring(2), r, syndex.Structured)
+		s, err := compile.Schedule(src, r, arch.Ring(2), syndex.Structured)
 		if err != nil {
 			return nil, err
 		}
@@ -505,19 +463,7 @@ extern label_band : window -> mark;;
 extern merge_bands : mark list -> mark;;
 let main = scm %d split_bands label_band merge_bands the_img;;
 `, p)
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return nil, err
-	}
-	eres, err := expand.Expand(prog, info, r)
-	if err != nil {
-		return nil, err
-	}
-	s, err := syndex.Map(eres.Graph, arch.Ring(max(p, 1)), r, syndex.Structured)
+	s, err := compile.Schedule(src, r, arch.Ring(max(p, 1)), syndex.Structured)
 	if err != nil {
 		return nil, err
 	}
@@ -600,19 +546,7 @@ extern split_region : window -> window list * window list;;
 extern count_region : int -> window -> int;;
 let main = tf %d split_region count_region 0 whole;;
 `, p)
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return nil, 0, err
-	}
-	eres, err := expand.Expand(prog, info, r)
-	if err != nil {
-		return nil, 0, err
-	}
-	s, err := syndex.Map(eres.Graph, arch.Ring(max(p, 1)), r, syndex.Structured)
+	s, err := compile.Schedule(src, r, arch.Ring(max(p, 1)), syndex.Structured)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -653,13 +587,12 @@ func E9(w io.Writer) (*E9Result, error) {
 		return nil, err
 	}
 	specLines := 0
-	for _, ln := range splitLines(src) {
-		if trimmed := trim(ln); trimmed != "" && !hasPrefixStr(trimmed, "(*") {
+	for _, ln := range strings.Split(src, "\n") {
+		if trimmed := strings.TrimSpace(ln); trimmed != "" && !strings.HasPrefix(trimmed, "(*") {
 			specLines++
 		}
 	}
-	mc := s.MacroCode()
-	mcLines := len(splitLines(mc))
+	mcLines := strings.Count(s.MacroCode(), "\n")
 	out := &E9Result{
 		SpecLines:        specLines,
 		UserFunctions:    7, // read_img, init_state, get_windows, detect_mark, accum_marks, predict, display_marks
@@ -676,36 +609,6 @@ func E9(w io.Writer) (*E9Result, error) {
 		out.MacroCodeLines, out.GeneratedPerSpec)
 	return out, nil
 }
-
-func splitLines(s string) []string {
-	var out []string
-	cur := ""
-	for _, c := range s {
-		if c == '\n' {
-			out = append(out, cur)
-			cur = ""
-			continue
-		}
-		cur += string(c)
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
-}
-
-func trim(s string) string {
-	i, j := 0, len(s)
-	for i < j && (s[i] == ' ' || s[i] == '\t') {
-		i++
-	}
-	for j > i && (s[j-1] == ' ' || s[j-1] == '\t') {
-		j--
-	}
-	return s[i:j]
-}
-
-func hasPrefixStr(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 
 // ---------------------------------------------------------------------------
 // Skeleton micro-comparison used by the benchmarks: Go-level parallel
@@ -762,20 +665,11 @@ type E10Result struct {
 // under both distribution strategies.
 func E10(w io.Writer, iters int) (*E10Result, error) {
 	measure := func(strat syndex.Strategy) (float64, error) {
-		s, reg, rec, err := compileTracking(8, 512, 512, 3, 5, arch.Ring(8), strat)
+		res, results, err := simTracking(8, 5, arch.Ring(8), strat, sim.Options{Iters: iters})
 		if err != nil {
 			return 0, err
 		}
-		res, err := sim.Run(s, reg, sim.Options{Iters: iters})
-		if err != nil {
-			return 0, err
-		}
-		var reinit []float64
-		for i, r := range rec.Results {
-			if i < len(res.Iters) && !r.Tracking {
-				reinit = append(reinit, res.Iters[i].Latency)
-			}
-		}
+		_, reinit := byPhase(results, res)
 		if len(reinit) == 0 {
 			return 0, fmt.Errorf("harness: no reinit iterations under %v", strat)
 		}
@@ -822,20 +716,11 @@ func E11(w io.Writer, iters int) ([]E11Row, error) {
 	fmt.Fprintf(w, "  topology       reinit\n")
 	var rows []E11Row
 	for _, a := range topos {
-		s, reg, rec, err := compileTracking(8, 512, 512, 3, 5, a, syndex.Structured)
+		res, results, err := simTracking(8, 5, a, syndex.Structured, sim.Options{Iters: iters})
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run(s, reg, sim.Options{Iters: iters})
-		if err != nil {
-			return nil, err
-		}
-		var reinit []float64
-		for i, r := range rec.Results {
-			if i < len(res.Iters) && !r.Tracking {
-				reinit = append(reinit, res.Iters[i].Latency)
-			}
-		}
+		_, reinit := byPhase(results, res)
 		row := E11Row{Topology: a.Name, ReinitMS: mean(reinit) * 1000}
 		rows = append(rows, row)
 		fmt.Fprintf(w, "  %-13s %7.1f ms\n", row.Topology, row.ReinitMS)

@@ -16,11 +16,11 @@ import (
 	"io"
 	"strings"
 
+	"skipper/internal/compile"
 	"skipper/internal/dsl/ast"
 	"skipper/internal/dsl/eval"
 	"skipper/internal/dsl/parser"
 	"skipper/internal/dsl/types"
-	"skipper/internal/expand"
 	"skipper/internal/stubreg"
 	"skipper/internal/value"
 )
@@ -189,20 +189,15 @@ func (s *Session) showType(exprSrc string) error {
 }
 
 func (s *Session) showGraph() error {
-	full := s.program()
-	info, err := types.Check(full)
+	p, err := compile.Parsed(s.program(), s.reg)
 	if err != nil {
 		return err
 	}
-	res, err := expand.Expand(full, info, s.reg)
-	if err != nil {
-		return err
-	}
-	if res.ConstFolded {
-		fmt.Fprintf(s.out, "main folds to the constant %s\n", value.Show(res.MainConst))
+	if p.ConstFolded {
+		fmt.Fprintf(s.out, "main folds to the constant %s\n", value.Show(p.MainConst))
 		return nil
 	}
-	fmt.Fprint(s.out, res.Graph.DOT("repl"))
+	fmt.Fprint(s.out, p.Graph.DOT("repl"))
 	return nil
 }
 

@@ -8,6 +8,7 @@
 package stubreg
 
 import (
+	"skipper/internal/compile"
 	"skipper/internal/dsl/ast"
 	"skipper/internal/value"
 )
@@ -67,13 +68,17 @@ func DefaultFor(te ast.TypeExpr, name string) value.Value {
 	}
 }
 
-// Registry stubs every extern in a parsed program.
-func Registry(prog *ast.Program) *value.Registry {
+// Registry stubs every extern in a parsed program. A name declared extern
+// twice is an error, positioned at the second declaration.
+func Registry(prog *ast.Program) (*value.Registry, error) {
 	reg := value.NewRegistry()
 	for _, d := range prog.Decls {
 		if ext, ok := d.(*ast.DExtern); ok {
+			if _, dup := reg.Lookup(ext.Name); dup {
+				return nil, compile.DuplicateExtern(ext)
+			}
 			reg.Register(FuncFor(ext))
 		}
 	}
-	return reg
+	return reg, nil
 }

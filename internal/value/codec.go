@@ -1,9 +1,9 @@
 package value
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -62,7 +62,8 @@ const maxDecodeDepth = 512
 //
 // DecodeFrom is the read-side mirror of EncodeTail: it parses the same
 // payload Decode would, but straight from a reader positioned at the
-// payload's first byte, consuming exactly n bytes. A codec whose payload
+// payload's first byte, consuming exactly n bytes; fixed headers are peeked
+// in the reader's buffer and discarded, never copied out. A codec whose payload
 // ends in a raw slab reads the slab into its final buffer (an arena image)
 // instead of an intermediate frame buffer — the transport's zero-copy read
 // path. Wrapper codecs (farm tasks) read their fixed fields and recurse via
@@ -78,7 +79,7 @@ type Ext struct {
 	Decode     func(payload []byte) (Value, error)
 	Size       func(v Value) int
 	EncodeTail func(buf []byte, v Value) (head, tail []byte, err error)
-	DecodeFrom func(r io.Reader, n int) (Value, error)
+	DecodeFrom func(r *bufio.Reader, n int) (Value, error)
 	Release    func(v Value)
 }
 

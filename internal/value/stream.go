@@ -1,6 +1,7 @@
 package value
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -16,8 +17,9 @@ import (
 // Everything else falls back to a pooled in-memory buffer and the plain
 // decoder, which owns all format diagnostics.
 
-// maxStreamName bounds the extension names the streaming peek handles with
-// a stack buffer; longer names (legal, but none exist in-tree) take the
+// maxStreamName bounds the extension names the streaming peek handles, so
+// the framing it peeks (7+maxStreamName bytes) fits any reader buffer the
+// transports use; longer names (legal, but none exist in-tree) take the
 // in-memory fallback.
 const maxStreamName = 64
 
@@ -28,35 +30,27 @@ var streamScratch = sync.Pool{New: func() any { return new([]byte) }}
 // DecodeStream decodes one value occupying exactly n encoded bytes from r.
 // Extension payloads whose codec registers DecodeFrom are parsed straight
 // off the reader; all other shapes are read into a pooled buffer and handed
-// to Decode. Any error — format or I/O — leaves r mid-value: callers must
-// treat it as fatal for the stream.
-func DecodeStream(r io.Reader, n int) (Value, error) {
+// to Decode. The framing is peeked in r's buffer, not copied out. Any error
+// — format or I/O — leaves r mid-value: callers must treat it as fatal for
+// the stream.
+func DecodeStream(r *bufio.Reader, n int) (Value, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("value: negative stream value length")
 	}
-	var hdr [7 + maxStreamName]byte
-	if n >= 1 {
-		if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-			return nil, err
-		}
-	}
 	// tag + name length + name + payload length is the minimum extension
 	// encoding; anything shorter (or a non-extension value) cannot stream.
-	if n < 7 || hdr[0] != tagExt {
-		pn := 1
-		if n < 1 {
-			pn = 0
-		}
-		return slurpDecode(r, n, hdr[:pn])
+	if n < 7 {
+		return slurpDecode(r, n)
 	}
-	if _, err := io.ReadFull(r, hdr[1:3]); err != nil {
+	hdr, err := r.Peek(3)
+	if err != nil {
 		return nil, err
 	}
 	nameLen := int(binary.BigEndian.Uint16(hdr[1:3]))
-	if nameLen > maxStreamName || 7+nameLen > n {
-		return slurpDecode(r, n, hdr[:3])
+	if hdr[0] != tagExt || nameLen > maxStreamName || 7+nameLen > n {
+		return slurpDecode(r, n)
 	}
-	if _, err := io.ReadFull(r, hdr[3:7+nameLen]); err != nil {
+	if hdr, err = r.Peek(7 + nameLen); err != nil {
 		return nil, err
 	}
 	e := lookupExtBytes(hdr[3 : 3+nameLen])
@@ -64,8 +58,9 @@ func DecodeStream(r io.Reader, n int) (Value, error) {
 	if e == nil || e.DecodeFrom == nil || 7+nameLen+payloadLen != n {
 		// Unknown extension, no streaming hook, or a length mismatch the
 		// in-memory decoder will diagnose (trailing bytes / truncation).
-		return slurpDecode(r, n, hdr[:7+nameLen])
+		return slurpDecode(r, n)
 	}
+	r.Discard(7 + nameLen)
 	v, err := e.DecodeFrom(r, payloadLen)
 	if err != nil {
 		return nil, fmt.Errorf("value: ext %s: %w", e.Name, err)
@@ -73,17 +68,15 @@ func DecodeStream(r io.Reader, n int) (Value, error) {
 	return v, nil
 }
 
-// slurpDecode finishes a stream decode in memory: prefix (already consumed
-// from r) plus the remaining bytes are reassembled in a pooled buffer and
-// decoded by the ordinary path.
-func slurpDecode(r io.Reader, n int, prefix []byte) (Value, error) {
+// slurpDecode decodes a stream value in memory: its n bytes are read into a
+// pooled buffer and decoded by the ordinary path.
+func slurpDecode(r io.Reader, n int) (Value, error) {
 	sb := streamScratch.Get().(*[]byte)
 	if cap(*sb) < n {
 		*sb = make([]byte, 0, n)
 	}
 	buf := (*sb)[:n]
-	copy(buf, prefix)
-	if _, err := io.ReadFull(r, buf[len(prefix):]); err != nil {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		*sb = buf
 		streamScratch.Put(sb)
 		return nil, err

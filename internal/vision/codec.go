@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -99,16 +100,17 @@ func decodeImage(payload []byte) (value.Value, error) {
 // decodeImageFrom is the streaming mirror of decodeImage: the pixel slab is
 // read from the wire straight into the arena image, skipping the
 // intermediate frame buffer (and its W×H-byte copy) entirely.
-func decodeImageFrom(r io.Reader, n int) (value.Value, error) {
-	var hdr [8]byte
+func decodeImageFrom(r *bufio.Reader, n int) (value.Value, error) {
 	if n < 8 {
 		return nil, fmt.Errorf("truncated image header (%d bytes)", n)
 	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(8)
+	if err != nil {
 		return nil, err
 	}
 	w := binary.BigEndian.Uint32(hdr[0:])
 	h := binary.BigEndian.Uint32(hdr[4:])
+	r.Discard(8)
 	px := int64(w) * int64(h)
 	if px > maxImagePixels {
 		return nil, fmt.Errorf("image %dx%d exceeds pixel budget", w, h)
@@ -181,12 +183,12 @@ func decodeWindow(payload []byte) (value.Value, error) {
 
 // decodeWindowFrom is the streaming mirror of decodeWindow (see
 // decodeImageFrom).
-func decodeWindowFrom(r io.Reader, n int) (value.Value, error) {
-	var hdr [17]byte
+func decodeWindowFrom(r *bufio.Reader, n int) (value.Value, error) {
 	if n < 17 {
 		return nil, fmt.Errorf("truncated window header (%d bytes)", n)
 	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(17)
+	if err != nil {
 		return nil, err
 	}
 	win := Window{Origin: Rect{
@@ -195,7 +197,9 @@ func decodeWindowFrom(r io.Reader, n int) (value.Value, error) {
 		X1: int(int32(binary.BigEndian.Uint32(hdr[8:]))),
 		Y1: int(int32(binary.BigEndian.Uint32(hdr[12:]))),
 	}}
-	switch hdr[16] {
+	marker := hdr[16]
+	r.Discard(17)
+	switch marker {
 	case 0:
 		if n != 17 {
 			return nil, fmt.Errorf("trailing bytes after nil-image window")
@@ -209,5 +213,5 @@ func decodeWindowFrom(r io.Reader, n int) (value.Value, error) {
 		win.Img = v.(*Image)
 		return win, nil
 	}
-	return nil, fmt.Errorf("invalid window image marker %#x", hdr[16])
+	return nil, fmt.Errorf("invalid window image marker %#x", marker)
 }

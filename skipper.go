@@ -31,12 +31,11 @@ import (
 	"strings"
 
 	"skipper/internal/arch"
+	"skipper/internal/compile"
 	"skipper/internal/dsl/ast"
 	"skipper/internal/dsl/eval"
-	"skipper/internal/dsl/parser"
 	"skipper/internal/dsl/types"
 	"skipper/internal/exec"
-	"skipper/internal/expand"
 	"skipper/internal/graph"
 	"skipper/internal/sim"
 	"skipper/internal/syndex"
@@ -106,37 +105,19 @@ type Program struct {
 	// Stream reports whether the program is an itermem stream program.
 	Stream bool
 
-	reg    *value.Registry
-	expRes *expand.Result
+	c *compile.Program
 }
 
-// Compile parses, type-checks and skeleton-expands a specification against
-// the registry of sequential functions.
+// Compile runs a specification through the front half of the compiler chain
+// (internal/compile): it parses and type-checks it, checks its extern
+// declarations against the registry of sequential functions and
+// skeleton-expands it.
 func Compile(src string, reg *Registry) (*Program, error) {
-	prog, err := parser.Parse(src)
+	c, err := compile.Source(src, reg)
 	if err != nil {
 		return nil, err
 	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkRegistryConsistency(prog, reg); err != nil {
-		return nil, err
-	}
-	res, err := expand.Expand(prog, info, reg)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{
-		Source: src,
-		AST:    prog,
-		Types:  info,
-		Graph:  res.Graph,
-		Stream: res.Stream,
-		reg:    reg,
-		expRes: res,
-	}, nil
+	return &Program{Source: src, AST: c.AST, Types: c.Types, Graph: c.Graph, Stream: c.Stream, c: c}, nil
 }
 
 // Optimize applies the semantics-preserving graph transformation rules
@@ -147,7 +128,7 @@ func Compile(src string, reg *Registry) (*Program, error) {
 func (p *Program) Optimize() int {
 	g, stats := trans.Optimize(p.Graph)
 	p.Graph = g
-	p.expRes.Graph = g
+	p.c.Graph = g
 	return stats.Total()
 }
 
@@ -167,17 +148,14 @@ func (p *Program) DOT(title string) string { return p.Graph.DOT(title) }
 // declarative skeleton semantics) for the given number of itermem
 // iterations, calling the registered functions directly.
 func (p *Program) Emulate(iters int) error {
-	_, err := eval.New(p.reg, eval.Options{MaxIters: iters}).Run(p.AST)
+	_, err := eval.New(p.c.Reg, eval.Options{MaxIters: iters}).Run(p.AST)
 	return err
 }
 
-// MapOnto distributes and schedules the program on an architecture.
+// MapOnto distributes and schedules the program on an architecture. A
+// program whose main folded to a constant has nothing to deploy.
 func (p *Program) MapOnto(a *Arch, strat Strategy) (*Deployment, error) {
-	if p.expRes.ConstFolded {
-		return nil, fmt.Errorf("skipper: program folded to the constant %s; nothing to deploy",
-			value.Show(p.expRes.MainConst))
-	}
-	s, err := syndex.Map(p.Graph, a, p.reg, strat)
+	s, err := p.c.Map(a, strat)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +179,7 @@ func (d *Deployment) Summary() string { return d.Schedule.Summary() }
 // processor, channels as links) for iters iterations, returning the output
 // value of each iteration.
 func (d *Deployment) Run(iters int) ([]Value, error) {
-	res, err := exec.NewMachine(d.Schedule, d.Program.reg).Run(iters)
+	res, err := exec.NewMachine(d.Schedule, d.Program.c.Reg).Run(iters)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +191,7 @@ func (d *Deployment) Run(iters int) ([]Value, error) {
 // accumulating function be commutative — useful when diffing against the
 // sequential emulation.
 func (d *Deployment) RunDeterministic(iters int) ([]Value, error) {
-	m := exec.NewMachine(d.Schedule, d.Program.reg)
+	m := exec.NewMachine(d.Schedule, d.Program.c.Reg)
 	m.DeterministicFarm = true
 	res, err := m.Run(iters)
 	if err != nil {
@@ -224,7 +202,7 @@ func (d *Deployment) RunDeterministic(iters int) ([]Value, error) {
 
 // Simulate executes the deployment on the Transvision timing model.
 func (d *Deployment) Simulate(opts SimOptions) (*SimResult, error) {
-	return sim.Run(d.Schedule, d.Program.reg, opts)
+	return sim.Run(d.Schedule, d.Program.c.Reg, opts)
 }
 
 // ParseArch parses an architecture description string of the form used by

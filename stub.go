@@ -11,11 +11,12 @@ import (
 // map and render a specification without the real sequential functions;
 // stub results are the declared result type's default value (zero, empty
 // list, tuple of defaults, or an opaque token for abstract types), so even
-// emulation runs without type confusion.
+// emulation runs without type confusion. A name declared extern twice is
+// an error.
 func StubRegistry(src string) (*Registry, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return stubreg.Registry(prog), nil
+	return stubreg.Registry(prog)
 }

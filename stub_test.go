@@ -1,8 +1,11 @@
 package skipper
 
 import (
+	"regexp"
 	"strings"
 	"testing"
+
+	"skipper/internal/track"
 )
 
 func TestStubRegistryCompilesPaperSpec(t *testing.T) {
@@ -74,6 +77,23 @@ let main = b (c 1 2 true);;
 func TestStubRegistrySyntaxErrorPropagates(t *testing.T) {
 	if _, err := StubRegistry("extern broken"); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// dupExtern declares the same extern twice.
+const dupExtern = "extern f : int -> int;;\nextern f : int -> int;;\nlet main = f 1;;\n"
+
+func TestDuplicateExternIsADiagnostic(t *testing.T) {
+	const want = "2:1: extern f is declared twice"
+	if _, err := StubRegistry(dupExtern); err == nil || err.Error() != want {
+		t.Fatalf("StubRegistry: err = %v, want %q", err, want)
+	}
+	// The chain refuses it too, whatever registry the caller brings.
+	reg := NewRegistry()
+	reg.Register(&Func{Name: "f", Sig: "int -> int", Arity: 1,
+		Fn: func(a []Value) Value { return a[0] }})
+	if _, err := Compile(dupExtern, reg); err == nil || err.Error() != want {
+		t.Fatalf("Compile: err = %v, want %q", err, want)
 	}
 }
 
@@ -207,3 +227,32 @@ let main = pick 1 2;;
 		t.Fatal("non-equivalent signatures accepted")
 	}
 }
+
+// FuzzCompile drives arbitrary source the way skipperc does: stub registry,
+// compile, map onto ring(3). Any input may be rejected; none may panic.
+func FuzzCompile(f *testing.F) {
+	f.Add(track.ProgramSource(3, 64, 64))
+	f.Add("type img;; type w;;\nextern src : img;;\nextern split : img -> w list;;\nextern comp : w -> int;;\nextern merge : int list -> int;;\nlet main = scm 4 split comp merge src;;\n")
+	f.Add("type w;;\nextern whole : w list;;\nextern step : w -> w list * w list;;\nextern count : int -> w -> int;;\nlet main = tf 3 step count 0 whole;;\n")
+	f.Add("let main = 1 + 2;;\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		// Skeleton degrees are unbounded, expansion is linear and
+		// syndex.Map quadratic in the degree: a large degree only spends
+		// time and memory, so the degrees and the mapped graphs stay small.
+		if bigLiteral.MatchString(src) {
+			t.Skip()
+		}
+		reg, err := StubRegistry(src)
+		if err != nil {
+			return
+		}
+		prog, err := Compile(src, reg)
+		if err != nil || len(prog.Graph.Nodes) > 1000 {
+			return
+		}
+		prog.MapOnto(Ring(3), Structured)
+	})
+}
+
+// bigLiteral matches an integer literal of four digits or more.
+var bigLiteral = regexp.MustCompile(`[0-9]{4}`)
