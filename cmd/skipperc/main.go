@@ -34,7 +34,6 @@ func main() {
 	showDOT := flag.Bool("dot", false, "print the process graph in Graphviz format")
 	showMacro := flag.Bool("macro", false, "print the executive macro-code")
 	showSummary := flag.Bool("summary", false, "print the process placement")
-	optimize := flag.Bool("O", false, "apply graph transformation rules before mapping")
 	outdir := flag.String("outdir", "", "write graph.dot and per-processor macro-code files to this directory")
 	flag.Parse()
 
@@ -54,11 +53,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *optimize {
-		n := prog.Optimize()
-		fmt.Fprintf(os.Stderr, "skipperc: %d graph rewrites applied\n", n)
-	}
-
 	if *showTypes {
 		fmt.Println("-- types")
 		for _, name := range prog.Types.Order {

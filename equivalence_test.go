@@ -9,6 +9,7 @@ package skipper
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,5 +170,46 @@ func TestListSchedAgreesWithStructured(t *testing.T) {
 		if outs[0] != want {
 			t.Fatalf("%v: got %v want %d", strat, outs[0], want)
 		}
+	}
+}
+
+// TestSCMSplitArityRejectedByBothPaths: an scm split that returns other
+// than its degree's number of parts is an error with the same message in
+// the sequential emulator and on the executive, so a specification that
+// emulates cleanly cannot fail every deployment on it.
+func TestSCMSplitArityRejectedByBothPaths(t *testing.T) {
+	const src = `
+extern halves : int -> int list;;
+extern inc : int -> int;;
+extern total : int list -> int;;
+let main = scm 3 halves inc total 10;;
+`
+	reg := NewRegistry()
+	reg.Register(&Func{Name: "halves", Sig: "int -> int list", Arity: 1,
+		Fn: func(a []Value) Value { return List{a[0], a[0]} }}) // 2 parts for 3 compute processes
+	reg.Register(&Func{Name: "inc", Sig: "int -> int", Arity: 1,
+		Fn: func(a []Value) Value { return a[0].(int) + 1 }})
+	reg.Register(&Func{Name: "total", Sig: "int list -> int", Arity: 1,
+		Fn: func(a []Value) Value {
+			s := 0
+			for _, v := range a[0].(List) {
+				s += v.(int)
+			}
+			return s
+		}})
+	prog, err := Compile(src, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "scm split produced 2 sub-domains for 3 compute processes"
+	if err := prog.Emulate(1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("emulator: err = %v, want %q", err, want)
+	}
+	dep, err := prog.MapOnto(Ring(3), Structured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.Run(1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("executive: err = %v, want %q", err, want)
 	}
 }

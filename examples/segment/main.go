@@ -119,9 +119,17 @@ func main() {
 		log.Fatal(err)
 	}
 	regions := outs[0].(skipper.List)
+	// The farm folds regions in arrival order: sort by a total key, largest
+	// first, then top to bottom, then left to right.
 	sort.Slice(regions, func(i, j int) bool {
-		a, b := regions[i].(region), regions[j].(region)
-		return a.Rect.Area() > b.Rect.Area()
+		a, b := regions[i].(region).Rect, regions[j].(region).Rect
+		if a.Area() != b.Area() {
+			return a.Area() > b.Area()
+		}
+		if a.Y0 != b.Y0 {
+			return a.Y0 < b.Y0
+		}
+		return a.X0 < b.X0
 	})
 	fmt.Printf("tf segmentation: %d homogeneous regions\n", len(regions))
 	fmt.Println("largest regions:")

@@ -11,6 +11,12 @@ import (
 	"fmt"
 )
 
+// MaxProcs bounds a process count: the processors of a job's architecture
+// and the processes of one skeleton (a df or tf worker count, an scm
+// degree). It is far above any in-tree program, and below it compiling and
+// mapping stay fast; an unbounded count takes the compiler down first.
+const MaxProcs = 256
+
 // ProcID identifies a processor (0-based).
 type ProcID int
 

@@ -162,9 +162,8 @@ func HubListenAddr(transport string) (listen string, cleanup func(), err error) 
 // 512x512 frames, 4 000 iterations): a run allocates its architecture and
 // program per processor, a frame per width x height and its outputs per
 // iteration up front, so an unbounded job description takes the server
-// down before the first frame.
+// down before the first frame. Processors are bounded by arch.MaxProcs.
 const (
-	maxJobProcs = 256
 	maxJobSide  = 4096
 	maxJobIters = 1_000_000
 )
@@ -177,8 +176,8 @@ func (j Job) Validate() error {
 	default:
 		return fmt.Errorf("distrib: unknown topology %q", j.Topology)
 	}
-	if j.Procs < 1 || j.Procs > maxJobProcs {
-		return fmt.Errorf("distrib: procs %d, want 1..%d", j.Procs, maxJobProcs)
+	if j.Procs < 1 || j.Procs > arch.MaxProcs {
+		return fmt.Errorf("distrib: procs %d, want 1..%d", j.Procs, arch.MaxProcs)
 	}
 	if j.Width < 8 || j.Height < 8 || j.Width > maxJobSide || j.Height > maxJobSide {
 		return fmt.Errorf("distrib: frame %dx%d, want 8x8..%dx%d", j.Width, j.Height, maxJobSide, maxJobSide)

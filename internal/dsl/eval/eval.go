@@ -495,6 +495,11 @@ func (ev *Emulator) applyBuiltin(name string, args []value.Value, pos token.Pos)
 		if err != nil {
 			return nil, err
 		}
+		// The executive runs exactly n compute processes (internal/exec,
+		// KindSplit), so a split of another length fails every deployment.
+		if n, _ := args[0].(int); len(lst) != n {
+			return nil, &Error{Pos: pos, Msg: fmt.Sprintf("scm split produced %d sub-domains for %d compute processes", len(lst), n)}
+		}
 		results := make(value.List, len(lst))
 		for i, p := range lst {
 			v, err := call(args[2], p)

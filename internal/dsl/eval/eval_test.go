@@ -150,7 +150,7 @@ func TestSCMDeclarative(t *testing.T) {
 	})
 	out := run(t, reg, Options{}, `
 extern split3 : int -> int list;;
-let r = scm 4 split3 (fun x -> x * x) (fold_left (fun a b -> a + b) 0) 10;;
+let r = scm 3 split3 (fun x -> x * x) (fold_left (fun a b -> a + b) 0) 10;;
 `)
 	if out["r"] != 100+121+144 {
 		t.Fatalf("r = %v", out["r"])

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,6 +24,8 @@ type workerPlan struct {
 	tasks        transport.Receiver
 	replyKey     transport.Key
 	spawn, label uint32 // trace labels: the spawn op, the compute function
+	tf           bool
+	stack        value.List // a tf worker's depth-first stack, reused across tasks
 	// release: tasks and replies cross a copying link, so a task argument is
 	// this worker's alone and dead once its reply is sent — a view of it in
 	// the result was copied onto the wire by then.
@@ -48,7 +51,7 @@ func (m *Machine) lowerWorker(pl *procPlan, w *graph.Node, spawn uint32) error {
 	}
 	mp := m.sched.Assign[master]
 	pl.workers = append(pl.workers, &workerPlan{
-		widx: w.Index, comp: comp, masterProc: mp,
+		widx: w.Index, comp: comp, masterProc: mp, tf: g.Node(master).TaskFarm,
 		release:  m.copies(mp, pl.p) && m.copies(pl.p, mp),
 		tasks:    m.t.Receiver(pl.p, transport.TaskKey(master, w.Index)),
 		replyKey: transport.ReplyKey(master),
@@ -77,11 +80,8 @@ func (m *Machine) runWorker(p arch.ProcID, w *workerPlan) {
 		case transport.Sentinel:
 			return
 		case transport.Task:
-			trace.Record(int32(p), obsv.EvOpStart, w.label, -1, int64(tk.Idx))
-			y := w.comp.Fn([]value.Value{tk.V})
-			trace.Record(int32(p), obsv.EvOpEnd, w.label, -1, int64(tk.Idx))
 			m.t.Send(p, w.masterProc, w.replyKey,
-				transport.Reply{Widx: w.widx, Task: tk.Idx, Gen: tk.Gen, V: y})
+				transport.Reply{Widx: int32(w.widx), Task: tk.Idx, Gen: tk.Gen, V: m.answer(p, w, tk)})
 			if w.release {
 				value.Release(tk.V)
 			}
@@ -92,11 +92,65 @@ func (m *Machine) runWorker(p arch.ProcID, w *workerPlan) {
 	}
 }
 
+// answer runs task tk. A df worker's answer is its function's result. A tf
+// worker runs the tasks its function spawns on the spot, depth-first (the
+// last spawned first), and hands back only the first tk.Spare of them, for
+// the master to feed its idle workers; its answer is (every result of the
+// calls it made, the tasks handed back). A call whose result is not a pair
+// of lists ends the walk, and that result is the answer the master rejects.
+func (m *Machine) answer(p arch.ProcID, w *workerPlan, tk transport.Task) value.Value {
+	y := w.call(m.Trace, p, tk.Idx, tk.V)
+	if !w.tf {
+		return y
+	}
+	ys, more, ok := tfPair(y)
+	spare := max(int(tk.Spare), 0)
+	if !ok || len(more) <= spare {
+		return y
+	}
+	results := slices.Clone(ys)
+	back := more[:spare:spare]
+	stack := append(w.stack, more[spare:]...)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		y := w.call(m.Trace, p, tk.Idx, x)
+		if ys, more, ok = tfPair(y); !ok {
+			return y
+		}
+		results = append(results, ys...)
+		stack = append(stack, more...)
+	}
+	clear(stack[:cap(stack)])
+	w.stack = stack
+	return value.Tuple{results, back}
+}
+
+// call runs the worker function on x inside a trace span tagged with task idx.
+func (w *workerPlan) call(trace *obsv.Recorder, p arch.ProcID, idx int, x value.Value) value.Value {
+	trace.Record(int32(p), obsv.EvOpStart, w.label, -1, int64(idx))
+	y := w.comp.Fn([]value.Value{x})
+	trace.Record(int32(p), obsv.EvOpEnd, w.label, -1, int64(idx))
+	return y
+}
+
+// tfPair splits a tf function's result into its results and its new tasks.
+func tfPair(y value.Value) (ys, more value.List, ok bool) {
+	pair, _ := y.(value.Tuple)
+	if len(pair) != 2 {
+		return nil, nil, false
+	}
+	ys, ok1 := pair[0].(value.List)
+	more, ok2 := pair[1].(value.List)
+	return ys, more, ok1 && ok2
+}
+
 // farmTask is one farm task's dispatch and recovery state.
 type farmTask struct {
 	val   value.Value // the task, retained for re-dispatch; once done, the result a deterministic df fold awaits
 	tries int         // dispatch count (1 = first attempt; speculation uncounted)
 	done  bool        // a valid reply was folded
+	owned bool        // val is a tf task the master decoded and never shared: released once done
 	specW int         // worker index of the active speculative duplicate, -1 none
 }
 
@@ -110,6 +164,7 @@ type farm struct {
 	node       *graph.Node
 	accFn      *value.Func
 	workerProc []arch.ProcID // indexed by worker index
+	copying    []bool        // tasks to worker w and its replies cross copying links
 	replyKey   transport.Key
 	replies    transport.Receiver
 	// Armed thresholds; both zero unless fault tolerance is on, and while
@@ -118,7 +173,7 @@ type farm struct {
 
 	framesLeft int         // invocations until the run's last frame releases the workers
 	active     atomic.Bool // a master invocation is in progress (read by handlePeerDown)
-	gen        int64       // this invocation's generation tag
+	gen        int32       // this invocation's generation tag
 	tasks      []farmTask
 	queue      []int // task indices awaiting dispatch, consumed from qhead
 	qhead      int
@@ -145,6 +200,7 @@ func (m *Machine) lowerFarm(p arch.ProcID, n *graph.Node, iters int) (*farm, err
 	f := &farm{
 		m: m, p: p, node: n, accFn: accFn,
 		workerProc: make([]arch.ProcID, n.Workers),
+		copying:    make([]bool, n.Workers),
 		replyKey:   transport.ReplyKey(n.ID),
 		replies:    m.t.Receiver(p, transport.ReplyKey(n.ID)),
 		framesLeft: iters,
@@ -155,7 +211,9 @@ func (m *Machine) lowerFarm(p arch.ProcID, n *graph.Node, iters int) (*farm, err
 	}
 	for _, e := range m.sched.Graph.OutEdges(n.ID) {
 		if w := m.sched.Graph.Node(e.To); w.Kind == graph.KindWorker {
-			f.workerProc[w.Index] = m.sched.Assign[w.ID]
+			wp := m.sched.Assign[w.ID]
+			f.workerProc[w.Index] = wp
+			f.copying[w.Index] = m.copies(p, wp) && m.copies(wp, p)
 		}
 	}
 	for w := range f.inflight {
@@ -175,8 +233,26 @@ func (f *farm) send(w, idx int) {
 	if f.deadline > 0 || f.specAfter > 0 {
 		f.dispatched[w] = time.Now()
 	}
-	f.m.t.Send(f.p, f.workerProc[w], transport.TaskKey(f.node.ID, w),
-		transport.Task{Idx: idx, Gen: f.gen, V: f.tasks[idx].val})
+	t := &f.tasks[idx]
+	tk := transport.Task{Idx: idx, Gen: f.gen, V: t.val}
+	if f.node.TaskFarm {
+		tk.Spare = f.spare()
+		t.owned = t.owned && f.copying[w]
+	}
+	f.m.t.Send(f.p, f.workerProc[w], transport.TaskKey(f.node.ID, w), tk)
+}
+
+// spare is how many of the tasks a tf task spawns its worker should hand
+// back: the live workers that would sit idle otherwise, after the tasks
+// already queued have claimed theirs.
+func (f *farm) spare() int32 {
+	idle := 0
+	for w, held := range f.inflight {
+		if f.alive[w] && held == noTask {
+			idle++
+		}
+	}
+	return int32(max(idle-(len(f.queue)-f.qhead), 0))
 }
 
 // duplicated reports whether a worker other than w also holds task idx.
@@ -425,25 +501,27 @@ func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 			f.tick()
 
 		case transport.Reply:
+			w := int(rep.Widx)
+			known := w >= 0 && w < n.Workers
 			if rep.Gen != f.gen {
 				// A previous invocation's straggler: discarded, but it is the
 				// reply its worker owed, so the worker is free again.
-				if rep.Widx >= 0 && rep.Widx < n.Workers && f.inflight[rep.Widx] == owedTask {
-					f.inflight[rep.Widx] = noTask
+				if known && f.inflight[w] == owedTask {
+					f.inflight[w] = noTask
 					f.fill()
 				}
 				continue
 			}
-			if rep.Widx >= 0 && rep.Widx < n.Workers {
-				if f.inflight[rep.Widx] == rep.Task {
-					f.inflight[rep.Widx] = noTask
+			if known {
+				if f.inflight[w] == rep.Task {
+					f.inflight[w] = noTask
 				}
-				if f.suspected[rep.Widx] {
+				if f.suspected[w] {
 					// The deadline verdict was wrong: the worker was slow,
 					// not dead. It stays marked down (the transport already
 					// tore its routes) but the operator learns the deadline
 					// is too tight.
-					f.suspected[rep.Widx] = false
+					f.suspected[w] = false
 					m.ftFalseSuspicions.Add(1)
 				}
 			}
@@ -451,30 +529,37 @@ func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 				return nil, fmt.Errorf("exec: master %s received reply for unknown task %d", n.Name, rep.Task)
 			}
 			if t := &f.tasks[rep.Task]; !t.done {
-				if t.specW >= 0 && rep.Widx == t.specW {
+				if t.specW >= 0 && w == t.specW {
 					m.ftSpecWins.Add(1)
 					m.Trace.Record(int32(f.p), obsv.EvSpecWin, 0, int32(f.workerProc[t.specW]), int64(rep.Task))
 				}
-				// Folded: any speculation race is settled, the value released.
+				// Folded: any speculation race is settled, the value released
+				// (to the arena too, if it is a copy no worker shares).
+				if t.owned {
+					value.Release(t.val)
+				}
 				*t = farmTask{done: true, tries: t.tries, specW: -1}
 				f.remaining--
 				switch {
 				case n.TaskFarm:
-					pair, _ := rep.V.(value.Tuple)
-					if len(pair) != 2 {
+					ys, more, ok := tfPair(rep.V)
+					if !ok {
 						return nil, fmt.Errorf("exec: tf worker must return (results, new-tasks)")
-					}
-					ys, ok1 := pair[0].(value.List)
-					more, ok2 := pair[1].(value.List)
-					if !ok1 || !ok2 {
-						return nil, fmt.Errorf("exec: tf worker returned non-lists")
 					}
 					for _, y := range ys {
 						acc = f.accFn.Fn([]value.Value{acc, y})
 					}
+					// A decoded reply is the master's alone: its results are
+					// dead once folded into an accumulator that cannot hold a
+					// view of one, and its new tasks once their own replies
+					// are folded, unless a co-hosted worker is handed one.
+					copied := known && f.copying[w]
+					if copied && plain(acc) {
+						value.Release(ys)
+					}
 					for _, x := range more {
 						f.queue = append(f.queue, len(f.tasks))
-						f.tasks = append(f.tasks, farmTask{val: x, specW: -1})
+						f.tasks = append(f.tasks, farmTask{val: x, owned: copied, specW: -1})
 						f.remaining++
 					}
 				case deterministic:
@@ -513,4 +598,18 @@ func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 		}
 	}
 	return acc, nil
+}
+
+// plain reports whether v is plain data — ints, floats, bools, strings, unit,
+// and tuples or lists of those — which holds no view of another value.
+func plain(v value.Value) bool {
+	switch v := v.(type) {
+	case int, float64, bool, string, value.Unit:
+		return true
+	case value.Tuple:
+		return !slices.ContainsFunc(v, func(e value.Value) bool { return !plain(e) })
+	case value.List:
+		return !slices.ContainsFunc(v, func(e value.Value) bool { return !plain(e) })
+	}
+	return false
 }

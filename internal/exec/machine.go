@@ -131,7 +131,7 @@ type Machine struct {
 	local []arch.ProcID // processors this machine hosts
 
 	ft      *ftState     // per-run fault-tolerance state; nil when FT is off
-	farmGen atomic.Int64 // master invocation generations, for stale-reply rejection
+	farmGen atomic.Int32 // master invocation generations, for stale-reply rejection
 
 	ftFailures        atomic.Int64 // cumulative across runs, for metrics
 	ftRedispatches    atomic.Int64

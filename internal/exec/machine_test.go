@@ -10,6 +10,8 @@ import (
 	"skipper/internal/dsl/eval"
 	"skipper/internal/dsl/parser"
 	"skipper/internal/dsl/types"
+	"skipper/internal/exec/memtransport"
+	"skipper/internal/exec/transport"
 	"skipper/internal/expand"
 	"skipper/internal/graph"
 	"skipper/internal/syndex"
@@ -554,5 +556,70 @@ let main = itermem grab loop show 0 ();;
 		if res.Outputs[i] != z {
 			t.Fatalf("iteration %d: %v != %d", i, res.Outputs[i], z)
 		}
+	}
+}
+
+// TestTFWorkerHandsBackSpare drives one tf worker by hand: it runs the
+// tasks its function spawns itself, depth-first, and hands back exactly the
+// first Spare of them — none when Spare is 0, when the whole subtree comes
+// back as results in one reply.
+func TestTFWorkerHandsBackSpare(t *testing.T) {
+	a := arch.Ring(4)
+	s := compile(t, tfSrc, tfRegistry(), a, syndex.Structured)
+	p := workerOnlyProcs(s)[0]
+	var worker *graph.Node
+	for _, n := range s.Graph.Nodes {
+		if n.Kind == graph.KindWorker && s.Assign[n.ID] == p {
+			worker = n
+		}
+	}
+	var master graph.NodeID
+	for _, e := range s.Graph.InEdges(worker.ID) {
+		master = e.From
+	}
+	tr := memtransport.New(a)
+	defer tr.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewMachineOn(s, tfRegistry(), tr, []arch.ProcID{p}).RunWithTimeout(1, 10*time.Second)
+		done <- err
+	}()
+	sum := func(l value.List) int {
+		n := 0
+		for _, v := range l {
+			n += v.(int)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		spare   int32
+		results int // sum of the results in the reply
+		back    value.List
+	}{
+		{0, 4950, value.List{}},
+		{1, 3725, value.List{value.Tuple{0, 50}}}, // (50,100) runs here, (0,50) goes back
+		{2, 0, value.List{value.Tuple{0, 50}, value.Tuple{50, 100}}},
+		{5, 0, value.List{value.Tuple{0, 50}, value.Tuple{50, 100}}},
+		{-1, 4950, value.List{}}, // a malformed Spare counts as none
+	} {
+		tr.Send(0, p, transport.TaskKey(master, worker.Index),
+			transport.Task{Idx: 7, Gen: 3, Spare: tc.spare, V: value.Tuple{0, 100}})
+		v, ok := tr.Recv(0, transport.ReplyKey(master))
+		if !ok {
+			t.Fatal("no reply")
+		}
+		rep := v.(transport.Reply)
+		ys, more, ok := tfPair(rep.V)
+		if !ok || rep.Task != 7 || rep.Gen != 3 || int(rep.Widx) != worker.Index {
+			t.Fatalf("spare %d: reply %+v", tc.spare, rep)
+		}
+		if sum(ys) != tc.results || !value.Equal(more, tc.back) {
+			t.Errorf("spare %d: results sum to %d and %v go back, want %d and %v",
+				tc.spare, sum(ys), more, tc.results, tc.back)
+		}
+	}
+	tr.Send(0, p, transport.TaskKey(master, worker.Index), transport.Sentinel{})
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

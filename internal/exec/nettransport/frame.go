@@ -69,7 +69,10 @@ const (
 	// Version 9: fleet membership rides the hub. A join hello (a kind byte
 	// now follows the version) opens a member connection, which carries
 	// member frames and a closing detach frame.
-	wireVersion = 9
+	// Version 10: task and reply headers are 16 bytes — a task carries
+	// Spare, how many of the tasks a tf worker spawns it hands back (the
+	// rest it runs itself), and the generation is 4 bytes.
+	wireVersion = 10
 	// abortDst is a control frame that propagates Abort across processes.
 	abortDst = 0xffffffff
 	// peersDst is a hub→node control frame carrying the address map of

@@ -364,6 +364,10 @@ func frameSeeds(tb testing.TB) [][]byte {
 		wireOf(controlFrame(abortDst, nil)),
 		append(wireOf(controlFrame(heartbeatDst, nil)), wireOf(controlFrame(detachDst, nil))...),
 		append(data(3, value.List{1, 2}), data(9, value.Tuple{3, "x"})...),
+		// The farm frames' 16-byte headers: a tf task with a Spare, and a
+		// reply carrying (results, tasks handed back).
+		append(data(3, transport.Task{Idx: 4, Spare: 3, Gen: 9, V: im}),
+			data(3, transport.Reply{Widx: 1, Task: 4, Gen: 9, V: value.Tuple{value.List{im}, value.List{}}})...),
 	}
 }
 

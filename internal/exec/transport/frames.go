@@ -23,18 +23,22 @@ type Sentinel struct{}
 // it: workers echo it back in the Reply, and the master ignores replies from
 // other generations — a deadline-suspected worker may deliver its answer
 // late, after the task was re-dispatched or even after the next iteration's
-// farm started, and task indices repeat across iterations.
+// farm started, and task indices repeat across iterations. Spare, for a tf
+// task, is how many of the tasks it spawns its worker hands back to the
+// master rather than running them itself (DESIGN.md §7). The fields keep the
+// struct at 32 bytes, so a boxed task stays in Go's 32-byte size class.
 type Task struct {
-	Idx int
-	Gen int64
-	V   value.Value
+	Idx   int
+	Gen   int32
+	Spare int32
+	V     value.Value
 }
 
-// Reply is a worker's answer to its master.
+// Reply is a worker's answer to its master; 32 bytes, like Task.
 type Reply struct {
-	Widx int
+	Widx int32
+	Gen  int32 // echoed from the Task, see Task.Gen
 	Task int   // echoed from the Task's Idx
-	Gen  int64 // echoed from the Task, see Task.Gen
 	V    value.Value
 }
 
@@ -56,58 +60,24 @@ func init() {
 		Match: func(v value.Value) bool { _, ok := v.(Task); return ok },
 		Encode: func(buf []byte, v value.Value) ([]byte, error) {
 			t := v.(Task)
-			buf = value.AppendI64(buf, int64(t.Idx))
-			buf = value.AppendI64(buf, t.Gen)
-			return value.Encode(buf, t.V)
+			return value.Encode(appendHeader(buf, t.Idx, t.Spare, t.Gen), t.V)
 		},
-		Size: func(v value.Value) int {
-			n := value.EncodeSize(v.(Task).V)
-			if n < 0 {
-				return -1
-			}
-			return 16 + n
-		},
+		Size: func(v value.Value) int { return sizeWithHeader(v.(Task).V) },
 		EncodeTail: func(buf []byte, v value.Value) ([]byte, []byte, error) {
 			t := v.(Task)
-			buf = value.AppendI64(buf, int64(t.Idx))
-			buf = value.AppendI64(buf, t.Gen)
-			return value.EncodeTrailing(buf, t.V)
+			return value.EncodeTrailing(appendHeader(buf, t.Idx, t.Spare, t.Gen), t.V)
 		},
 		Decode: func(payload []byte) (value.Value, error) {
-			idx, pos, err := value.ReadI64(payload, 0)
-			if err != nil {
-				return nil, err
-			}
-			gen, pos, err := value.ReadI64(payload, pos)
-			if err != nil {
-				return nil, err
-			}
-			v, rest, err := value.DecodePrefix(payload[pos:])
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("trailing bytes after task frame")
-			}
-			return Task{Idx: int(idx), Gen: gen, V: v}, nil
+			var t Task
+			var err error
+			t.Idx, t.Spare, t.Gen, t.V, err = decodeWithHeader(payload, "task")
+			return t, err
 		},
 		DecodeFrom: func(r *bufio.Reader, n int) (value.Value, error) {
-			if n < 16 {
-				return nil, fmt.Errorf("truncated task header (%d bytes)", n)
-			}
-			hdr, err := r.Peek(16)
-			if err != nil {
-				return nil, err
-			}
-			t := Task{
-				Idx: int(int64(binary.BigEndian.Uint64(hdr[0:]))),
-				Gen: int64(binary.BigEndian.Uint64(hdr[8:])),
-			}
-			r.Discard(16)
-			if t.V, err = value.DecodeStream(r, n-16); err != nil {
-				return nil, err
-			}
-			return t, nil
+			var t Task
+			var err error
+			t.Idx, t.Spare, t.Gen, t.V, err = streamWithHeader(r, n, "task")
+			return t, err
 		},
 	})
 	value.RegisterExt(value.Ext{
@@ -115,65 +85,74 @@ func init() {
 		Match: func(v value.Value) bool { _, ok := v.(Reply); return ok },
 		Encode: func(buf []byte, v value.Value) ([]byte, error) {
 			r := v.(Reply)
-			buf = value.AppendI64(buf, int64(r.Widx))
-			buf = value.AppendI64(buf, int64(r.Task))
-			buf = value.AppendI64(buf, r.Gen)
-			return value.Encode(buf, r.V)
+			return value.Encode(appendHeader(buf, r.Task, r.Widx, r.Gen), r.V)
 		},
-		Size: func(v value.Value) int {
-			n := value.EncodeSize(v.(Reply).V)
-			if n < 0 {
-				return -1
-			}
-			return 24 + n
-		},
+		Size: func(v value.Value) int { return sizeWithHeader(v.(Reply).V) },
 		EncodeTail: func(buf []byte, v value.Value) ([]byte, []byte, error) {
 			r := v.(Reply)
-			buf = value.AppendI64(buf, int64(r.Widx))
-			buf = value.AppendI64(buf, int64(r.Task))
-			buf = value.AppendI64(buf, r.Gen)
-			return value.EncodeTrailing(buf, r.V)
+			return value.EncodeTrailing(appendHeader(buf, r.Task, r.Widx, r.Gen), r.V)
 		},
 		Decode: func(payload []byte) (value.Value, error) {
-			widx, pos, err := value.ReadI64(payload, 0)
-			if err != nil {
-				return nil, err
-			}
-			task, pos, err := value.ReadI64(payload, pos)
-			if err != nil {
-				return nil, err
-			}
-			gen, pos, err := value.ReadI64(payload, pos)
-			if err != nil {
-				return nil, err
-			}
-			v, rest, err := value.DecodePrefix(payload[pos:])
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("trailing bytes after reply frame")
-			}
-			return Reply{Widx: int(widx), Task: int(task), Gen: gen, V: v}, nil
+			var r Reply
+			var err error
+			r.Task, r.Widx, r.Gen, r.V, err = decodeWithHeader(payload, "reply")
+			return r, err
 		},
-		DecodeFrom: func(r *bufio.Reader, n int) (value.Value, error) {
-			if n < 24 {
-				return nil, fmt.Errorf("truncated reply header (%d bytes)", n)
-			}
-			hdr, err := r.Peek(24)
-			if err != nil {
-				return nil, err
-			}
-			rep := Reply{
-				Widx: int(int64(binary.BigEndian.Uint64(hdr[0:]))),
-				Task: int(int64(binary.BigEndian.Uint64(hdr[8:]))),
-				Gen:  int64(binary.BigEndian.Uint64(hdr[16:])),
-			}
-			r.Discard(24)
-			if rep.V, err = value.DecodeStream(r, n-24); err != nil {
-				return nil, err
-			}
-			return rep, nil
+		DecodeFrom: func(rd *bufio.Reader, n int) (value.Value, error) {
+			var r Reply
+			var err error
+			r.Task, r.Widx, r.Gen, r.V, err = streamWithHeader(rd, n, "reply")
+			return r, err
 		},
 	})
+}
+
+// header is the size of a task or reply frame's header: the task index as 8
+// bytes, then two 4-byte fields — a task's Spare and Gen, a reply's Widx and
+// Gen — all big-endian.
+const header = 16
+
+func appendHeader(buf []byte, idx int, a, b int32) []byte {
+	buf = value.AppendI64(buf, int64(idx))
+	buf = value.AppendU32(buf, uint32(a))
+	return value.AppendU32(buf, uint32(b))
+}
+
+func readHeader(hdr []byte) (idx int, a, b int32) {
+	return int(int64(binary.BigEndian.Uint64(hdr))),
+		int32(binary.BigEndian.Uint32(hdr[8:])), int32(binary.BigEndian.Uint32(hdr[12:]))
+}
+
+func sizeWithHeader(v value.Value) int {
+	n := value.EncodeSize(v)
+	if n < 0 {
+		return -1
+	}
+	return header + n
+}
+
+func decodeWithHeader(payload []byte, what string) (idx int, a, b int32, v value.Value, err error) {
+	if len(payload) < header {
+		return 0, 0, 0, nil, fmt.Errorf("truncated %s header (%d bytes)", what, len(payload))
+	}
+	idx, a, b = readHeader(payload)
+	v, rest, err := value.DecodePrefix(payload[header:])
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("trailing bytes after %s frame", what)
+	}
+	return idx, a, b, v, err
+}
+
+func streamWithHeader(r *bufio.Reader, n int, what string) (idx int, a, b int32, v value.Value, err error) {
+	if n < header {
+		return 0, 0, 0, nil, fmt.Errorf("truncated %s header (%d bytes)", what, n)
+	}
+	hdr, err := r.Peek(header)
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
+	idx, a, b = readHeader(hdr)
+	r.Discard(header)
+	v, err = value.DecodeStream(r, n-header)
+	return idx, a, b, v, err
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"skipper/internal/graph"
-	"skipper/internal/value"
 )
 
 // TestMailboxSteadyStateAllocationFree is the regression test for the seed
@@ -131,41 +130,5 @@ func TestMailboxCloseUnblocksWaiters(t *testing.T) {
 	// Keys first touched after close are born closed.
 	if _, ok := m.Recv(EdgeKey(graph.EdgeID(3))); ok {
 		t.Fatal("new key on closed mailbox returned ok")
-	}
-}
-
-// TestFarmFrameCodecRoundTrip checks the farm protocol frames survive the
-// wire codec — the property the distributed backend depends on.
-func TestFarmFrameCodecRoundTrip(t *testing.T) {
-	cases := []struct {
-		in    interface{}
-		check func(got interface{}) bool
-	}{
-		{Sentinel{}, func(got interface{}) bool { _, ok := got.(Sentinel); return ok }},
-		{Task{Idx: 3, V: 42}, func(got interface{}) bool {
-			tk, ok := got.(Task)
-			return ok && tk.Idx == 3 && tk.V == 42
-		}},
-		{Task{Idx: -1, V: nil}, func(got interface{}) bool {
-			tk, ok := got.(Task)
-			return ok && tk.Idx == -1 && tk.V == nil
-		}},
-		{Reply{Widx: 2, Task: 7, V: "done"}, func(got interface{}) bool {
-			r, ok := got.(Reply)
-			return ok && r.Widx == 2 && r.Task == 7 && r.V == "done"
-		}},
-	}
-	for _, c := range cases {
-		data, err := value.Encode(nil, c.in)
-		if err != nil {
-			t.Fatalf("encode %#v: %v", c.in, err)
-		}
-		got, err := value.Decode(data)
-		if err != nil {
-			t.Fatalf("decode %#v: %v", c.in, err)
-		}
-		if !c.check(got) {
-			t.Fatalf("round trip of %#v gave %#v", c.in, got)
-		}
 	}
 }

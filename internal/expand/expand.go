@@ -19,6 +19,7 @@ package expand
 import (
 	"fmt"
 
+	"skipper/internal/arch"
 	"skipper/internal/dsl/ast"
 	"skipper/internal/dsl/token"
 	"skipper/internal/dsl/types"
@@ -688,6 +689,9 @@ func (x *expander) expandFarm(name string, args []sval, pos token.Pos) (sval, er
 	if n < 1 {
 		return nil, &Error{Pos: pos, Msg: name + " requires at least one worker"}
 	}
+	if n > arch.MaxProcs {
+		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("%s worker count %d is above the bound of %d", name, n, arch.MaxProcs)}
+	}
 	comp, err := x.seqFn(args[1], name+" compute function", pos)
 	if err != nil {
 		return nil, err
@@ -734,6 +738,9 @@ func (x *expander) expandSCM(args []sval, pos token.Pos) (sval, error) {
 	}
 	if n < 1 {
 		return nil, &Error{Pos: pos, Msg: "scm requires at least one compute process"}
+	}
+	if n > arch.MaxProcs {
+		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("scm degree %d is above the bound of %d", n, arch.MaxProcs)}
 	}
 	split, err := x.seqFn(args[1], "scm split function", pos)
 	if err != nil {

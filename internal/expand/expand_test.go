@@ -1,9 +1,11 @@
 package expand
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"skipper/internal/arch"
 	"skipper/internal/dsl/parser"
 	"skipper/internal/dsl/token"
 	"skipper/internal/dsl/types"
@@ -723,5 +725,27 @@ func TestApplyNonFunctionValue(t *testing.T) {
 	}
 	if _, err := x.apply(sTuple{sConst{v: 1}}, sConst{v: 4}, token.Pos{}); err == nil {
 		t.Fatal("applying a tuple should fail")
+	}
+}
+
+// TestDegreeBounded: a df/tf worker count or scm degree above
+// arch.MaxProcs is a positioned error, and the bound itself expands.
+func TestDegreeBounded(t *testing.T) {
+	const decls = `
+type img;; type band;; type res;; type task;;
+extern split_img : img -> band list;;
+extern label_band : band -> res;;
+extern merge_res : res list -> res;;
+extern load_img : int -> img;;
+extern work : task -> res list * task list;;
+extern acc_res : res list -> res -> res list;;
+`
+	for _, tc := range []struct{ src, msg string }{
+		{decls + "let main = tf %d work acc_res [] [];;\n", "tf worker count 257 is above the bound of 256"},
+		{decls + "let main = df %d label_band acc_res [] (split_img (load_img 1));;\n", "df worker count 257 is above the bound of 256"},
+		{decls + "let main = scm %d split_img label_band merge_res (load_img 1);;\n", "scm degree 257 is above the bound of 256"},
+	} {
+		expandErr(t, fmt.Sprintf(tc.src, arch.MaxProcs+1), "9:12: expansion error: "+tc.msg)
+		expandSrc(t, fmt.Sprintf(tc.src, arch.MaxProcs))
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"skipper/internal/graph"
 	"skipper/internal/sim"
 	"skipper/internal/syndex"
-	"skipper/internal/trans"
 	"skipper/internal/value"
 )
 
@@ -118,18 +117,6 @@ func Compile(src string, reg *Registry) (*Program, error) {
 		return nil, err
 	}
 	return &Program{Source: src, AST: c.AST, Types: c.Types, Graph: c.Graph, Stream: c.Stream, c: c}, nil
-}
-
-// Optimize applies the semantics-preserving graph transformation rules
-// (dead-node elimination, constant deduplication, pack/unpack
-// cancellation — see internal/trans) and returns the number of rewrites.
-// The paper's conclusion singles out such inter-skeleton transformational
-// rules as the next step beyond the 1999 prototype.
-func (p *Program) Optimize() int {
-	g, stats := trans.Optimize(p.Graph)
-	p.Graph = g
-	p.c.Graph = g
-	return stats.Total()
 }
 
 // TypeOf returns the inferred type of a top-level binding as a string.
