@@ -120,6 +120,12 @@ func newCluster(t testing.TB, kind, src string, mkReg func() *value.Registry, a 
 // hosting processor 0 recorded.
 func (c cluster) run(t testing.TB, iters int) []value.Value {
 	t.Helper()
+	return c.runWith(t, iters, func(*goexec.Machine) {})
+}
+
+// runWith is run with every node's machine set up by configure first.
+func (c cluster) runWith(t testing.TB, iters int, configure func(*goexec.Machine)) []value.Value {
+	t.Helper()
 	res := make([]*goexec.RunResult, len(c))
 	errs := make([]error, len(c))
 	var wg sync.WaitGroup
@@ -127,7 +133,9 @@ func (c cluster) run(t testing.TB, iters int) []value.Value {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res[i], errs[i] = goexec.NewMachineOn(n.sched, n.reg, n.t, n.local).RunWithTimeout(iters, 30*time.Second)
+			m := goexec.NewMachineOn(n.sched, n.reg, n.t, n.local)
+			configure(m)
+			res[i], errs[i] = m.RunWithTimeout(iters, 30*time.Second)
 		}()
 	}
 	wg.Wait()

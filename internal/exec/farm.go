@@ -170,6 +170,10 @@ type farm struct {
 	// Armed thresholds; both zero unless fault tolerance is on, and while
 	// they are the master never reads the clock.
 	deadline, specAfter time.Duration
+	// takesFrame: lowering let this df master take tasks derived from the
+	// itermem input's frame (escapes); the invocation's verdicts below then
+	// decide whether the frame may be handed back (pins).
+	takesFrame bool
 
 	framesLeft int         // invocations until the run's last frame releases the workers
 	active     atomic.Bool // a master invocation is in progress (read by handlePeerDown)
@@ -184,6 +188,7 @@ type farm struct {
 	dispatched []time.Time // when inflight[w] was handed out
 	suspected  []bool      // deadline verdicts issued, for false-suspicion accounting
 	fillNext   int         // where the next dispatch scan starts
+	refFolded  bool        // a reply that came by reference was folded
 }
 
 // Values of farm.inflight other than a task index.
@@ -462,7 +467,7 @@ func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 		f.tasks = append(f.tasks, farmTask{val: x, specW: -1})
 		f.queue = append(f.queue, i)
 	}
-	f.remaining = len(list)
+	f.remaining, f.refFolded = len(list), false
 	deterministic := m.DeterministicFarm && !n.TaskFarm
 	f.aliveCount, f.fillNext = 0, 0
 	for w, p := range f.workerProc {
@@ -540,6 +545,7 @@ func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 				}
 				*t = farmTask{done: true, tries: t.tries, specW: -1}
 				f.remaining--
+				f.refFolded = f.refFolded || !known || !f.copying[w]
 				switch {
 				case n.TaskFarm:
 					ys, more, ok := tfPair(rep.V)
@@ -600,8 +606,26 @@ func (m *Machine) runMaster(f *farm, xs, acc value.Value) (value.Value, error) {
 	return acc, nil
 }
 
+// pins reports whether the invocation that just returned acc, having taken
+// tasks derived from the frame (takesFrame), leaves something that may still
+// read the frame: a by-reference worker that still holds a task — a
+// speculation's loser, a straggler owing an earlier frame's reply, one
+// declared dead that may still be running — or a reply that came by
+// reference, a value that may be a view of its task, folded into an
+// accumulator that may hold a view. Only the master touches inflight and
+// alive, so they still hold what its loop left.
+func (f *farm) pins(acc value.Value) bool {
+	for w, task := range f.inflight {
+		if !f.copying[w] && (task != noTask || !f.alive[w]) {
+			return true
+		}
+	}
+	return f.refFolded && !plain(acc)
+}
+
 // plain reports whether v is plain data — ints, floats, bools, strings, unit,
-// and tuples or lists of those — which holds no view of another value.
+// values of an extension type declared NoView, and tuples or lists of those
+// — which holds no view of another value.
 func plain(v value.Value) bool {
 	switch v := v.(type) {
 	case int, float64, bool, string, value.Unit:
@@ -611,5 +635,5 @@ func plain(v value.Value) bool {
 	case value.List:
 		return !slices.ContainsFunc(v, func(e value.Value) bool { return !plain(e) })
 	}
-	return false
+	return value.ViewFree(v)
 }

@@ -357,10 +357,13 @@ func (m *Machine) FTSpeculationWins() int64 { return m.ftSpecWins.Load() }
 func (m *Machine) FTFalseSuspicions() int64 { return m.ftFalseSuspicions.Load() }
 
 // pipeFrame is one in-flight iteration handed from stage to stage down the
-// pipeline. Ownership of vals transfers with each send.
+// pipeline. Ownership of vals transfers with each send. The pin verdict
+// rides with the frame, not on a farm record: on a pipelined processor the
+// next frame reuses the record while this one finishes its final stage.
 type pipeFrame struct {
 	vals []value.Value // the frame's value slots, indexed by the plan
 	iter int
+	pin  bool // a farm that took the frame's tasks left something that may read it
 }
 
 // interpret runs a processor's lowered program for iters frames — the
@@ -398,7 +401,7 @@ func (m *Machine) interpret(pl *procPlan, iters int) {
 				defer close(hands[j+1])
 			}
 			for f := range hands[j] {
-				if !m.runStage(pl, j, f, memTok) {
+				if !m.runStage(pl, j, &f, memTok) {
 					return // upstream notices through m.failed
 				}
 				if j == stages-1 {
@@ -421,14 +424,15 @@ func (m *Machine) interpret(pl *procPlan, iters int) {
 	// so a finished frame's values (images, windows) are garbage at once.
 	// Pipelined frames overlap, so each gets its own.
 	f := pipeFrame{vals: make([]value.Value, pl.nslots)}
-	for ; f.iter < iters && m.runStage(pl, 0, f, memTok); f.iter++ {
+	for ; f.iter < iters && m.runStage(pl, 0, &f, memTok); f.iter++ {
 		if stages == 1 {
 			clear(f.vals)
+			f.pin = false
 			continue
 		}
 		select {
 		case hands[1] <- f:
-			f.vals = make([]value.Value, pl.nslots)
+			f.vals, f.pin = make([]value.Value, pl.nslots), false
 		case <-m.failed:
 			f.iter = iters // stop producing
 		}
@@ -446,7 +450,7 @@ func (m *Machine) interpret(pl *procPlan, iters int) {
 // frame leaving the stage is recorded too: the hand-off event and the
 // stage's busy time — the measured per-stage period. It reports false when
 // the run is failing.
-func (m *Machine) runStage(pl *procPlan, j int, f pipeFrame, memTok chan struct{}) bool {
+func (m *Machine) runStage(pl *procPlan, j int, f *pipeFrame, memTok chan struct{}) bool {
 	trace, stageLat := m.Trace, m.StageLatency
 	pipelined := len(pl.stages) > 1
 	var s0 time.Time
@@ -484,9 +488,13 @@ func (m *Machine) runStage(pl *procPlan, j int, f pipeFrame, memTok chan struct{
 	}
 	if j == len(pl.stages)-1 {
 		// The frame is done: received values that die with it go back to
-		// the arena.
+		// the arena, and so does its grabbed frame unless lowering or one of
+		// its farms found something that may still read it.
 		for _, s := range pl.release {
 			value.Release(f.vals[s])
+		}
+		if pl.frame >= 0 && !f.pin && fromArena(f.vals[pl.frame]) {
+			value.Release(f.vals[pl.frame])
 		}
 	}
 	if pipelined {
@@ -498,8 +506,15 @@ func (m *Machine) runStage(pl *procPlan, j int, f pipeFrame, memTok chan struct{
 	return true
 }
 
+// fromArena reports whether v is an image the vision arena handed out
+// (vision.Image.FromArena): only such a frame is worth handing back.
+func fromArena(v value.Value) bool {
+	im, ok := v.(interface{ FromArena() bool })
+	return ok && im.FromArena()
+}
+
 // step executes one lowered op on frame f.
-func (m *Machine) step(pl *procPlan, op *planOp, f pipeFrame) error {
+func (m *Machine) step(pl *procPlan, op *planOp, f *pipeFrame) error {
 	vals := f.vals
 	switch op.kind {
 	case syndex.OpRecv:
@@ -539,8 +554,12 @@ func (m *Machine) step(pl *procPlan, op *planOp, f pipeFrame) error {
 		op.mem.v, op.mem.set = vals[op.in[0]], true
 
 	case syndex.OpMaster:
-		var err error
-		vals[op.out], err = m.runMaster(op.farm, vals[op.in[0]], vals[op.in[1]])
+		acc, err := m.runMaster(op.farm, vals[op.in[0]], vals[op.in[1]])
+		vals[op.out] = acc
+		// Only a frame the arena owns is worth the verdict's walk.
+		if op.farm.takesFrame && !f.pin && fromArena(vals[pl.frame]) {
+			f.pin = op.farm.pins(acc)
+		}
 		return err
 	}
 	return nil

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"skipper/internal/arch"
 	"skipper/internal/exec/transport"
@@ -46,6 +47,7 @@ type procPlan struct {
 	nslots  int           // size of a frame's value array
 	workers []*workerPlan // farm workers hosted here
 	release []int         // receive slots recycled once the frame is done (releasable)
+	frame   int           // the itermem input's slot, handed back once the frame is done; -1: never
 
 	// stages[j] lists, in execution order, the ops pipeline stage j runs on
 	// each frame; an unpipelined processor has the one stage. The MEM baton
@@ -148,7 +150,7 @@ func (m *Machine) lower(p arch.ProcID, iters int) (*procPlan, error) {
 			return nil, err
 		}
 	}
-	pl.release = m.releasable(pl)
+	pl.release, pl.frame = m.releasable(pl)
 	var cuts []int
 	if m.Pipeline {
 		cuts = m.pipelineCuts(p)
@@ -165,49 +167,76 @@ func (m *Machine) copies(src, dst arch.ProcID) bool {
 }
 
 // releasable returns the receive slots whose value the frame recycles once
-// it is done (DESIGN.md §7). The value must have arrived over a copying
-// link, so this processor owns it alone, and neither it nor anything derived
-// from it may escape the frame. Derived is every output of an exec op that
-// reads a derived slot, transitively: a function's result may be a view of
-// its argument. A value escapes into delay state (a Mem read or write), into
-// the Output node's recorded value, into a farm master (which retains tasks
-// for re-dispatch and hands them to a co-hosted worker by reference) and
-// through a send that passes by reference. Program order is a topological
-// order of the slots, so one forward pass per receive finds everything
-// derived from it.
-func (m *Machine) releasable(pl *procPlan) []int {
-	var release []int
+// it is done, and the slot of the itermem input's frame if the frame may be
+// handed back too (-1 if not), per DESIGN.md §7. A received value must have
+// arrived over a copying link, so this processor owns it alone; a frame
+// comes from the input op's function, which hands over what it returns.
+// Neither it nor anything derived from it may escape the frame (escapes).
+func (m *Machine) releasable(pl *procPlan) (release []int, frame int) {
+	frame = -1
 	derived := make([]bool, pl.nslots)
 	for r := range pl.ops {
-		if pl.ops[r].kind != syndex.OpRecv || !m.copies(pl.ops[r].peer, pl.p) {
-			continue
-		}
-		clear(derived)
-		derived[pl.ops[r].out] = true
-		escapes := false
-		for i := r + 1; i < len(pl.ops) && !escapes; i++ {
-			o := &pl.ops[i]
-			reads := false
-			for _, s := range o.in {
-				reads = reads || derived[s]
+		o := &pl.ops[r]
+		switch {
+		case o.kind == syndex.OpRecv && m.copies(o.peer, pl.p):
+			if !m.escapes(pl, r, derived, nil) {
+				release = append(release, o.out)
 			}
-			switch {
-			case !reads:
-			case o.kind == syndex.OpSend:
-				escapes = !m.copies(pl.p, o.peer)
-			case o.kind == syndex.OpExec && o.mem == nil && o.node.Kind != graph.KindOutput:
-				for s := o.out; s < o.out+o.nout; s++ {
-					derived[s] = true
+		case o.kind == syndex.OpExec && o.node.Kind == graph.KindInput:
+			var farms []*farm
+			if !m.escapes(pl, r, derived, &farms) {
+				frame = o.out
+				for _, f := range farms {
+					f.takesFrame = true
 				}
-			default: // a Mem read or write, the Output node, a farm master
-				escapes = true
 			}
-		}
-		if !escapes {
-			release = append(release, pl.ops[r].out)
 		}
 	}
-	return release
+	return release, frame
+}
+
+// escapes runs the forward pass from op r: it reports whether r's result or
+// anything derived from it escapes the frame. Derived is every output of an
+// exec op that reads a derived slot, transitively: a function's result may
+// be a view of its argument. A value escapes into delay state (a Mem read or
+// write), into the Output node's recorded value, through a send that passes
+// by reference, and into a farm master, which retains tasks for re-dispatch
+// and hands them to co-hosted workers by reference. Program order is a
+// topological order of the slots, so one forward pass finds everything
+// derived.
+//
+// With farms non-nil (the input op's frame) a view pins its frame, not the
+// run: a df master on this processor may take derived tasks, given an
+// initial accumulator that is not derived. Its workers are done with every
+// task once it returns, unless a by-reference worker still holds one or
+// folded a reply into an accumulator that may hold a view; the frame's own
+// verdicts (farm.pins) check both. The master is appended to *farms, and its
+// result is not derived. A tf master still escapes: its tasks outlive their
+// reply as the spawned tasks' parents.
+func (m *Machine) escapes(pl *procPlan, r int, derived []bool, farms *[]*farm) bool {
+	clear(derived)
+	derived[pl.ops[r].out] = true
+	for i := r + 1; i < len(pl.ops); i++ {
+		o := &pl.ops[i]
+		if !slices.ContainsFunc(o.in, func(s int) bool { return derived[s] }) {
+			continue
+		}
+		switch {
+		case o.kind == syndex.OpSend:
+			if !m.copies(pl.p, o.peer) {
+				return true
+			}
+		case o.kind == syndex.OpExec && o.mem == nil && o.node.Kind != graph.KindOutput:
+			for s := o.out; s < o.out+o.nout; s++ {
+				derived[s] = true
+			}
+		case o.kind == syndex.OpMaster && farms != nil && !o.farm.node.TaskFarm && !derived[o.in[1]]:
+			*farms = append(*farms, o.farm)
+		default: // a Mem read or write, the Output node, any other master
+			return true
+		}
+	}
+	return false
 }
 
 // pipelineCuts returns the ascending cut indices splitting processor p's

@@ -8,6 +8,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -106,6 +107,13 @@ type Graph struct {
 	Edges []*Edge
 	// NextSkel numbers skeleton instances.
 	NextSkel int
+
+	// in[n] and out[n] are node n's in- and out-edges sorted by port, built
+	// by Validate or by the first InEdges/OutEdges after an AddNode or
+	// Connect (edges are only ever appended); indexed is the node and edge
+	// count they cover.
+	in, out [][]*Edge
+	indexed [2]int
 }
 
 // New returns an empty graph.
@@ -158,28 +166,66 @@ func (g *Graph) ConnectIntra(from NodeID, fromPort int, to NodeID, toPort int, t
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) *Node { return g.Nodes[id] }
 
-// InEdges returns the edges arriving at n, ordered by target port.
-func (g *Graph) InEdges(n NodeID) []*Edge {
-	var out []*Edge
-	for _, e := range g.Edges {
-		if e.To == n {
-			out = append(out, e)
-		}
+// InEdges returns the edges arriving at n, ordered by target port. The
+// slice is shared: callers must not modify it.
+func (g *Graph) InEdges(n NodeID) []*Edge { return g.edges(n, true) }
+
+// OutEdges returns the edges leaving n, ordered by source port. The slice is
+// shared: callers must not modify it.
+func (g *Graph) OutEdges(n NodeID) []*Edge { return g.edges(n, false) }
+
+// edges returns n's in-edges (in) or out-edges from the index, rebuilding it
+// first on a graph changed since it was last indexed.
+func (g *Graph) edges(n NodeID, in bool) []*Edge {
+	if !g.fresh() {
+		g.index()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ToPort < out[j].ToPort })
-	return out
+	if in {
+		return g.in[n]
+	}
+	return g.out[n]
 }
 
-// OutEdges returns the edges leaving n, ordered by source port.
-func (g *Graph) OutEdges(n NodeID) []*Edge {
-	var out []*Edge
-	for _, e := range g.Edges {
-		if e.From == n {
-			out = append(out, e)
-		}
+// fresh reports whether the index covers the graph as it is.
+func (g *Graph) fresh() bool { return g.indexed == [2]int{len(g.Nodes), len(g.Edges)} }
+
+// sortByPort orders one node's edges, listed in edge order, by their port
+// at that node.
+func sortByPort(es []*Edge, in bool) {
+	if in {
+		sort.Slice(es, func(i, j int) bool { return es[i].ToPort < es[j].ToPort })
+	} else {
+		sort.Slice(es, func(i, j int) bool { return es[i].FromPort < es[j].FromPort })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FromPort < out[j].FromPort })
-	return out
+}
+
+// index builds in and out: each node's edges carved out of one backing
+// array per side, in edge order, then sorted by port.
+func (g *Graph) index() {
+	side := func(end func(*Edge) NodeID, in bool) [][]*Edge {
+		start := make([]int, len(g.Nodes)+1)
+		for _, e := range g.Edges {
+			start[end(e)+1]++
+		}
+		for n := range g.Nodes {
+			start[n+1] += start[n]
+		}
+		all := make([]*Edge, len(g.Edges))
+		next := slices.Clone(start[:len(g.Nodes)])
+		for _, e := range g.Edges {
+			all[next[end(e)]] = e
+			next[end(e)]++
+		}
+		per := make([][]*Edge, len(g.Nodes))
+		for n := range per {
+			per[n] = all[start[n]:start[n+1]:start[n+1]]
+			sortByPort(per[n], in)
+		}
+		return per
+	}
+	g.in = side(func(e *Edge) NodeID { return e.To }, true)
+	g.out = side(func(e *Edge) NodeID { return e.From }, false)
+	g.indexed = [2]int{len(g.Nodes), len(g.Edges)}
 }
 
 // Validate checks structural invariants:
@@ -188,6 +234,9 @@ func (g *Graph) OutEdges(n NodeID) []*Edge {
 //   - back edges originate or terminate only at Mem nodes;
 //   - the graph minus back edges is acyclic (deadlock freedom of the
 //     static schedule relies on this).
+//
+// A valid graph gets its adjacency index, which InEdges and OutEdges read;
+// validating it again (syndex.Map does) only reads it.
 func (g *Graph) Validate() error {
 	seen := map[[2]int]bool{} // (node, port) -> has incoming edge
 	for _, e := range g.Edges {
@@ -225,6 +274,9 @@ func (g *Graph) Validate() error {
 	}
 	if _, err := g.TopoSort(); err != nil {
 		return err
+	}
+	if !g.fresh() {
+		g.index()
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -176,4 +177,64 @@ func TestKindString(t *testing.T) {
 	if KindMaster.String() != "master" || NodeKind(99).String() == "" {
 		t.Fatal("kind names broken")
 	}
+}
+
+// TestAdjacencyIndexMatchesScan: the index Validate builds lists each node's
+// edges exactly as the scan of every edge followed by a sort by port that
+// it replaced does, for a wide fan-out from one port and in-ports connected out of
+// order, and a graph changed after validation is indexed again.
+func TestAdjacencyIndexMatchesScan(t *testing.T) {
+	g := New()
+	src := g.AddNode(&Node{Kind: KindFunc, Name: "src", Out: 2})
+	sink := g.AddNode(&Node{Kind: KindFunc, Name: "sink", In: 20})
+	for i := 0; i < 20; i++ {
+		mid := g.AddNode(&Node{Kind: KindFunc, Name: "mid", In: 1, Out: 1})
+		g.Connect(src.ID, i%2, mid.ID, 0, "t")
+		g.Connect(mid.ID, 0, sink.ID, (i*7)%20, "t")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		t.Helper()
+		for _, n := range g.Nodes {
+			for _, in := range []bool{true, false} {
+				var want []*Edge
+				for _, e := range g.Edges {
+					if in && e.To == n.ID || !in && e.From == n.ID {
+						want = append(want, e)
+					}
+				}
+				port := func(e *Edge) int {
+					if in {
+						return e.ToPort
+					}
+					return e.FromPort
+				}
+				sort.Slice(want, func(i, j int) bool { return port(want[i]) < port(want[j]) })
+				got := g.OutEdges(n.ID)
+				if in {
+					got = g.InEdges(n.ID)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s (in %v): %d edges, scan %d", n.Name, in, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s (in %v): edge %d is %d, scan %d", n.Name, in, i, got[i].ID, want[i].ID)
+					}
+				}
+				if cap(got) != len(got) {
+					t.Fatalf("%s (in %v): an append to the shared slice would clobber a neighbour", n.Name, in)
+				}
+			}
+		}
+	}
+	check()
+	extra := g.AddNode(&Node{Kind: KindFunc, Name: "extra", In: 1})
+	g.Connect(src.ID, 1, extra.ID, 0, "t")
+	if got := len(g.OutEdges(src.ID)); got != 21 {
+		t.Fatalf("after a new edge OutEdges(src) has %d edges, want 21", got)
+	}
+	check()
 }

@@ -14,7 +14,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"skipper/internal/arch"
@@ -569,22 +568,6 @@ func (r *Result) Utilization() []float64 {
 	for i, b := range r.Busy {
 		out[i] = b / r.Total
 	}
-	return out
-}
-
-// FormatLatency renders seconds as milliseconds with 1 decimal.
-func FormatLatency(sec float64) string { return fmt.Sprintf("%.1f ms", sec*1000) }
-
-// SortedCopy returns latencies sorted ascending (for percentile reports).
-func (r *Result) SortedCopy(warmup int) []float64 {
-	if warmup >= len(r.Iters) {
-		warmup = 0
-	}
-	out := make([]float64, 0, len(r.Iters)-warmup)
-	for _, it := range r.Iters[warmup:] {
-		out = append(out, it.Latency)
-	}
-	sort.Float64s(out)
 	return out
 }
 

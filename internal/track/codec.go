@@ -20,6 +20,7 @@ func init() {
 		Encode: encodeDetections,
 		Decode: decodeDetections,
 		Size:   func(v value.Value) int { return 4 + len(v.(Detections))*markBytes },
+		NoView: true,
 	})
 	value.RegisterExt(value.Ext{
 		Name:   "track.Mark",
@@ -36,6 +37,7 @@ func init() {
 			}
 			return m, nil
 		},
+		NoView: true,
 	})
 	value.RegisterExt(value.Ext{
 		Name:   "track.State",

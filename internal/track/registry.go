@@ -104,8 +104,11 @@ func NewRegistry(scene *video.Scene, out io.Writer) (*value.Registry, *Recorder)
 
 	r.Register(&value.Func{
 		Name: "read_img", Sig: "int * int -> img", Arity: 1,
+		// The frame comes from the vision arena: the executive hands it back
+		// when the frame's iteration ends, if nothing still holds it or a
+		// view of it (DESIGN.md §7); otherwise the GC collects it.
 		Fn: func(args []value.Value) value.Value {
-			return scene.Next()
+			return scene.NextInto(vision.GetImage(scene.W, scene.H))
 		},
 		Cost:     func([]value.Value) int64 { return ReadImgCycles },
 		EstCost:  ReadImgCycles,

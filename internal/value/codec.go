@@ -72,6 +72,10 @@ const maxDecodeDepth = 512
 //
 // Release, also optional, hands a dead value's buffers back to the arena its
 // decoder draws from (see Release below).
+//
+// NoView declares that a value of the type never holds a view of another
+// value — no slice of an image's pixels, no pointer into a frame — so an
+// accumulator built of such values cannot keep a frame alive (ViewFree).
 type Ext struct {
 	Name       string
 	Match      func(v Value) bool
@@ -81,6 +85,7 @@ type Ext struct {
 	EncodeTail func(buf []byte, v Value) (head, tail []byte, err error)
 	DecodeFrom func(r *bufio.Reader, n int) (Value, error)
 	Release    func(v Value)
+	NoView     bool
 }
 
 var (
@@ -149,6 +154,12 @@ func Release(v Value) {
 			e.Release(v)
 		}
 	}
+}
+
+// ViewFree reports whether v is of an extension type declared NoView.
+func ViewFree(v Value) bool {
+	e := matchExt(v)
+	return e != nil && e.NoView
 }
 
 func lookupExt(name string) *Ext {

@@ -140,9 +140,10 @@ func (s *Scene) Next() *vision.Image {
 
 // NextInto advances vehicle states and renders the next frame into im,
 // which must be a W×H image (every pixel is overwritten, so im need not be
-// cleared). It returns im. Combined with the vision arena (GetImage /
-// PutImage) or a caller-owned double buffer, a 25 Hz frame loop stops
-// allocating a frame per iteration.
+// cleared). It returns im, which stays the caller's: an arena image (the
+// stock tracking registry's grab, vision.GetImage) is handed back by
+// whoever holds it last, a caller-owned buffer is never recycled. Either
+// way a 25 Hz frame loop stops allocating a frame per iteration.
 func (s *Scene) NextInto(im *vision.Image) *vision.Image {
 	if im.W != s.W || im.H != s.H {
 		panic("video: NextInto image geometry does not match scene")

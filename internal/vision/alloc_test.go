@@ -1,6 +1,10 @@
 package vision
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+	"unsafe"
+)
 
 // Allocation budgets for the per-frame hot-path kernels: with reused
 // destinations/scratch, the in-place variants must be 0-alloc at steady
@@ -158,5 +162,36 @@ func TestArenaGetImageIsZeroed(t *testing.T) {
 	PutImage(im2)
 	if got := GetImage(8, 4); got.W != 8 || got.H != 4 || len(got.Pix) != 32 {
 		t.Fatalf("GetImage geometry wrong: %dx%d len %d", got.W, got.H, len(got.Pix))
+	}
+}
+
+// TestImageHeaderIs48Bytes pins the image header to one 48-byte size class:
+// Extract allocates one per view, so a 56-byte header (rounded up to 64)
+// would cost every window 16 bytes more.
+func TestImageHeaderIs48Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Image{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Image{}) = %d, want 48", got)
+	}
+}
+
+// TestPutImageRecyclesOnlyArenaImages: an image the arena did not hand out
+// belongs to its maker, who may still hold it (a benchmark's ring of
+// pre-rendered frames), so PutImage leaves it and its pixels alone; an arena
+// image, and an arena image a kernel reshaped, go back to the pool.
+func TestPutImageRecyclesOnlyArenaImages(t *testing.T) {
+	defer PoisonRecycledForTest()()
+	mine := allocTestFrame(64, 32)
+	want := mine.Clone()
+	PutImage(mine)
+	PutImage(mine.Clone())
+	if !bytes.Equal(mine.Pix, want.Pix) {
+		t.Fatal("PutImage poisoned an image NewImage made")
+	}
+	for _, arena := range []*Image{GetImage(64, 32), ThresholdInto(GetImage(8, 8), mine, 100)} {
+		arena.Pix[0] = 1
+		PutImage(arena)
+		if arena.Pix[0] != poisonByte {
+			t.Fatalf("PutImage left a %dx%d arena image unpoisoned", arena.W, arena.H)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package vision
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -22,9 +23,18 @@ type Image struct {
 
 	// stride is zero for an image that owns a compact Pix. Extract sets it,
 	// to the bytes between row starts, on a view: Pix then belongs to the
-	// image viewed, whatever the view's width.
-	stride int
+	// image viewed, whatever the view's width. It is an int32 so that, with
+	// arena, the header stays 48 bytes (a Go size class): every view
+	// Extract makes is one of these.
+	stride int32
+	// arena marks an image the frame arena handed out (GetImage, the
+	// decoder, the kernels' scratch): PutImage recycles only those.
+	arena bool
 }
+
+// FromArena reports whether the frame arena handed im out (GetImage), so
+// that its last holder hands it back with PutImage.
+func (im *Image) FromArena() bool { return im.arena }
 
 // NewImage returns a zeroed (black) W×H image.
 func NewImage(w, h int) *Image {
@@ -53,7 +63,7 @@ func (im *Image) Set(x, y int, v uint8) {
 
 func (im *Image) pitch() int {
 	if im.stride != 0 {
-		return im.stride
+		return int(im.stride)
 	}
 	return im.W
 }
@@ -206,9 +216,12 @@ func Extract(im *Image, r Rect) Window {
 	v := &Image{W: r.W(), H: r.H()}
 	if !r.Empty() {
 		p := im.pitch()
+		if p > math.MaxInt32 {
+			panic(fmt.Sprintf("vision: cannot view an image with a %d-byte row pitch", p))
+		}
 		lo := r.Y0*p + r.X0
 		hi := lo + (v.H-1)*p + v.W
-		v.Pix, v.stride = im.Pix[lo:hi:hi], p
+		v.Pix, v.stride = im.Pix[lo:hi:hi], int32(p)
 	}
 	return Window{Origin: r, Img: v}
 }

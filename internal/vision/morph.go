@@ -1,10 +1,7 @@
 package vision
 
-// Morphology and gradient primitives of the low-level image processing
-// layer. These complete the substrate a vision programmer expects from the
-// Transvision library: erosion/dilation for mark cleanup, open/close for
-// noise suppression, Sobel gradients and integral images for fast area
-// statistics.
+// Morphology primitives of the low-level image processing layer:
+// erosion/dilation for mark cleanup.
 
 // Dilate3 returns the 8-neighbourhood (3×3) morphological dilation of a
 // binary or grayscale image: each output pixel is the maximum of its
@@ -179,96 +176,4 @@ func min8(a, b uint8) uint8 {
 		return a
 	}
 	return b
-}
-
-// Open3 is erosion followed by dilation (removes speckle noise smaller
-// than the structuring element). The intermediate image comes from the
-// frame arena, so the composite allocates at most the result.
-func Open3(im *Image) *Image {
-	tmp := Erode3(im)
-	out := Dilate3(tmp)
-	PutImage(tmp)
-	return out
-}
-
-// Close3 is dilation followed by erosion (fills pinholes and joins close
-// blobs). The intermediate image comes from the frame arena.
-func Close3(im *Image) *Image {
-	tmp := Dilate3(im)
-	out := Erode3(tmp)
-	PutImage(tmp)
-	return out
-}
-
-// Sobel computes the Sobel gradient magnitude (clamped to 255). It is the
-// classic edge detector of the low-level processing layer.
-func Sobel(im *Image) *Image {
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			gx := -int(im.At(x-1, y-1)) + int(im.At(x+1, y-1)) +
-				-2*int(im.At(x-1, y)) + 2*int(im.At(x+1, y)) +
-				-int(im.At(x-1, y+1)) + int(im.At(x+1, y+1))
-			gy := -int(im.At(x-1, y-1)) - 2*int(im.At(x, y-1)) - int(im.At(x+1, y-1)) +
-				int(im.At(x-1, y+1)) + 2*int(im.At(x, y+1)) + int(im.At(x+1, y+1))
-			m := abs(gx) + abs(gy) // L1 magnitude, the Transputer-era choice
-			if m > 255 {
-				m = 255
-			}
-			out.Pix[y*im.W+x] = uint8(m)
-		}
-	}
-	return out
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// Integral is a summed-area table: I[y][x] holds the sum of all pixels in
-// the rectangle [0,x)×[0,y). It answers rectangle-sum queries in O(1).
-type Integral struct {
-	W, H int
-	sums []int64 // (W+1)×(H+1)
-}
-
-// NewIntegral builds the summed-area table of im.
-func NewIntegral(im *Image) *Integral {
-	w, h := im.W, im.H
-	it := &Integral{W: w, H: h, sums: make([]int64, (w+1)*(h+1))}
-	stride := w + 1
-	for y := 1; y <= h; y++ {
-		var rowSum int64
-		for x, p := range im.Row(y - 1) {
-			rowSum += int64(p)
-			it.sums[y*stride+x+1] = it.sums[(y-1)*stride+x+1] + rowSum
-		}
-	}
-	return it
-}
-
-// Sum returns the pixel sum over r (clipped to the frame).
-func (it *Integral) Sum(r Rect) int64 {
-	r = r.Intersect(Rect{X0: 0, Y0: 0, X1: it.W, Y1: it.H})
-	if r.Empty() {
-		return 0
-	}
-	stride := it.W + 1
-	a := it.sums[r.Y0*stride+r.X0]
-	b := it.sums[r.Y0*stride+r.X1]
-	c := it.sums[r.Y1*stride+r.X0]
-	d := it.sums[r.Y1*stride+r.X1]
-	return d - b - c + a
-}
-
-// Mean returns the average gray value over r (0 for empty rectangles).
-func (it *Integral) Mean(r Rect) float64 {
-	r = r.Intersect(Rect{X0: 0, Y0: 0, X1: it.W, Y1: it.H})
-	if r.Empty() {
-		return 0
-	}
-	return float64(it.Sum(r)) / float64(r.Area())
 }

@@ -173,20 +173,6 @@ func (d *Deployment) Run(iters int) ([]Value, error) {
 	return res.Outputs, nil
 }
 
-// RunDeterministic is Run with deterministic df accumulation order (input
-// order instead of arrival order), lifting the paper's requirement that the
-// accumulating function be commutative — useful when diffing against the
-// sequential emulation.
-func (d *Deployment) RunDeterministic(iters int) ([]Value, error) {
-	m := exec.NewMachine(d.Schedule, d.Program.c.Reg)
-	m.DeterministicFarm = true
-	res, err := m.Run(iters)
-	if err != nil {
-		return nil, err
-	}
-	return res.Outputs, nil
-}
-
 // Simulate executes the deployment on the Transvision timing model.
 func (d *Deployment) Simulate(opts SimOptions) (*SimResult, error) {
 	return sim.Run(d.Schedule, d.Program.c.Reg, opts)

@@ -1,6 +1,8 @@
 package skipper
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -197,5 +199,41 @@ func TestCompileErrorsSurface(t *testing.T) {
 	}
 	if _, err := Compile("let main = nope;;", NewRegistry()); err == nil {
 		t.Fatal("type error not surfaced")
+	}
+}
+
+// TestDeploymentRunRecyclesFrames pins what a steady-state 512×512 tracking
+// frame allocates on the in-process executive: the camera grabs into arena
+// frames the executive hands back when their iteration ends, and windows
+// are views, so no frame allocates pixels. A fresh frame per grab measured
+// about 268 KB a frame at ring(2).
+func TestDeploymentRunRecyclesFrames(t *testing.T) {
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			t.Skip("the race detector's sync.Pool drops items at random")
+		}
+	}
+	const frames, ceiling = 240, 16 << 10
+	for _, procs := range []int{2, 8} {
+		prog, _ := newTrackingSetup(t, 8, 512, 512, 2, 1)
+		dep, err := prog.MapOnto(Ring(procs), Structured)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dep.Run(20); err != nil { // warm-up: the arena and the mailboxes reach their steady size
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := dep.Run(frames); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perFrame := float64(after.TotalAlloc-before.TotalAlloc) / frames
+		t.Logf("ring(%d): %.0f B/frame", procs, perFrame)
+		if perFrame >= ceiling {
+			t.Errorf("ring(%d): %.0f B allocated a frame, want < %d", procs, perFrame, ceiling)
+		}
 	}
 }
